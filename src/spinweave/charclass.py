@@ -407,7 +407,75 @@ def manifold_to_json(m: ManifoldData) -> dict:
     }
 
 
+def _bad(name: str, key: str, problem: str) -> ValueError:
+    return ValueError(f"malformed catalog record {name!r}: key {key!r} {problem}")
+
+
+def _check_bits(value, length: int, name: str, key: str) -> None:
+    if value is None:
+        raise _bad(name, key, "is missing")
+    if not isinstance(value, list) or any(type(b) is not int or b not in (0, 1) for b in value):
+        raise _bad(name, key, "must be a list of 0/1 entries")
+    if len(value) != length:
+        raise _bad(name, key, f"has length {len(value)}, expected {length}")
+
+
+_SHAPE = {"dim": int, "h1": list, "h2": list, "sq": dict, "tangent": dict,
+          "cup": dict, "liftable2": list, "bundles": list}
+_REQUIRED = ("dim", "h1", "h2", "sq", "tangent")
+
+
+def _check_record(data) -> None:
+    """Shape, required keys and F2 vector lengths of one catalog record."""
+    if not isinstance(data, dict):
+        raise ValueError(f"malformed catalog record: expected a JSON object, got {type(data).__name__}")
+    name = data.get("name")
+    if not isinstance(name, str):
+        raise ValueError("malformed catalog record: key 'name' must be a string")
+    for key in _REQUIRED:
+        if key not in data:
+            raise _bad(name, key, "is missing")
+    for key, kind in _SHAPE.items():
+        value = data.get(key, kind())
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise _bad(name, key, f"must be a JSON {'integer' if kind is int else kind.__name__}")
+    h1, h2 = data["h1"], data["h2"]
+    for key, names in (("h1", h1), ("h2", h2)):
+        if not all(isinstance(x, str) for x in names) or len(set(names)) != len(names):
+            raise _bad(name, key, "must list distinct basis names")
+    b1, b2 = len(h1), len(h2)
+    if data["dim"] < 1:
+        raise _bad(name, "dim", "must be positive")
+    if set(data["sq"]) != set(h1):
+        raise _bad(name, "sq", "must have exactly one row per h1 class")
+    for cls, row in data["sq"].items():
+        _check_bits(row, b2, name, f"sq.{cls}")
+    for pair, row in data.get("cup", {}).items():
+        parts = pair.split(",")
+        if len(parts) != 2 or not all(x in h1 for x in parts):
+            raise _bad(name, f"cup.{pair}", "must name two h1 classes")
+        _check_bits(row, b2, name, f"cup.{pair}")
+    _check_bits(data["tangent"].get("w1"), b1, name, "tangent.w1")
+    _check_bits(data["tangent"].get("w2"), b2, name, "tangent.w2")
+    for i, gen in enumerate(data.get("liftable2", [])):
+        _check_bits(gen, b2, name, f"liftable2[{i}]")
+    for i, bundle in enumerate(data.get("bundles", [])):
+        key = f"bundles[{i}]"
+        if not isinstance(bundle, dict):
+            raise _bad(name, key, "must be a JSON object")
+        if not isinstance(bundle.get("name"), str):
+            raise _bad(name, f"{key}.name", "must be a string")
+        rank = bundle.get("rank")
+        if type(rank) is not int or rank < 1:
+            raise _bad(name, f"{key}.rank", "must be a positive integer")
+        _check_bits(bundle.get("w1"), b1, name, f"{key}.w1")
+        _check_bits(bundle.get("w2"), b2, name, f"{key}.w2")
+        if type(bundle.get("oriented", False)) is not bool:
+            raise _bad(name, f"{key}.oriented", "must be true or false")
+
+
 def manifold_from_json(data: dict) -> ManifoldData:
+    _check_record(data)
     try:
         basis1 = tuple(data["h1"])
         basis2 = tuple(data["h2"])
@@ -434,9 +502,9 @@ def manifold_from_json(data: dict) -> ManifoldData:
             for b in data.get("bundles", [])
         )
         liftable = tuple(_vec(g) for g in data.get("liftable2", []))
-        return ManifoldData(data["name"], data["dim"], ring, tangent, liftable, bundles)
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ValueError(f"malformed catalog record {data.get('name', '?')!r}: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"malformed catalog record {data['name']!r}: {exc}") from exc
+    return ManifoldData(data["name"], data["dim"], ring, tangent, liftable, bundles)
 
 
 def dump_catalog(manifolds: Sequence[ManifoldData]) -> str:
@@ -445,10 +513,19 @@ def dump_catalog(manifolds: Sequence[ManifoldData]) -> str:
 
 
 def load_catalog(text: str) -> List[ManifoldData]:
+    """Parse and validate a catalog file; raises ValueError naming the bad record."""
     doc = json.loads(text)
-    if doc.get("schema") != 1:
+    if not isinstance(doc, dict) or doc.get("schema") != 1:
         raise ValueError("unsupported catalog schema")
-    out = []
-    for record in doc["manifolds"]:
-        out.append(manifold_from_json(record))
+    records = doc.get("manifolds")
+    if not isinstance(records, list):
+        raise ValueError("catalog key 'manifolds' must be a list of records")
+    out: List[ManifoldData] = []
+    seen = set()
+    for record in records:
+        m = manifold_from_json(record)
+        if m.name in seen:
+            raise ValueError(f"duplicate catalog record {m.name!r}")
+        seen.add(m.name)
+        out.append(m)
     return out

@@ -96,8 +96,16 @@ def _apply_config(args) -> Optional[str]:
     if not isinstance(config, dict):
         return "config file must hold a JSON object"
     for key in _CONFIG_KEYS:
-        if key in config and getattr(args, key, None) is None:
-            setattr(args, key, config[key])
+        if key not in config:
+            continue
+        value = config[key]
+        if key == "format":
+            if value not in ("json", "table"):
+                return f"key 'format' must be \"json\" or \"table\", got {value!r}"
+        elif type(value) is not int:
+            return f"key {key!r} must be an integer, got {value!r}"
+        if getattr(args, key, None) is None:
+            setattr(args, key, value)
     return None
 
 

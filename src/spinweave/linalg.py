@@ -9,6 +9,7 @@ in the library deterministic.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .scalars import ExactScalar, ONE, ZERO, sc
@@ -25,7 +26,7 @@ class ExactMatrix:
         for row in rows:
             if len(row) != n:
                 raise ValueError("matrix must be square")
-            data.append(tuple(sc(x) for x in row))
+            data.append(tuple(x if type(x) is ExactScalar else sc(x) for x in row))
         self.n = n
         self.rows = tuple(data)
         self._key = None
@@ -239,16 +240,7 @@ class ExactMatrix:
     def key(self) -> tuple:
         """Canonical hashable key (used for dedup and stable ordering)."""
         if self._key is None:
-            self._key = tuple(
-                (
-                    x.a.numerator, x.a.denominator,
-                    x.b.numerator, x.b.denominator,
-                    x.c.numerator, x.c.denominator,
-                    x.d.numerator, x.d.denominator,
-                )
-                for row in self.rows
-                for x in row
-            )
+            self._key = tuple(_coordinate_key(x) for row in self.rows for x in row)
         return self._key
 
     def __eq__(self, other):
@@ -274,6 +266,18 @@ class ExactMatrix:
     @classmethod
     def from_json(cls, data) -> "ExactMatrix":
         return cls([[ExactScalar.from_json(x) for x in row] for row in data])
+
+
+def _coordinate_key(x: ExactScalar) -> tuple:
+    """(numerator, denominator) of each reduced rational coordinate of x."""
+    den = x.den
+    if den == 1:
+        return (x.p, 1, x.q, 1, x.r, 1, x.s, 1)
+    out = []
+    for num in (x.p, x.q, x.r, x.s):
+        g = gcd(num, den)
+        out += (num // g, den // g)
+    return tuple(out)
 
 
 SparseRow = Dict[int, ExactScalar]

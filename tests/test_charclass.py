@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from spinweave.charclass import (
@@ -239,3 +241,94 @@ class TestCatalogSerialisation:
     def test_schema_checked(self):
         with pytest.raises(ValueError):
             load_catalog('{"schema": 2, "manifolds": []}')
+
+
+def _record(**overrides):
+    """A tiny valid record: b1 = 2, b2 = 1, everything liftable."""
+    record = {
+        "name": "tiny",
+        "dim": 3,
+        "h1": ["x", "y"],
+        "h2": ["z"],
+        "sq": {"x": [1], "y": [0]},
+        "cup": {"x,y": [1]},
+        "tangent": {"w1": [1, 0], "w2": [0]},
+        "liftable2": [[1]],
+        "bundles": [{"name": "E", "rank": 2, "w1": [0, 1], "w2": [1]}],
+    }
+    record.update(overrides)
+    return record
+
+
+def _load(*records):
+    return load_catalog(json.dumps({"schema": 1, "manifolds": list(records)}))
+
+
+class TestCatalogValidation:
+    def test_tiny_record_loads(self):
+        (m,) = _load(_record())
+        assert m.name == "tiny" and len(m.bundles) == 1
+
+    def test_missing_manifolds_key(self):
+        with pytest.raises(ValueError, match="manifolds"):
+            load_catalog('{"schema": 1}')
+
+    def test_record_not_an_object(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            _load([1, 2])
+
+    def test_missing_required_key(self):
+        record = _record()
+        del record["tangent"]
+        with pytest.raises(ValueError, match="'tiny'.*'tangent'"):
+            _load(record)
+
+    def test_wrong_key_type(self):
+        with pytest.raises(ValueError, match="'tiny'.*'h1'"):
+            _load(_record(h1="x"))
+
+    def test_tangent_w1_length(self):
+        with pytest.raises(ValueError, match="'tiny'.*'tangent.w1'.*length 3, expected 2"):
+            _load(_record(tangent={"w1": [1, 0, 0], "w2": [0]}))
+
+    def test_tangent_w2_length(self):
+        with pytest.raises(ValueError, match="'tiny'.*'tangent.w2'"):
+            _load(_record(tangent={"w1": [1, 0], "w2": [0, 0]}))
+
+    def test_sq_length(self):
+        with pytest.raises(ValueError, match="'tiny'.*'sq.x'"):
+            _load(_record(sq={"x": [1, 1], "y": [0]}))
+
+    def test_sq_rows_match_h1(self):
+        with pytest.raises(ValueError, match="'tiny'.*'sq'"):
+            _load(_record(sq={"x": [1]}))
+
+    def test_cup_length(self):
+        with pytest.raises(ValueError, match="'tiny'.*'cup.x,y'"):
+            _load(_record(cup={"x,y": []}))
+
+    def test_cup_names_h1_classes(self):
+        with pytest.raises(ValueError, match="'tiny'.*'cup.x,q'"):
+            _load(_record(cup={"x,q": [1]}))
+
+    def test_liftable2_length(self):
+        with pytest.raises(ValueError, match=r"'tiny'.*'liftable2\[0\]'"):
+            _load(_record(liftable2=[[1, 0]]))
+
+    def test_bundle_vector_length(self):
+        bundle = {"name": "E", "rank": 2, "w1": [0], "w2": [1]}
+        with pytest.raises(ValueError, match=r"'tiny'.*'bundles\[0\].w1'"):
+            _load(_record(bundles=[bundle]))
+
+    def test_bundle_rank(self):
+        bundle = {"name": "E", "rank": 0, "w1": [0, 0], "w2": [1]}
+        with pytest.raises(ValueError, match=r"'tiny'.*'bundles\[0\].rank'"):
+            _load(_record(bundles=[bundle]))
+
+    def test_non_binary_entry(self):
+        with pytest.raises(ValueError, match="'tiny'.*'tangent.w1'.*0/1"):
+            _load(_record(tangent={"w1": [2, 0], "w2": [0]}))
+
+    def test_duplicate_names(self):
+        with pytest.raises(ValueError, match="duplicate catalog record 'tiny'"):
+            _load(_record(), _record())

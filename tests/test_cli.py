@@ -109,6 +109,25 @@ class TestObstructions:
         assert code == 2
         assert "x" in err
 
+    def test_wrong_vector_length_exits_2(self, capsys, tmp_path):
+        doc = json.loads(dump_catalog(builtin_catalog()[1:2]))  # s2: b1 = 0, b2 = 1
+        doc["manifolds"][0]["h1"] = ["t1", "t2"]
+        doc["manifolds"][0]["sq"] = {"t1": [0], "t2": [0]}
+        doc["manifolds"][0]["tangent"]["w1"] = [1, 0, 0]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "obstructions", "--catalog", str(path))
+        assert code == 2
+        assert out == ""
+        assert "'s2'" in err and "tangent.w1" in err
+
+    def test_catalog_without_manifolds_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"schema": 1}')
+        code, _, err = run(capsys, "obstructions", "--catalog", str(path))
+        assert code == 2
+        assert "manifolds" in err
+
     def test_unknown_manifold_exits_2(self, capsys):
         code, _, err = run(capsys, "obstructions", "--manifold", "nowhere")
         assert code == 2
@@ -195,3 +214,26 @@ class TestConfigFile:
         code, _, err = run(capsys, "examples", "sphere", "--m", "2", "--samples", "0")
         assert code == 2
         assert "positive" in err
+
+    @pytest.mark.parametrize(
+        "key, value, argv",
+        [
+            ("seed", "x", ("verify", "--sig", "1,0")),
+            ("samples", 2.5, ("examples", "sphere", "--m", "2")),
+            ("max_m", "4", ("verify",)),
+            ("format", "yaml", ("verify", "--sig", "1,0")),
+        ],
+    )
+    def test_config_value_types_checked(self, capsys, tmp_path, key, value, argv):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        code, out, err = run(capsys, *argv, "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert repr(key) in err
+
+    def test_config_max_m_zero_is_empty_range(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"max_m": 0}))
+        code, _, _ = run(capsys, "verify", "--config", str(config))
+        assert code == 0

@@ -142,3 +142,42 @@ def test_vector_matrix_roundtrip():
 def test_json_roundtrip():
     a = M([[ExactScalar(1, 2, Fraction(1, 3), 0), ZERO], [I, ONE]])
     assert M.from_json(a.to_json()) == a
+
+
+def _old_key(coords):
+    # the (numerator, denominator) tuple of each reduced Fraction coordinate
+    return tuple(
+        tuple(part for f in entry for part in (Fraction(f).numerator, Fraction(f).denominator))
+        for entry in coords
+    )
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [
+        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 0), (-1, 0, 0, 0)],
+        [(Fraction(1, 2), 0, 0, 0), (0, Fraction(-3, 4), 0, 0), (2, 0, 0, 0), (0, 0, 0, 0)],
+        [(0, 0, 1, 0), (Fraction(1, 2), 0, Fraction(-1, 2), 0), (0, 0, 0, Fraction(5, 6)),
+         (Fraction(2, 3), Fraction(-1, 6), Fraction(3, 4), Fraction(1, 12))],
+    ],
+)
+def test_key_is_per_coordinate_fraction_tuple(coords):
+    mat = M([[ExactScalar(*coords[0]), ExactScalar(*coords[1])],
+             [ExactScalar(*coords[2]), ExactScalar(*coords[3])]])
+    assert mat.key() == _old_key(coords)
+
+
+@given(st.lists(st.tuples(*[st.fractions(min_value=-3, max_value=3, max_denominator=8)] * 4),
+                min_size=4, max_size=4))
+def test_key_matches_fraction_coordinates(coords):
+    mat = M([[ExactScalar(*coords[0]), ExactScalar(*coords[1])],
+             [ExactScalar(*coords[2]), ExactScalar(*coords[3])]])
+    assert mat.key() == _old_key(coords)
+
+
+def test_init_coerces_only_foreign_entries():
+    half = ExactScalar(Fraction(1, 2))
+    mat = M([[half, 1], [Fraction(1, 3), ZERO]])
+    assert mat.rows[0][0] is half
+    assert all(type(x) is ExactScalar for row in mat.rows for x in row)
+    assert mat.rows[1][0] == ExactScalar(Fraction(1, 3))

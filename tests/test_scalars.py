@@ -128,3 +128,47 @@ def test_str_rendering():
 def test_json_roundtrip():
     x = ExactScalar(Fraction(1, 2), -3, Fraction(5, 7), 0)
     assert ExactScalar.from_json(x.to_json()) == x
+
+
+@pytest.mark.parametrize("value", [1, -3, 0, Fraction(1, 2), Fraction(-7, 3)])
+def test_hash_agrees_with_eq_on_rationals(value):
+    # regression: ONE == 1 held while 1 in {ONE} did not
+    x = sc(value)
+    assert x == value
+    assert hash(x) == hash(value)
+    assert value in {x}
+    assert x in {value}
+
+
+def _fields(x):
+    return (x.p, x.q, x.r, x.s, x.den)
+
+
+@given(scalars)
+def test_canonical_form(x):
+    from math import gcd
+
+    assert x.den > 0
+    assert gcd(x.p, x.q, x.r, x.s, x.den) == 1
+    assert (x.a, x.b, x.c, x.d) == (
+        Fraction(x.p, x.den), Fraction(x.q, x.den), Fraction(x.r, x.den), Fraction(x.s, x.den)
+    )
+
+
+@given(scalars, scalars)
+def test_equal_values_have_equal_fields(x, y):
+    # the same value reached along different routes
+    assert _fields((x + y) - y) == _fields(x)
+    assert _fields(x * (y + ONE) - x * y) == _fields(x)
+
+
+def test_zero_is_stored_canonically():
+    half = ExactScalar(Fraction(1, 2), Fraction(1, 3))
+    for zero in (ZERO, ExactScalar(), half - half, half * ZERO, sc(Fraction(0, 5)), -ZERO):
+        assert _fields(zero) == (0, 0, 0, 0, 1)
+
+
+def test_shared_denominator():
+    x = ExactScalar(Fraction(1, 2), Fraction(-1, 3), Fraction(5, 4), 2)
+    assert _fields(x) == (6, -4, 15, 24, 12)
+    assert _fields(x + x) == (6, -4, 15, 24, 6)
