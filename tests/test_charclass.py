@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from spinweave.charclass import (
     BundleData,
@@ -60,6 +61,12 @@ class TestIngestionValidation:
         tangent = BundleData("T", 3, CohoClass(1, (1,)), CohoClass(2, (0,)))
         with pytest.raises(ValueError):
             ManifoldData("bad", 3, ring, tangent, ())  # sq(a) = s not liftable
+
+    def test_unliftable_square_names_record_and_key(self):
+        ring = CohoRing(("a", "b"), ("s",), ((0,), (1,)))
+        tangent = BundleData("T", 3, ring.zero1(), ring.zero2())
+        with pytest.raises(ValueError, match=r"'bad'.*'sq\.b'.*not liftable"):
+            ManifoldData("bad", 3, ring, tangent, ())
 
     def test_tangent_rank_must_match(self):
         ring = CohoRing((), (), ())
@@ -222,6 +229,42 @@ class TestTorus:
         t2 = torus_data(2)
         assert check_spin(t2)
         assert check_pin_c(t2)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_higher_tori(self, n):
+        t = torus_data(n)
+        assert len(t.ring.basis1) == n
+        assert check_spin(t)
+        assert check_pin_c(t)
+
+
+def _bits(n):
+    return st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple)
+
+
+@st.composite
+def _ring_and_liftable(draw):
+    b1, b2 = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    sq = tuple(draw(_bits(b2)) for _ in range(b1))
+    liftable = draw(st.lists(_bits(b2), max_size=3))
+    # some squares among the generators, so that both verdicts are common
+    liftable += [row for row in sq if draw(st.booleans())]
+    ring = CohoRing(tuple(f"x{i}" for i in range(b1)), tuple(f"y{j}" for j in range(b2)), sq)
+    return ring, tuple(liftable)
+
+
+class TestSquaresByLinearity:
+    @given(_ring_and_liftable())
+    def test_basis_rows_decide_every_square(self, case):
+        ring, liftable = case
+        brute = all(f2_in_span(ring.square(x).coords, liftable) for x in ring.all_degree1())
+        tangent = BundleData("T", 3, ring.zero1(), ring.zero2())
+        try:
+            ManifoldData("r", 3, ring, tangent, liftable)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == brute
 
 
 class TestCatalogSerialisation:

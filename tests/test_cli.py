@@ -2,8 +2,12 @@ import json
 
 import pytest
 
+from spinweave import cli
 from spinweave.charclass import builtin_catalog, dump_catalog
+from spinweave.clifford import CliffordElement, Signature
 from spinweave.cli import main
+from spinweave.linalg import ExactMatrix
+from spinweave.reps import SpinSpace, spin_space
 
 
 def run(capsys, *argv):
@@ -67,6 +71,68 @@ class TestVerify:
         assert out1 == out2
 
 
+class TestAlphaIsGammaConjugation:
+    SIG = Signature(7, 0)
+
+    def _with_gamma(self, gamma):
+        ss = spin_space(self.SIG)
+        return SpinSpace(ss.sig, ss.rep, ss.frame, ss.eta, ss.iota, gamma)
+
+    def test_canonical_gamma_passes(self):
+        assert cli._alpha_is_gamma_conjugation(spin_space(self.SIG))
+
+    def test_identity_gamma_fails(self):
+        ss = self._with_gamma(ExactMatrix.identity(spin_space(self.SIG).dim))
+        assert not cli._alpha_is_gamma_conjugation(ss)
+
+    def test_gamma_wrong_only_on_e7_fails(self):
+        # e1...e6 anticommutes with e1..e6 and commutes with e7, so it
+        # conjugates like alpha on every blade of e1..e6 and not on e7
+        ss = spin_space(self.SIG)
+        e1_to_e6 = ss.include(CliffordElement.blade(self.SIG, 0b0111111))
+        assert not cli._alpha_is_gamma_conjugation(self._with_gamma(e1_to_e6))
+
+
+class TestLimits:
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started despite an over-limit value")
+        for name in ("_verify_signature", "_run_example", "build_rep"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("verify", "--sig", "6,5"), "--sig"),
+            (("verify", "--max-m", "11"), "--max-m"),
+            (("verify", "--max-m", "-1"), "--max-m"),
+            (("build", "--sig", "0,11", "--kind", "dirac"), "--sig"),
+            (("examples", "exterior", "--m", "11"), "--m"),
+            (("examples", "sphere", "--samples", "10001"), "--samples"),
+        ],
+    )
+    def test_over_limit_exits_2_naming_flag(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"error: {flag} " in err
+
+    def test_config_max_m_over_limit(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"max_m": 11}))
+        code, _, err = run(capsys, "verify", "--config", str(config))
+        assert code == 2
+        assert "--max-m" in err
+
+    def test_limits_are_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_verify_signature", lambda sig, seed: [])
+        monkeypatch.setattr(cli, "_run_example", lambda name, m, samples, seed: [])
+        assert run(capsys, "verify", "--sig", "10,0")[0] == 0
+        assert run(capsys, "verify", "--max-m", "10")[0] == 0
+        assert run(capsys, "examples", "exterior", "--m", "10", "--samples", "10000")[0] == 0
+
+
 class TestObstructions:
     def test_g52_row(self, capsys):
         code, out, _ = run(capsys, "obstructions", "--manifold", "g52")
@@ -120,6 +186,37 @@ class TestObstructions:
         assert code == 2
         assert out == ""
         assert "'s2'" in err and "tangent.w1" in err
+
+    def test_unliftable_square_exits_2(self, capsys, tmp_path):
+        doc = json.loads(dump_catalog(builtin_catalog()[1:2]))  # s2: b1 = 0, b2 = 1
+        doc["manifolds"][0].update(h1=["t"], sq={"t": [1]}, liftable2=[],
+                                   tangent={"w1": [0], "w2": [0]})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "obstructions", "--catalog", str(path))
+        assert code == 2
+        assert out == ""
+        assert "'s2'" in err and "'sq.t'" in err
+
+    def test_large_b1_record_loads(self, capsys, tmp_path):
+        b1 = 40
+        h1 = [f"x{i + 1}" for i in range(b1)]
+        record = {
+            "name": "big", "dim": 5, "h1": h1, "h2": ["a", "b"],
+            "sq": {x: [1 - i % 2, 0] for i, x in enumerate(h1)},
+            "tangent": {"w1": [1, 1] + [0] * (b1 - 2), "w2": [1, 0]},
+            "liftable2": [[1, 0]],
+            "bundles": [{"name": "E", "rank": 2, "w1": [0] * b1, "w2": [0, 1]}],
+        }
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"schema": 1, "manifolds": [record]}))
+        code, out, _ = run(capsys, "obstructions", "--catalog", str(path))
+        assert code == 0
+        assert json.loads(out)["obstructions"] == [{
+            "manifold": "big", "dim": 5, "orientable": False, "spin": False,
+            "pin+": False, "pin-": True, "spin_c": False, "pin_c": True,
+            "lpin": "T:trivial-rank-2",
+        }]
 
     def test_catalog_without_manifolds_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
