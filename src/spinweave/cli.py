@@ -128,6 +128,14 @@ def _check_limits(args) -> Optional[str]:
         value = getattr(args, key, None)
         if value is not None and value > limit:
             return f"{flag} must be at most {limit}, got {value}"
+    m = getattr(args, "m", None)
+    if m is not None:
+        if m < 1:
+            return f"--m must be at least 1, got {m}"
+        if args.name == "hermitean" and m % 2:
+            return f"--m must be even for hermitean (the module lives on R^(2d)), got {m}"
+        if args.name == "quadric" and m != 2:
+            return f"--m must be 2 for quadric (the example has no dimension parameter), got {m}"
     return None
 
 
@@ -302,8 +310,6 @@ def cmd_obstructions(args) -> int:
 def _run_example(name: str, m: int, samples: int, seed: int) -> List[Report]:
     reports: List[Report] = []
     if name in ("sphere", "projective"):
-        if m < 1:
-            raise ValueError("sphere dimension must be at least 1")
         rep = sphere_representation(m)
         ident = ExactMatrix.identity(rep.dim)
         failures = 0
@@ -340,7 +346,7 @@ def _run_example(name: str, m: int, samples: int, seed: int) -> List[Report]:
                     ok = False
         reports.append(report("exterior-clifford-property", f"m={m}", ok))
     elif name == "hermitean":
-        d = max(1, m // 2)
+        d = m // 2
         rng = random.Random(seed)
         ok = True
         for _ in range(samples):

@@ -12,25 +12,26 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .clifford import Signature
-from .linalg import ExactMatrix, expand_in_basis, matrix_to_vector, rref_sparse
-from .reps import EVEN, ODD, SpinSpace, grading_of, spin_space
-from .scalars import ExactScalar, I, MINUS_ONE, ONE, ZERO, sc
+from .linalg import ExactMatrix, rref_sparse
+from .reps import EVEN, ODD, SpinSpace, spin_space
+from .scalars import ExactScalar, MINUS_ONE, ONE, ZERO, sc
 
 
 class FrameGroup:
     """Finite subgroup of Pin generated by {+-frame}; includes +-I.
 
     The Cayley table is materialised on first use; element order is
-    canonical (sorted by serialised entries).
+    canonical (sorted by ``ExactMatrix.key``).  Lookups hash the sparse
+    rows, not the key.
     """
 
     def __init__(self, sig: Signature, elements: Tuple[ExactMatrix, ...]):
         self.sig = sig
         self.elements = elements
-        self._index = {g.key(): i for i, g in enumerate(elements)}
+        self._index = {g: i for i, g in enumerate(elements)}
         self._cayley: Optional[Tuple[Tuple[int, ...], ...]] = None
 
     @property
@@ -41,20 +42,20 @@ class FrameGroup:
     def cayley(self) -> Tuple[Tuple[int, ...], ...]:
         if self._cayley is None:
             self._cayley = tuple(
-                tuple(self._index[(a * b).key()] for b in self.elements)
+                tuple(self._index[a * b] for b in self.elements)
                 for a in self.elements
             )
         return self._cayley
 
     def index_of(self, mat: ExactMatrix) -> Optional[int]:
-        return self._index.get(mat.key())
+        return self._index.get(mat)
 
     def __contains__(self, mat: ExactMatrix) -> bool:
-        return mat.key() in self._index
+        return mat in self._index
 
     @property
     def identity_index(self) -> int:
-        return self._index[ExactMatrix.identity(self.elements[0].n).key()]
+        return self._index[ExactMatrix.identity(self.elements[0].n)]
 
     def inverse_index(self, i: int) -> int:
         e = self.identity_index
@@ -66,32 +67,34 @@ def generate_frame_group(ss: SpinSpace, safety_bound: Optional[int] = None) -> F
 
     The generators contain their own inverses up to sign, so product
     closure yields the group.  Exceeding the safety bound signals a
-    broken frame and raises.
+    broken frame and raises.  Products are deduplicated by matrix
+    equality (hashing the sparse rows); the elements are sorted by
+    ``key()`` once, at the end.
     """
     bound = safety_bound if safety_bound is not None else 1 << (ss.sig.m + 2)
     gens = []
     for v in ss.frame:
         gens.append(v)
         gens.append(-v)
-    seen: Dict[tuple, ExactMatrix] = {}
+    seen: Set[ExactMatrix] = set()
     frontier = []
     ident = ExactMatrix.identity(ss.dim)
     for g in [ident, -ident] + gens:
-        if g.key() not in seen:
-            seen[g.key()] = g
+        if g not in seen:
+            seen.add(g)
             frontier.append(g)
     while frontier:
         nxt = []
         for g in frontier:
             for h in gens:
                 p = g * h
-                if p.key() not in seen:
+                if p not in seen:
                     if len(seen) >= bound:
                         raise RuntimeError("frame-group closure exceeded safety bound")
-                    seen[p.key()] = p
+                    seen.add(p)
                     nxt.append(p)
         frontier = nxt
-    elements = tuple(sorted(seen.values(), key=lambda m: m.key()))
+    elements = tuple(sorted(seen, key=lambda m: m.key()))
     return FrameGroup(ss.sig, elements)
 
 
@@ -116,62 +119,66 @@ def twisted_adjoint(ss: SpinSpace, a: ExactMatrix, v: ExactMatrix) -> ExactMatri
     return clifford_alpha(ss, a) * v * a.inverse()
 
 
-def _frame_probe(ss: SpinSpace):
-    """Probe positions and inverted sample matrix for fast frame expansion.
+def _probe(mats: Sequence[ExactMatrix]) -> Tuple[List[Tuple[int, int]], ExactMatrix]:
+    """Probe positions and inverted sample matrix for fast expansion.
 
-    Greedily picks m entry positions at which the frame images are
-    linearly independent; expansion then solves an m x m system and
-    verifies the candidate exactly.
+    Greedily picks len(mats) entry positions, in row-major order among
+    the nonzeros, at which the matrices are linearly independent;
+    expansion then solves a small system and verifies the candidate
+    exactly.
     """
-    if ss._frame_probe is None:
-        m = ss.sig.m
-        positions: List[Tuple[int, int]] = []
-        rows: List[Dict[int, ExactScalar]] = []
-        picked: List[List[ExactScalar]] = []
-        for r in range(ss.dim):
-            for c in range(ss.dim):
-                vals = [v.rows[r][c] for v in ss.frame]
-                if all(x.is_zero() for x in vals):
-                    continue
-                trial = rows + [{j: x for j, x in enumerate(vals) if not x.is_zero()}]
-                reduced, pivots = rref_sparse(trial, m)
-                if len(pivots) == len(trial):
-                    rows = trial
-                    picked.append(vals)
-                    positions.append((r, c))
-                if len(positions) == m:
-                    break
-            if len(positions) == m:
-                break
-        sample = ExactMatrix(picked)
-        ss._frame_probe = (positions, sample.inverse())
-    return ss._frame_probe
+    k = len(mats)
+    positions: List[Tuple[int, int]] = []
+    rows: List[Dict[int, ExactScalar]] = []
+    picked: List[List[ExactScalar]] = []
+    for r in range(mats[0].n):
+        for c in sorted({c for v in mats for c, _ in v.sparse_rows[r]}):
+            vals = [v[r, c] for v in mats]
+            trial = rows + [{j: x for j, x in enumerate(vals) if not x.is_zero()}]
+            reduced, pivots = rref_sparse(trial, k)
+            if len(pivots) == len(trial):
+                rows = trial
+                picked.append(vals)
+                positions.append((r, c))
+                if len(positions) == k:
+                    return positions, ExactMatrix(picked).inverse()
+    raise ValueError("matrices are linearly dependent")
+
+
+def _expand(
+    mats: Sequence[ExactMatrix], probe: Tuple[List[Tuple[int, int]], ExactMatrix], x: ExactMatrix
+) -> Optional[List[ExactScalar]]:
+    """Coefficients of x in the span of mats, or None if x is outside it.
+
+    The probe entries of x give the only possible coefficients; the
+    combination is then compared with x exactly.
+    """
+    positions, sample_inv = probe
+    target = [x[r, c] for r, c in positions]
+    coords = []
+    for row in sample_inv.sparse_rows:
+        acc = ZERO
+        for i, s in row:
+            if not target[i].is_zero():
+                acc = acc + s * target[i]
+        coords.append(acc)
+    combo = ExactMatrix.zeros(x.n)
+    for coeff, v in zip(coords, mats):
+        if not coeff.is_zero():
+            combo = combo + v.scale(coeff)
+    return coords if combo == x else None
+
+
+def _frame_probe(ss: SpinSpace):
+    probe = ss._probes.get("frame")
+    if probe is None:
+        probe = ss._probes["frame"] = _probe(ss.frame)
+    return probe
 
 
 def expand_in_frame(ss: SpinSpace, x: ExactMatrix) -> Optional[List[ExactScalar]]:
     """Coefficients of x in the frame basis, or None if x is outside span V."""
-    positions, sample_inv = _frame_probe(ss)
-    m = ss.sig.m
-    target = [x.rows[r][c] for r, c in positions]
-    coords = [
-        sum((sample_inv.rows[j][i] * target[i] for i in range(m)), ZERO)
-        for j in range(m)
-    ]
-    combo = [[ZERO] * ss.dim for _ in range(ss.dim)]
-    for j, coeff in enumerate(coords):
-        if coeff.is_zero():
-            continue
-        v = ss.frame[j]
-        for r in range(ss.dim):
-            for c in range(ss.dim):
-                val = v.rows[r][c]
-                if not val.is_zero():
-                    combo[r][c] = combo[r][c] + coeff * val
-    for r in range(ss.dim):
-        for c in range(ss.dim):
-            if combo[r][c] != x.rows[r][c]:
-                return None
-    return coords
+    return _expand(ss.frame, _frame_probe(ss), x)
 
 
 @dataclass(frozen=True)
@@ -185,15 +192,19 @@ class OrthMatrix:
         m = self.sig.m
         if self.mat.n != m:
             raise ValueError("orthogonal matrix has wrong dimension")
-        h = [self.sig.h(i) for i in range(m)]
-        for i in range(m):
-            for j in range(m):
-                acc = ZERO
-                for r in range(m):
-                    acc = acc + self.mat.rows[r][i] * sc(h[r]) * self.mat.rows[r][j]
-                expected = sc(h[i]) if i == j else ZERO
-                if acc != expected:
-                    raise ValueError("matrix is not orthogonal for the signature")
+        h = [sc(self.sig.h(i)) for i in range(m)]
+        # Gram matrix M^T H M, summed over the nonzeros of each row of M
+        gram: Dict[Tuple[int, int], ExactScalar] = {}
+        for r, row in enumerate(self.mat.sparse_rows):
+            for i, x in row:
+                xh = x * h[r]
+                for j, y in row:
+                    term = xh * y
+                    cur = gram.get((i, j))
+                    gram[i, j] = term if cur is None else cur + term
+        nonzero = {ij: v for ij, v in gram.items() if not v.is_zero()}
+        if nonzero != {(i, i): h[i] for i in range(m)}:
+            raise ValueError("matrix is not orthogonal for the signature")
 
     def det(self) -> ExactScalar:
         return self.mat.det()
@@ -202,39 +213,43 @@ class OrthMatrix:
         return isinstance(other, OrthMatrix) and self.sig == other.sig and self.mat == other.mat
 
 
-def _conjugation_matrix(ss: SpinSpace, conj) -> OrthMatrix:
-    m = ss.sig.m
+def _frame_matrix(ss: SpinSpace, images: Sequence[ExactMatrix]) -> OrthMatrix:
+    """Orthogonal matrix whose column i holds the frame coordinates of images[i]."""
     cols = []
-    for i in range(m):
-        coords = expand_in_frame(ss, conj(ss.frame[i]))
+    for image in images:
+        coords = expand_in_frame(ss, image)
         if coords is None:
             raise ValueError("conjugation does not preserve the vector span")
         for c in coords:
             if not c.is_real():
                 raise ValueError("conjugation has non-real frame coefficients")
         cols.append(coords)
-    return OrthMatrix(ss.sig, ExactMatrix([[cols[j][i] for j in range(m)] for i in range(m)]))
+    return OrthMatrix(ss.sig, ExactMatrix(cols).transpose())
 
 
 def adjoint_matrix(ss: SpinSpace, a: ExactMatrix) -> OrthMatrix:
     """Matrix of Ad(a): v -> a v a^-1 in the frame basis."""
     inv = a.inverse()
-    return _conjugation_matrix(ss, lambda v: a * v * inv)
+    return _frame_matrix(ss, [a * v * inv for v in ss.frame])
 
 
 def twisted_adjoint_matrix(ss: SpinSpace, a: ExactMatrix) -> OrthMatrix:
     """Matrix of the twisted adjoint v -> alpha(a) v a^-1 in the frame basis."""
     alpha_a = clifford_alpha(ss, a)
     inv = a.inverse()
-    return _conjugation_matrix(ss, lambda v: alpha_a * v * inv)
+    return _frame_matrix(ss, [alpha_a * v * inv for v in ss.frame])
 
 
-def is_lipschitz(ss: SpinSpace, a: ExactMatrix) -> bool:
-    """True iff a is invertible and conjugation by a preserves span V."""
-    try:
-        inv = a.inverse()
-    except ValueError:
-        return False
+def is_lipschitz(ss: SpinSpace, a: ExactMatrix, inv: Optional[ExactMatrix] = None) -> bool:
+    """True iff a is invertible and conjugation by a preserves span V.
+
+    ``inv``, when given, must be a^-1; it spares inverting a again.
+    """
+    if inv is None:
+        try:
+            inv = a.inverse()
+        except ValueError:
+            return False
     for v in ss.frame:
         coords = expand_in_frame(ss, a * v * inv)
         if coords is None or any(not c.is_real() for c in coords):
@@ -276,25 +291,30 @@ class KappaImage:
         )
 
 
-def _isotropic_pair(ss: SpinSpace) -> Tuple[ExactMatrix, ExactMatrix]:
-    """Ordered isotropic basis of A(h) normalised from (Gamma, Gamma*eta).
+def _isotropic_pair(ss: SpinSpace) -> Tuple[Tuple[ExactMatrix, ExactMatrix], tuple]:
+    """Ordered isotropic basis of A(h) normalised from (Gamma, Gamma*eta),
+    with its expansion probe; cached on the spin space.
 
     For the canonical Cartan form these are the two corner blocks; kappa
     reads off as the reflection scale on this pair, making the odd-block
     elements map to (-1, lambda/mu) exactly.
     """
-    ge = ss.gamma * ss.eta
-    scaled = ge.scale(ss.iota.inverse())
-    u_plus = ss.gamma + scaled
-    u_minus = -ss.gamma + scaled
-    return u_plus, u_minus
+    cached = ss._probes.get("isotropic")
+    if cached is None:
+        scaled = (ss.gamma * ss.eta).scale(ss.iota.inverse())
+        pair = (ss.gamma + scaled, -ss.gamma + scaled)
+        cached = ss._probes["isotropic"] = (pair, _probe(pair))
+    return cached
 
 
 def kappa(ss: SpinSpace, a: ExactMatrix) -> KappaImage:
     """Conjugation action of a Lipschitz element on the anticommutant."""
-    if not is_lipschitz(ss, a):
+    try:
+        inv = a.inverse()
+    except ValueError:
+        inv = None
+    if inv is None or not is_lipschitz(ss, a, inv):
         raise ValueError("kappa needs a Lipschitz group element")
-    inv = a.inverse()
     if ss.sig.m % 2 == 0:
         conj = a * ss.gamma * inv
         if conj == ss.gamma:
@@ -302,10 +322,9 @@ def kappa(ss: SpinSpace, a: ExactMatrix) -> KappaImage:
         if conj == -ss.gamma:
             return KappaImage(-1)
         raise ValueError("conjugation does not preserve the gamma line")
-    u_plus, u_minus = _isotropic_pair(ss)
-    basis = [matrix_to_vector(u_plus), matrix_to_vector(u_minus)]
-    img_plus = expand_in_basis(basis, matrix_to_vector(a * u_plus * inv))
-    img_minus = expand_in_basis(basis, matrix_to_vector(a * u_minus * inv))
+    (u_plus, u_minus), probe = _isotropic_pair(ss)
+    img_plus = _expand((u_plus, u_minus), probe, a * u_plus * inv)
+    img_minus = _expand((u_plus, u_minus), probe, a * u_minus * inv)
     if img_plus is None or img_minus is None:
         raise ValueError("conjugation does not preserve the anticommutant")
     (x1, y1), (x2, y2) = img_plus, img_minus
@@ -403,17 +422,27 @@ def verify_extension_diagram(ss: SpinSpace, group: Optional[FrameGroup] = None) 
     (a) the twisted adjoint of every group element is orthogonal,
     (b) its kernel on the group is exactly {+-I},
     (c) Ad(gamma(u)) equals the twisted adjoint of u on frame vectors.
+
+    (a) and (b) share one twisted adjoint per element.  g lies in the
+    kernel iff alpha(g) v g^-1 = v for every frame vector v, which holds
+    iff its twisted adjoint matrix exists and is the identity: the
+    expansion verifies its coordinates exactly, and an image outside
+    span V is not a frame vector.
     """
     group = group or generate_frame_group(ss)
     results = []
 
     bad = None
+    kernel = []
     for g in group.elements:
         try:
-            twisted_adjoint_matrix(ss, g)
+            adj = twisted_adjoint_matrix(ss, g)
         except ValueError:
-            bad = g
-            break
+            if bad is None:
+                bad = g
+            continue
+        if adj.mat.is_identity():
+            kernel.append(g)
     results.append(
         CheckResult(
             "twisted-adjoint-lands-in-orthogonal-group",
@@ -423,12 +452,6 @@ def verify_extension_diagram(ss: SpinSpace, group: Optional[FrameGroup] = None) 
     )
 
     ident = ExactMatrix.identity(ss.dim)
-    kernel = []
-    for g in group.elements:
-        alpha_g = clifford_alpha(ss, g)
-        inv = g.inverse()
-        if all(alpha_g * v * inv == v for v in ss.frame):
-            kernel.append(g)
     kernel_ok = sorted(k.key() for k in kernel) == sorted([ident.key(), (-ident).key()])
     results.append(
         CheckResult(

@@ -1,24 +1,66 @@
-"""Exact dense matrices over Q(i, sqrt2) and a sparse nullspace solver.
+"""Exact sparse matrices over Q(i, sqrt2) and a sparse nullspace solver.
 
 ExactMatrix is the square carrier for representations and group
-elements.  The row-reduction helpers work on sparse dict rows so the
-big commutant systems (hundreds of unknowns, two-term equations) stay
-cheap; the reduced echelon form is canonical, which makes every solver
-in the library deterministic.
+elements.  Each row is stored as a tuple of (column, value) pairs that
+holds the nonzero entries only, in ascending column order.  The
+canonical frame images, volume elements and frame-group elements are
+unit-monomial (one entry from {+-1, +-i} per row), so their products,
+sums and inverses cost time in the number of nonzeros rather than n^3
+or n^2.  The storage is canonical, which lets equality and hashing
+compare the pairs directly.
+
+The row-reduction helpers work on sparse dict rows so the big commutant
+systems (hundreds of unknowns, two-term equations) stay cheap; the
+reduced echelon form is canonical, which makes every solver in the
+library deterministic.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .scalars import ExactScalar, ONE, ZERO, sc
 
+Row = Tuple[Tuple[int, ExactScalar], ...]
+
+
+class _DenseRows:
+    """Read-only dense view ``mat.rows``: a tuple of n-tuples, built once.
+
+    Zero entries are the shared ZERO; nonzero entries are the stored
+    objects themselves.  A descriptor rather than a property, for the
+    same reason as the scalar coordinates: perfbench/tracer.py times
+    every property as layer work, but reads ``rows`` from its own hooks.
+    """
+
+    __slots__ = ()
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        if obj._dense is None:
+            n = obj.n
+            dense = []
+            for row in obj.sparse_rows:
+                full = [ZERO] * n
+                for c, x in row:
+                    full[c] = x
+                dense.append(tuple(full))
+            obj._dense = tuple(dense)
+        return obj._dense
+
 
 class ExactMatrix:
-    """Immutable square matrix with ExactScalar entries."""
+    """Immutable square matrix with ExactScalar entries, stored by nonzeros.
 
-    __slots__ = ("n", "rows", "_key")
+    ``sparse_rows[r]`` lists the nonzero entries of row r as (column,
+    value) pairs in ascending column order; ``rows`` is the dense view.
+    """
+
+    __slots__ = ("n", "sparse_rows", "_dense", "_key", "_hash")
+
+    rows = _DenseRows()
 
     def __init__(self, rows: Sequence[Sequence]):
         n = len(rows)
@@ -26,25 +68,43 @@ class ExactMatrix:
         for row in rows:
             if len(row) != n:
                 raise ValueError("matrix must be square")
-            data.append(tuple(x if type(x) is ExactScalar else sc(x) for x in row))
+            entries = []
+            for c, x in enumerate(row):
+                if type(x) is not ExactScalar:
+                    x = sc(x)
+                if not x.is_zero():
+                    entries.append((c, x))
+            data.append(tuple(entries))
         self.n = n
-        self.rows = tuple(data)
-        self._key = None
+        self.sparse_rows = tuple(data)
+        self._dense = self._key = self._hash = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def from_sparse_rows(cls, rows: Sequence[Iterable[Tuple[int, object]]]) -> "ExactMatrix":
+        """Square matrix from per-row (column, value) pairs; zeros are dropped."""
+        n = len(rows)
+        data = []
+        for row in rows:
+            entries = sorted(((c, sc(x)) for c, x in row), key=lambda e: e[0])
+            cols = [c for c, _ in entries]
+            if cols and not (0 <= cols[0] and cols[-1] < n and len(set(cols)) == len(cols)):
+                raise ValueError("sparse row has a repeated or out-of-range column")
+            data.append(tuple(e for e in entries if not e[1].is_zero()))
+        return _wrap(n, tuple(data))
+
+    @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return _wrap(n, tuple(((i, ONE),) for i in range(n)))
 
     @classmethod
     def zeros(cls, n: int) -> "ExactMatrix":
-        return cls([[ZERO] * n for _ in range(n)])
+        return _wrap(n, ((),) * n)
 
     @classmethod
     def diag(cls, entries: Sequence) -> "ExactMatrix":
-        n = len(entries)
-        return cls([[sc(entries[i]) if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls.from_sparse_rows([[(i, x)] for i, x in enumerate(entries)])
 
     @classmethod
     def block2(cls, a: "ExactMatrix", b: "ExactMatrix", c: "ExactMatrix", d: "ExactMatrix") -> "ExactMatrix":
@@ -52,24 +112,19 @@ class ExactMatrix:
         n = a.n
         if not (b.n == c.n == d.n == n):
             raise ValueError("blocks must share dimensions")
-        rows = [list(a.rows[i]) + list(b.rows[i]) for i in range(n)]
-        rows += [list(c.rows[i]) + list(d.rows[i]) for i in range(n)]
-        return cls(rows)
+        top = (left + _shift(right, n) for left, right in zip(a.sparse_rows, b.sparse_rows))
+        bottom = (left + _shift(right, n) for left, right in zip(c.sparse_rows, d.sparse_rows))
+        return _wrap(2 * n, tuple(top) + tuple(bottom))
 
     @classmethod
     def kron(cls, a: "ExactMatrix", b: "ExactMatrix") -> "ExactMatrix":
-        rows = []
-        for i in range(a.n):
-            for p in range(b.n):
-                row = []
-                for j in range(a.n):
-                    aij = a.rows[i][j]
-                    if aij.is_zero():
-                        row.extend([ZERO] * b.n)
-                    else:
-                        row.extend(aij * b.rows[p][q] for q in range(b.n))
-                rows.append(row)
-        return cls(rows)
+        nb = b.n
+        rows = tuple(
+            tuple((j * nb + q, x * y) for j, x in arow for q, y in brow)
+            for arow in a.sparse_rows
+            for brow in b.sparse_rows
+        )
+        return _wrap(a.n * nb, rows)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -79,42 +134,49 @@ class ExactMatrix:
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check(other)
-        return ExactMatrix(
-            [[self.rows[i][j] + other.rows[i][j] for j in range(self.n)] for i in range(self.n)]
-        )
+        return _wrap(self.n, tuple(
+            _combine(a, b, False) for a, b in zip(self.sparse_rows, other.sparse_rows)
+        ))
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check(other)
-        return ExactMatrix(
-            [[self.rows[i][j] - other.rows[i][j] for j in range(self.n)] for i in range(self.n)]
-        )
+        return _wrap(self.n, tuple(
+            _combine(a, b, True) for a, b in zip(self.sparse_rows, other.sparse_rows)
+        ))
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix([[-x for x in row] for row in self.rows])
+        return _wrap(self.n, tuple(tuple((c, -x) for c, x in row) for row in self.sparse_rows))
 
     def scale(self, factor) -> "ExactMatrix":
         factor = sc(factor)
-        return ExactMatrix([[factor * x for x in row] for row in self.rows])
+        if factor.is_zero():
+            return ExactMatrix.zeros(self.n)
+        return _wrap(self.n, tuple(
+            tuple((c, factor * x) for c, x in row) for row in self.sparse_rows
+        ))
 
     def __mul__(self, other):
         if not isinstance(other, ExactMatrix):
             return self.scale(other)
         self._check(other)
         n = self.n
-        out = [[ZERO] * n for _ in range(n)]
-        for i in range(n):
-            arow = self.rows[i]
-            orow = out[i]
-            for k in range(n):
-                aik = arow[k]
-                if aik.is_zero():
-                    continue
-                brow = other.rows[k]
-                for j in range(n):
-                    bkj = brow[j]
-                    if not bkj.is_zero():
-                        orow[j] = orow[j] + aik * bkj
-        return ExactMatrix(out)
+        brows = other.sparse_rows
+        out = []
+        for arow in self.sparse_rows:
+            if len(arow) == 1:
+                # a product of nonzeros is nonzero, and brows[k] is sorted
+                k, x = arow[0]
+                out.append(tuple((j, x * y) for j, y in brows[k]))
+                continue
+            acc: List[Optional[ExactScalar]] = [None] * n
+            for k, x in arow:
+                for j, y in brows[k]:
+                    cur = acc[j]
+                    acc[j] = x * y if cur is None else cur + x * y
+            out.append(tuple(
+                (j, v) for j, v in enumerate(acc) if v is not None and not v.is_zero()
+            ))
+        return _wrap(n, tuple(out))
 
     def __rmul__(self, other):
         if isinstance(other, ExactMatrix):
@@ -134,28 +196,23 @@ class ExactMatrix:
         return out
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix([[self.rows[j][i] for j in range(self.n)] for i in range(self.n)])
+        cols: List[list] = [[] for _ in range(self.n)]
+        for r, row in enumerate(self.sparse_rows):
+            for c, x in row:
+                cols[c].append((r, x))
+        return _wrap(self.n, tuple(tuple(col) for col in cols))
 
     def _monomial_inverse(self) -> Optional["ExactMatrix"]:
-        """Fast inverse for matrices with one nonzero per row and column."""
-        n = self.n
-        entries = []
-        seen_cols = set()
-        for r in range(n):
-            hit = None
-            for c in range(n):
-                if not self.rows[r][c].is_zero():
-                    if hit is not None:
-                        return None
-                    hit = c
-            if hit is None or hit in seen_cols:
+        """Inverse of a matrix with one nonzero per row and column, else None."""
+        out: List[Optional[Row]] = [None] * self.n
+        for r, row in enumerate(self.sparse_rows):
+            if len(row) != 1:
                 return None
-            seen_cols.add(hit)
-            entries.append((r, hit))
-        rows = [[ZERO] * n for _ in range(n)]
-        for r, c in entries:
-            rows[c][r] = self.rows[r][c].inverse()
-        return ExactMatrix(rows)
+            c, x = row[0]
+            if out[c] is not None:
+                return None
+            out[c] = ((r, x.inverse()),)
+        return _wrap(self.n, tuple(out))
 
     def inverse(self) -> "ExactMatrix":
         """Gauss-Jordan inverse; raises ValueError on singular input.
@@ -166,69 +223,81 @@ class ExactMatrix:
         if fast is not None:
             return fast
         n = self.n
-        aug = [list(self.rows[i]) + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+        aug = [dict(row) for row in self.sparse_rows]
+        for i, row in enumerate(aug):
+            row[n + i] = ONE
         for col in range(n):
-            pivot = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
+            pivot = next((r for r in range(col, n) if col in aug[r]), None)
             if pivot is None:
                 raise ValueError("matrix is singular")
             aug[col], aug[pivot] = aug[pivot], aug[col]
             inv = aug[col][col].inverse()
-            aug[col] = [x * inv for x in aug[col]]
+            prow = aug[col] = {j: x * inv for j, x in aug[col].items()}
             for r in range(n):
-                if r != col and not aug[r][col].is_zero():
-                    f = aug[r][col]
-                    aug[r] = [xr - f * xc for xr, xc in zip(aug[r], aug[col])]
-        return ExactMatrix([row[n:] for row in aug])
+                if r != col and col in aug[r]:
+                    _eliminate(aug[r], col, prow)
+        return _wrap(n, tuple(
+            tuple(sorted((j - n, x) for j, x in row.items() if j >= n)) for row in aug
+        ))
 
     def det(self) -> ExactScalar:
         n = self.n
-        work = [list(row) for row in self.rows]
+        work = [dict(row) for row in self.sparse_rows]
         det = ONE
         for col in range(n):
-            pivot = next((r for r in range(col, n) if not work[r][col].is_zero()), None)
+            pivot = next((r for r in range(col, n) if col in work[r]), None)
             if pivot is None:
                 return ZERO
             if pivot != col:
                 work[col], work[pivot] = work[pivot], work[col]
                 det = -det
-            det = det * work[col][col]
-            inv = work[col][col].inverse()
+            lead = work[col][col]
+            det = det * lead
+            inv = lead.inverse()
+            prow = {j: x * inv for j, x in work[col].items()}
             for r in range(col + 1, n):
-                if not work[r][col].is_zero():
-                    f = work[r][col] * inv
-                    work[r] = [xr - f * xc for xr, xc in zip(work[r], work[col])]
+                if col in work[r]:
+                    _eliminate(work[r], col, prow)
         return det
 
     def rank(self) -> int:
-        rows = [
-            {j: x for j, x in enumerate(row) if not x.is_zero()} for row in self.rows
-        ]
-        reduced, pivots = rref_sparse([r for r in rows if r], self.n)
+        reduced, pivots = rref_sparse([dict(row) for row in self.sparse_rows if row], self.n)
         return len(pivots)
 
     # -- queries ------------------------------------------------------------
 
+    def __getitem__(self, pos: Tuple[int, int]) -> ExactScalar:
+        """Entry (r, c), read from the sparse row."""
+        r, c = pos
+        for col, x in self.sparse_rows[r]:
+            if col >= c:
+                return x if col == c else ZERO
+        return ZERO
+
     def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.rows for x in row)
+        return not any(self.sparse_rows)
 
     def is_identity(self) -> bool:
         return self == ExactMatrix.identity(self.n)
 
     def scalar_value(self) -> Optional[ExactScalar]:
         """If the matrix is c*I, return c, else None."""
-        c = self.rows[0][0]
-        for i in range(self.n):
-            for j in range(self.n):
-                expected = c if i == j else ZERO
-                if self.rows[i][j] != expected:
-                    return None
+        rows = self.sparse_rows
+        if not any(rows):
+            return ZERO
+        first = rows[0]
+        if len(first) != 1 or first[0][0] != 0:
+            return None
+        c = first[0][1]
+        for i, row in enumerate(rows):
+            if row != ((i, c),):
+                return None
         return c
 
     def first_nonzero(self) -> Optional[ExactScalar]:
-        for row in self.rows:
-            for x in row:
-                if not x.is_zero():
-                    return x
+        for row in self.sparse_rows:
+            if row:
+                return row[0][1]
         return None
 
     def commutes_with(self, other: "ExactMatrix") -> bool:
@@ -238,18 +307,28 @@ class ExactMatrix:
         return (self * other + other * self).is_zero()
 
     def key(self) -> tuple:
-        """Canonical hashable key (used for dedup and stable ordering)."""
+        """Canonical hashable key (used for stable ordering): the reduced
+        coordinate tuple of every entry, zeros included, in row-major order."""
         if self._key is None:
-            self._key = tuple(_coordinate_key(x) for row in self.rows for x in row)
+            n = self.n
+            out: list = []
+            for row in self.sparse_rows:
+                full = [_ZERO_KEY] * n
+                for c, x in row:
+                    full[c] = _coordinate_key(x)
+                out += full
+            self._key = tuple(out)
         return self._key
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.n == other.n and self.rows == other.rows
+        return self.n == other.n and self.sparse_rows == other.sparse_rows
 
     def __hash__(self):
-        return hash(self.key())
+        if self._hash is None:
+            self._hash = hash((self.n, self.sparse_rows))
+        return self._hash
 
     def __str__(self):
         cells = [[str(x) for x in row] for row in self.rows]
@@ -268,6 +347,42 @@ class ExactMatrix:
         return cls([[ExactScalar.from_json(x) for x in row] for row in data])
 
 
+_new = object.__new__
+
+
+def _wrap(n: int, rows: Tuple[Row, ...]) -> ExactMatrix:
+    """Wrap rows already in canonical form (nonzero ExactScalars, ascending columns)."""
+    mat = _new(ExactMatrix)
+    mat.n = n
+    mat.sparse_rows = rows
+    mat._dense = mat._key = mat._hash = None
+    return mat
+
+
+def _shift(row: Row, offset: int) -> Row:
+    return tuple((c + offset, x) for c, x in row)
+
+
+def _combine(a: Row, b: Row, subtract: bool) -> Row:
+    """The sparse row a + b, or a - b when subtract is set."""
+    if not b:
+        return a
+    if not a:
+        return tuple((c, -x) for c, x in b) if subtract else b
+    acc = dict(a)
+    for c, x in b:
+        cur = acc.get(c)
+        if cur is None:
+            acc[c] = -x if subtract else x
+        else:
+            acc[c] = cur - x if subtract else cur + x
+    # columns are unique, so sorting never compares two values
+    return tuple(sorted(item for item in acc.items() if not item[1].is_zero()))
+
+
+_ZERO_KEY = (0, 1, 0, 1, 0, 1, 0, 1)
+
+
 def _coordinate_key(x: ExactScalar) -> tuple:
     """(numerator, denominator) of each reduced rational coordinate of x."""
     den = x.den
@@ -281,6 +396,19 @@ def _coordinate_key(x: ExactScalar) -> tuple:
 
 
 SparseRow = Dict[int, ExactScalar]
+
+
+def _eliminate(row: SparseRow, col: int, pivot: SparseRow) -> None:
+    """row -= row[col] * pivot in place, for a pivot row with pivot[col] == 1."""
+    f = row.pop(col)
+    for j, v in pivot.items():
+        if j == col:
+            continue
+        acc = row.get(j, ZERO) - f * v
+        if acc.is_zero():
+            row.pop(j, None)
+        else:
+            row[j] = acc
 
 
 def rref_sparse(rows: List[SparseRow], ncols: int) -> Tuple[List[SparseRow], List[int]]:
@@ -303,28 +431,9 @@ def rref_sparse(rows: List[SparseRow], ncols: int) -> Tuple[List[SparseRow], Lis
         row = work.pop(pivot_row)
         inv = row[col].inverse()
         row = {j: v * inv for j, v in row.items()}
-        for other in work:
+        for other in work + reduced:
             if col in other:
-                f = other.pop(col)
-                for j, v in row.items():
-                    if j == col:
-                        continue
-                    acc = other.get(j, ZERO) - f * v
-                    if acc.is_zero():
-                        other.pop(j, None)
-                    else:
-                        other[j] = acc
-        for other in reduced:
-            if col in other:
-                f = other.pop(col)
-                for j, v in row.items():
-                    if j == col:
-                        continue
-                    acc = other.get(j, ZERO) - f * v
-                    if acc.is_zero():
-                        other.pop(j, None)
-                    else:
-                        other[j] = acc
+                _eliminate(other, col, row)
         reduced.append(row)
         pivots.append(col)
         work = [r for r in work if r]

@@ -21,15 +21,8 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .clifford import CliffordElement, Signature, volume
-from .linalg import (
-    ExactMatrix,
-    expand_in_basis,
-    matrix_to_vector,
-    nullspace_sparse,
-    rref_sparse,
-    vector_to_matrix,
-)
-from .scalars import ExactScalar, I, MINUS_ONE, ONE, ZERO, sc
+from .linalg import ExactMatrix, expand_in_basis, nullspace_sparse, vector_to_matrix
+from .scalars import ExactScalar, I, MINUS_ONE, ONE, ZERO
 
 PAULI = "pauli"
 PAULI_TWISTED = "pauli_twisted"
@@ -91,6 +84,20 @@ class Representation:
         return out
 
 
+def _frame_volume(frame: Sequence[ExactMatrix]) -> Tuple[ExactMatrix, ExactScalar]:
+    """The volume image eta (product of the frame images) and iota, the
+    scalar with iota^2 = eta^2 = +-1."""
+    eta = frame[0]
+    for v in frame[1:]:
+        eta = eta * v
+    square = (eta * eta).scalar_value()
+    if square == ONE:
+        return eta, ONE
+    if square == MINUS_ONE:
+        return eta, I
+    raise ValueError("frame volume does not square to +-1")
+
+
 def _swap_block(n: int) -> ExactMatrix:
     z, i = ExactMatrix.zeros(n), ExactMatrix.identity(n)
     return ExactMatrix.block2(z, i, i, z)
@@ -103,11 +110,7 @@ def _pauli_positive(m: int) -> Tuple[ExactMatrix, ...]:
     if m == 1:
         return (ExactMatrix([[ONE]]),)
     dirac = _dirac_positive(m - 1)
-    eta = dirac[0]
-    for g in dirac[1:]:
-        eta = eta * g
-    square = eta * eta
-    iota = ONE if square.scalar_value() == ONE else I
+    eta, iota = _frame_volume(dirac)
     last = eta.scale(iota.inverse())
     images = dirac + (last,)
     images = _fix_pauli_normalisation(images)
@@ -128,11 +131,7 @@ def _dirac_positive(m: int) -> Tuple[ExactMatrix, ...]:
 
 def _fix_pauli_normalisation(images: Tuple[ExactMatrix, ...]) -> Tuple[ExactMatrix, ...]:
     """Negate the last image if the volume maps to -iota instead of +iota."""
-    eta = images[0]
-    for g in images[1:]:
-        eta = eta * g
-    square = (eta * eta).scalar_value()
-    iota = ONE if square == ONE else I
+    eta, iota = _frame_volume(images)
     value = eta.scalar_value()
     if value == iota:
         return images
@@ -179,10 +178,7 @@ def build_rep(sig: Signature, kind: str) -> Representation:
 
     # Weyl halves of the Dirac representation
     dirac = build_rep(sig, DIRAC)
-    eta = dirac.images[0]
-    for g in dirac.images[1:]:
-        eta = eta * g
-    iota = ONE if (eta * eta).scalar_value() == ONE else I
+    eta, iota = _frame_volume(dirac.images)
     j = eta.scale(iota)  # involution whose eigenspaces are the half-spinor spaces
     want = ONE if kind == WEYL_PLUS else MINUS_ONE
     basis = _eigenspace_basis(j, want)
@@ -192,37 +188,35 @@ def build_rep(sig: Signature, kind: str) -> Representation:
 
 
 def _eigenspace_basis(j: ExactMatrix, eigenvalue: ExactScalar) -> List[List[ExactScalar]]:
-    n = j.n
     rows = []
-    for r in range(n):
-        row = {}
-        for c in range(n):
-            v = j.rows[r][c] - (eigenvalue if r == c else ZERO)
-            if not v.is_zero():
-                row[c] = v
+    for r, entries in enumerate(j.sparse_rows):
+        row = dict(entries)
+        diagonal = row.get(r, ZERO) - eigenvalue
+        if diagonal.is_zero():
+            row.pop(r, None)
+        else:
+            row[r] = diagonal
         if row:
             rows.append(row)
-    return nullspace_sparse(rows, n)
+    return nullspace_sparse(rows, j.n)
 
 
 def _restrict(op: ExactMatrix, basis: List[List[ExactScalar]]) -> ExactMatrix:
     """Matrix of an operator on an invariant subspace in the given basis."""
     cols = []
     for vec in basis:
-        image = [ZERO] * op.n
-        for r in range(op.n):
+        image = []
+        for row in op.sparse_rows:
             acc = ZERO
-            for c in range(op.n):
-                x = op.rows[r][c]
-                if not x.is_zero() and not vec[c].is_zero():
+            for c, x in row:
+                if not vec[c].is_zero():
                     acc = acc + x * vec[c]
-            image[r] = acc
+            image.append(acc)
         coords = expand_in_basis(basis, image)
         if coords is None:
             raise ValueError("subspace is not invariant under the operator")
         cols.append(coords)
-    k = len(basis)
-    return ExactMatrix([[cols[c][r] for c in range(k)] for r in range(k)])
+    return ExactMatrix(cols).transpose()
 
 
 @dataclass(eq=False)
@@ -259,30 +253,12 @@ def verify_clifford(rep: Representation) -> VerifyReport:
 
 
 def _centraliser_basis(frame: Sequence[ExactMatrix], sign: int) -> List[ExactMatrix]:
-    """Basis of {w : w v = sign * v w for every frame matrix v}."""
+    """Basis of {w : w v = sign * v w for every frame matrix v}: the
+    intertwiners from the frame to the frame (sign +1) or to its negative."""
     if not frame:
         raise ValueError("empty frame")
-    n = frame[0].n
-    rows = []
-    for v in frame:
-        for r in range(n):
-            for c in range(n):
-                row: Dict[int, ExactScalar] = {}
-                # (w v)[r,c] - sign (v w)[r,c] = 0
-                for s in range(n):
-                    vsc = v.rows[s][c]
-                    if not vsc.is_zero():
-                        key = r * n + s
-                        row[key] = row.get(key, ZERO) + vsc
-                    vrs = v.rows[r][s]
-                    if not vrs.is_zero():
-                        key = s * n + c
-                        adj = vrs if sign < 0 else -vrs
-                        row[key] = row.get(key, ZERO) + adj
-                row = {k: x for k, x in row.items() if not x.is_zero()}
-                if row:
-                    rows.append(row)
-    return [vector_to_matrix(vec, n) for vec in nullspace_sparse(rows, n * n)]
+    targets = frame if sign > 0 else [-v for v in frame]
+    return _intertwiner_space(frame, targets)
 
 
 def commutant(frame: Sequence[ExactMatrix]) -> List[ExactMatrix]:
@@ -306,14 +282,13 @@ def _is_cartan_block_frame(frame: Sequence[ExactMatrix]) -> bool:
         return False
     half = n // 2
     for v in frame:
-        for r in range(n):
-            for c in range(n):
-                if (r < half) != (c < half) and not v.rows[r][c].is_zero():
-                    return False
-        for r in range(half):
-            for c in range(half):
-                if v.rows[half + r][half + c] != -v.rows[r][c]:
-                    return False
+        # each top row stays in the left half and reappears negated, shifted
+        # by half, as the matching bottom row
+        for top, bottom in zip(v.sparse_rows[:half], v.sparse_rows[half:]):
+            if any(c >= half for c, _ in top):
+                return False
+            if bottom != tuple((c + half, -x) for c, x in top):
+                return False
     return True
 
 
@@ -366,7 +341,7 @@ class SpinSpace:
     gamma: ExactMatrix
     _gamma_cache: Dict[int, ExactMatrix] = field(default_factory=dict, repr=False)
     _gamma_inv: Optional[ExactMatrix] = field(default=None, repr=False)
-    _frame_probe: Optional[tuple] = field(default=None, repr=False)
+    _probes: Dict[str, tuple] = field(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
@@ -387,19 +362,9 @@ class SpinSpace:
         if self.sig.m % 2 == 0:
             raise ValueError("pauli blocks only exist for odd m")
         half = self.dim // 2
-        return ExactMatrix([[a.rows[r][c] for c in range(half)] for r in range(half)])
-
-
-def _frame_volume(frame: Sequence[ExactMatrix]) -> Tuple[ExactMatrix, ExactScalar]:
-    eta = frame[0]
-    for v in frame[1:]:
-        eta = eta * v
-    square = (eta * eta).scalar_value()
-    if square == ONE:
-        return eta, ONE
-    if square == MINUS_ONE:
-        return eta, I
-    raise ValueError("frame volume does not square to +-1")
+        return ExactMatrix.from_sparse_rows(
+            [[(c, x) for c, x in row if c < half] for row in a.sparse_rows[:half]]
+        )
 
 
 @lru_cache(maxsize=None)
@@ -506,18 +471,14 @@ def _intertwiner_space(
     n = images1[0].n
     rows = []
     for x, y in zip(images1, images2):
+        x_cols = x.transpose().sparse_rows
         for r in range(n):
             for c in range(n):
-                row: Dict[int, ExactScalar] = {}
-                for s in range(n):
-                    xsc = x.rows[s][c]
-                    if not xsc.is_zero():
-                        key = r * n + s
-                        row[key] = row.get(key, ZERO) + xsc
-                    yrs = y.rows[r][s]
-                    if not yrs.is_zero():
-                        key = s * n + c
-                        row[key] = row.get(key, ZERO) - yrs
+                # (a x - y a)[r,c] = sum_s a[r,s] x[s,c] - y[r,s] a[s,c] = 0
+                row: Dict[int, ExactScalar] = {r * n + s: xsc for s, xsc in x_cols[c]}
+                for s, yrs in y.sparse_rows[r]:
+                    key = s * n + c
+                    row[key] = row.get(key, ZERO) - yrs
                 row = {k: v for k, v in row.items() if not v.is_zero()}
                 if row:
                     rows.append(row)

@@ -334,3 +334,43 @@ class TestConfigFile:
         config.write_text(json.dumps({"max_m": 0}))
         code, _, _ = run(capsys, "verify", "--config", str(config))
         assert code == 0
+
+
+class TestExampleDimension:
+    """examples --m is checked per example before any work starts."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started despite a bad --m")
+        monkeypatch.setattr(cli, "_run_example", refuse)
+
+    @pytest.mark.parametrize(
+        "name", ["sphere", "projective", "quadric", "exterior", "hermitean", "associated"]
+    )
+    @pytest.mark.parametrize("m", ["0", "-5"])
+    def test_nonpositive_m_rejected_for_every_example(self, capsys, name, m):
+        code, out, err = run(capsys, "examples", name, "--m", m, "--samples", "2")
+        assert code == 2
+        assert out == ""
+        assert "error: --m must be at least 1" in err
+
+    @pytest.mark.parametrize("m", ["1", "3", "7"])
+    def test_odd_m_rejected_for_hermitean(self, capsys, m):
+        code, out, err = run(capsys, "examples", "hermitean", "--m", m, "--samples", "2")
+        assert code == 2
+        assert out == ""
+        assert "error: --m must be even for hermitean" in err
+
+    @pytest.mark.parametrize("m", ["1", "3", "4"])
+    def test_quadric_takes_only_m_2(self, capsys, m):
+        code, out, err = run(capsys, "examples", "quadric", "--m", m, "--samples", "2")
+        assert code == 2
+        assert out == ""
+        assert "error: --m must be 2 for quadric" in err
+
+    def test_accepted_values_still_run(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_run_example", lambda name, m, samples, seed: [])
+        assert run(capsys, "examples", "quadric", "--samples", "2")[0] == 0
+        assert run(capsys, "examples", "quadric", "--m", "2", "--samples", "2")[0] == 0
+        assert run(capsys, "examples", "hermitean", "--m", "6", "--samples", "2")[0] == 0
