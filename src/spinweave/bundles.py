@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .clifford import CliffordElement, Signature, volume
-from .groups import FrameGroup, frame_group, twisted_adjoint
 from .linalg import ExactMatrix
 from .reps import (
     DIRAC,
@@ -29,6 +28,9 @@ from .reps import (
     spin_space,
 )
 from .scalars import ExactScalar, I, ONE, SQRT2, ZERO, sc
+
+if TYPE_CHECKING:
+    from .groups import FrameGroup
 
 CE = CliffordElement
 
@@ -379,6 +381,9 @@ def associated_tau_welldefined(ss: SpinSpace, group: Optional[FrameGroup] = None
     frame-group element a and frame vector v.  Also confirms the negative
     control: dropping Gamma breaks the identity for some odd a.
     """
+    # the only user of groups here, so the other examples do not load it
+    from .groups import frame_group, twisted_adjoint
+
     group = group or frame_group(ss.sig)
     failures = []
     for a in group.elements:

@@ -14,33 +14,10 @@ import json
 import os
 import random
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from . import charclass
-from .bundles import (
-    ExteriorElement,
-    associated_tau_welldefined,
-    exterior_tau,
-    hermitean_h_value,
-    hermitean_tau,
-    projective_tau,
-    quadric_example_check,
-    sample_quadric_points,
-    sample_tangent_pairs,
-    sphere_representation,
-    sphere_tau,
-)
-from .clifford import CliffordElement, Signature
-from .groups import (
-    ad_surjectivity_witnesses,
-    frame_group,
-    kappa,
-    plain_ad_kernel,
-    sample_lipschitz,
-    verify_extension_diagram,
-)
-from .linalg import ExactMatrix
 from .reports import (
+    KINDS,
     Report,
     envelope,
     render_table,
@@ -48,16 +25,14 @@ from .reports import (
     serialize_representation,
     to_json_text,
 )
-from .reps import (
-    KINDS,
-    SpinSpace,
-    anticommutant,
-    build_rep,
-    commutant,
-    spin_space,
-    verify_clifford,
-)
-from .scalars import ExactScalar, MINUS_ONE, ONE, sc
+
+if TYPE_CHECKING:
+    from .clifford import Signature
+    from .reps import SpinSpace
+
+# Each subcommand imports the algebra layers it runs when it starts, so a
+# process loads only those: obstructions -> charclass; verify -> clifford,
+# reps, groups; examples -> bundles; build -> reps.
 
 DEFAULT_SEED = 1
 
@@ -69,6 +44,8 @@ MAX_SAMPLES = 10_000
 
 
 def _parse_signature(text: str) -> Signature:
+    from .clifford import Signature
+
     try:
         k, l = (int(part) for part in text.split(","))
         return Signature(k, l)
@@ -76,16 +53,22 @@ def _parse_signature(text: str) -> Signature:
         raise argparse.ArgumentTypeError(f"bad signature {text!r}: expected k,l") from exc
 
 
-def _resolve_seed(args) -> int:
+def _resolve_seed(args) -> Optional[str]:
+    """Fill an unset seed from SPINWEAVE_SEED, else DEFAULT_SEED; name a bad env value."""
     if args.seed is not None:
-        return args.seed
+        return None
     env = os.environ.get("SPINWEAVE_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise SystemExit(2)
-    return DEFAULT_SEED
+    if env is None:
+        args.seed = DEFAULT_SEED
+        return None
+    try:
+        seed = int(env)
+    except ValueError:
+        seed = 0
+    if seed < 1:
+        return f"SPINWEAVE_SEED must be a positive integer, got {env!r}"
+    args.seed = seed
+    return None
 
 
 _CONFIG_KEYS = ("seed", "samples", "max_m", "format")
@@ -139,12 +122,26 @@ def _check_limits(args) -> Optional[str]:
     return None
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
+def _emit(args, text: str, code: int) -> int:
+    """Write the output to --out or stdout; return code, or 2 if --out cannot be written."""
+    if not args.out:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(args.out, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"error: --out {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    return code
+
+
+def _emit_reports(args, reports: List[Report]) -> int:
+    if args.format == "json":
+        text = to_json_text(envelope(reports)) + "\n"
     else:
-        sys.stdout.write(text)
+        text = render_table([r.to_json() for r in reports])
+    return _emit(args, text, 0 if all(r.ok for r in reports) else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -152,22 +149,31 @@ def _emit(args, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def __getattr__(name):
+    # ``build`` calls ``cli.build_rep``, bound to reps.build_rep on first use
+    # so that importing the CLI loads no algebra layer; tests replace it.
+    if name == "build_rep":
+        from .reps import build_rep
+
+        return build_rep
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def cmd_build(args) -> int:
     try:
-        rep = build_rep(args.sig, args.kind)
+        rep = sys.modules[__name__].build_rep(args.sig, args.kind)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     doc = serialize_representation(rep)
     if args.format == "json":
-        _emit(args, to_json_text(doc) + "\n")
-    else:
-        rows = [
-            {"generator": f"e{i + 1}", "image": str(g).replace("\n", " ; ")}
-            for i, g in enumerate(rep.images)
-        ]
-        _emit(args, f"{rep.kind} representation of {rep.sig}, dim {rep.dim}\n" + render_table(rows))
-    return 0
+        return _emit(args, to_json_text(doc) + "\n", 0)
+    rows = [
+        {"generator": f"e{i + 1}", "image": str(g).replace("\n", " ; ")}
+        for i, g in enumerate(rep.images)
+    ]
+    header = f"{rep.kind} representation of {rep.sig}, dim {rep.dim}\n"
+    return _emit(args, header + render_table(rows), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +182,8 @@ def cmd_build(args) -> int:
 
 
 def _signatures_for(args) -> List[Signature]:
+    from .clifford import Signature
+
     if args.sig is not None:
         return [args.sig]
     out = []
@@ -193,6 +201,8 @@ def _alpha_is_gamma_conjugation(ss: SpinSpace) -> bool:
     and e_1..e_m generate the algebra, and two morphisms that agree on
     generators agree everywhere, so checking those m + 1 elements is complete.
     """
+    from .clifford import CliffordElement
+
     ginv = ss.gamma.inverse()
     return all(
         ss.include(x.alpha()) == ginv * ss.include(x) * ss.gamma
@@ -202,6 +212,17 @@ def _alpha_is_gamma_conjugation(ss: SpinSpace) -> bool:
 
 
 def _verify_signature(sig: Signature, seed: int) -> List[Report]:
+    from .groups import (
+        ad_surjectivity_witnesses,
+        frame_group,
+        kappa,
+        plain_ad_kernel,
+        sample_lipschitz,
+        verify_extension_diagram,
+    )
+    from .reps import anticommutant, build_rep, commutant, spin_space, verify_clifford
+    from .scalars import MINUS_ONE
+
     reports: List[Report] = []
     ss = spin_space(sig)
     odd = sig.m % 2 == 1
@@ -258,17 +279,10 @@ def _verify_signature(sig: Signature, seed: int) -> List[Report]:
 
 
 def cmd_verify(args) -> int:
-    seed = _resolve_seed(args)
     reports: List[Report] = []
     for sig in _signatures_for(args):
-        reports.extend(_verify_signature(sig, seed))
-    doc = envelope(reports)
-    if args.format == "json":
-        _emit(args, to_json_text(doc) + "\n")
-    else:
-        rows = [r.to_json() for r in reports]
-        _emit(args, render_table(rows))
-    return 0 if all(r.ok for r in reports) else 1
+        reports.extend(_verify_signature(sig, args.seed))
+    return _emit_reports(args, reports)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +291,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_obstructions(args) -> int:
+    from . import charclass
+
     if args.catalog:
         try:
             with open(args.catalog) as fh:
@@ -296,10 +312,8 @@ def cmd_obstructions(args) -> int:
         witness = row.pop("lpin_witness")
         row["lpin"] = f"T:{witness}" if row["lpin"] and witness else row["lpin"]
     if args.format == "json":
-        _emit(args, to_json_text({"schema": 1, "obstructions": rows}) + "\n")
-    else:
-        _emit(args, render_table(rows))
-    return 0
+        return _emit(args, to_json_text({"schema": 1, "obstructions": rows}) + "\n", 0)
+    return _emit(args, render_table(rows), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +322,24 @@ def cmd_obstructions(args) -> int:
 
 
 def _run_example(name: str, m: int, samples: int, seed: int) -> List[Report]:
+    from .bundles import (
+        ExteriorElement,
+        associated_tau_welldefined,
+        exterior_tau,
+        hermitean_h_value,
+        hermitean_tau,
+        projective_tau,
+        quadric_example_check,
+        sample_quadric_points,
+        sample_tangent_pairs,
+        sphere_representation,
+        sphere_tau,
+    )
+    from .clifford import Signature
+    from .linalg import ExactMatrix
+    from .reps import spin_space
+    from .scalars import ExactScalar, sc
+
     reports: List[Report] = []
     if name in ("sphere", "projective"):
         rep = sphere_representation(m)
@@ -372,18 +404,12 @@ def _run_example(name: str, m: int, samples: int, seed: int) -> List[Report]:
 
 
 def cmd_examples(args) -> int:
-    seed = _resolve_seed(args)
     try:
-        reports = _run_example(args.name, args.m, args.samples, seed)
+        reports = _run_example(args.name, args.m, args.samples, args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    doc = envelope(reports)
-    if args.format == "json":
-        _emit(args, to_json_text(doc) + "\n")
-    else:
-        _emit(args, render_table([r.to_json() for r in reports]))
-    return 0 if all(r.ok for r in reports) else 1
+    return _emit_reports(args, reports)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +474,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if getattr(args, "samples", 1) < 1 or (args.seed is not None and args.seed < 1):
         print("error: seed and sample counts must be positive", file=sys.stderr)
         return 2
-    error = _check_limits(args)
+    error = _check_limits(args) or _resolve_seed(args)
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -9,11 +9,24 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import TYPE_CHECKING, Any, List, Optional
 
-from .reps import Representation, SpinSpace
+if TYPE_CHECKING:
+    from .reps import Representation, SpinSpace
 
 SCHEMA = 1
+
+# Representation kinds, as ``build --kind`` takes them and reports name
+# them.  They live here, not in reps, so the CLI parser offers them without
+# loading any algebra layer; reps re-exports them.
+PAULI = "pauli"
+PAULI_TWISTED = "pauli_twisted"
+DIRAC = "dirac"
+CARTAN = "cartan"
+WEYL_PLUS = "weyl+"
+WEYL_MINUS = "weyl-"
+
+KINDS = (PAULI, PAULI_TWISTED, DIRAC, CARTAN, WEYL_PLUS, WEYL_MINUS)
 
 
 @dataclass

@@ -22,16 +22,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .clifford import CliffordElement, Signature, volume
 from .linalg import ExactMatrix, expand_in_basis, nullspace_sparse, vector_to_matrix
+from .reports import CARTAN, DIRAC, KINDS, PAULI, PAULI_TWISTED, WEYL_MINUS, WEYL_PLUS
 from .scalars import ExactScalar, I, MINUS_ONE, ONE, ZERO
-
-PAULI = "pauli"
-PAULI_TWISTED = "pauli_twisted"
-DIRAC = "dirac"
-CARTAN = "cartan"
-WEYL_PLUS = "weyl+"
-WEYL_MINUS = "weyl-"
-
-KINDS = (PAULI, PAULI_TWISTED, DIRAC, CARTAN, WEYL_PLUS, WEYL_MINUS)
 
 EVEN = "even"
 ODD = "odd"
@@ -434,10 +426,7 @@ def cartan_projectors(ss: SpinSpace) -> Tuple[ExactMatrix, ExactMatrix]:
     if ss.sig.m % 2 == 0:
         raise ValueError("Cartan projectors need odd m")
     vol = volume(ss.sig)
-    j = gamma_map(ss, vol.eta).scale(ss.iota)
-    half = ExactScalar(1) / 2
-    ident = ExactMatrix.identity(ss.dim)
-    return (ident + j).scale(half), (ident - j).scale(half)
+    return _projector_pair(gamma_map(ss, vol.eta).scale(ss.iota))
 
 
 def decompose_even_restriction(ss: SpinSpace) -> Tuple[ExactMatrix, ExactMatrix]:
@@ -447,9 +436,13 @@ def decompose_even_restriction(ss: SpinSpace) -> Tuple[ExactMatrix, ExactMatrix]
     they are invariant under the whole inclusion image and are swapped
     by the odd gamma-form images.
     """
-    j = ss.eta.scale(ss.iota)
+    return _projector_pair(ss.eta.scale(ss.iota))
+
+
+def _projector_pair(j: ExactMatrix) -> Tuple[ExactMatrix, ExactMatrix]:
+    """(I + j)/2 and (I - j)/2 for an involution j."""
     half = ExactScalar(1) / 2
-    ident = ExactMatrix.identity(ss.dim)
+    ident = ExactMatrix.identity(j.n)
     return (ident + j).scale(half), (ident - j).scale(half)
 
 

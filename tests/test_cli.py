@@ -374,3 +374,49 @@ class TestExampleDimension:
         assert run(capsys, "examples", "quadric", "--samples", "2")[0] == 0
         assert run(capsys, "examples", "quadric", "--m", "2", "--samples", "2")[0] == 0
         assert run(capsys, "examples", "hermitean", "--m", "6", "--samples", "2")[0] == 0
+
+
+class TestSeedEnv:
+    """SPINWEAVE_SEED is checked like --seed, before any work starts."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started despite a bad SPINWEAVE_SEED")
+        for name in ("_verify_signature", "_run_example"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    @pytest.mark.parametrize(
+        "argv", [("verify", "--sig", "1,0"), ("examples", "sphere", "--m", "2", "--samples", "2")]
+    )
+    def test_bad_env_seed_exits_2(self, capsys, monkeypatch, value, argv):
+        monkeypatch.setenv("SPINWEAVE_SEED", value)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: SPINWEAVE_SEED ")
+
+    def test_flag_wins_over_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("SPINWEAVE_SEED", "abc")
+        monkeypatch.setattr(cli, "_verify_signature", lambda sig, seed: [])
+        assert run(capsys, "verify", "--sig", "1,0", "--seed", "3")[0] == 0
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("obstructions",),
+            ("build", "--sig", "2,0", "--kind", "dirac"),
+            ("verify", "--sig", "1,0"),
+            ("examples", "sphere", "--m", "2", "--samples", "2"),
+        ],
+    )
+    @pytest.mark.parametrize("target", ["missing/x.json", "."])
+    def test_exits_2_naming_out(self, capsys, tmp_path, argv, target):
+        path = tmp_path / target
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: --out {path}: ")
