@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from functools import cached_property, lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .clifford import Signature
 from .linalg import ExactMatrix, rref_sparse
@@ -53,49 +53,41 @@ class FrameGroup:
     def __contains__(self, mat: ExactMatrix) -> bool:
         return mat in self._index
 
-    @property
+    @cached_property
     def identity_index(self) -> int:
         return self._index[ExactMatrix.identity(self.elements[0].n)]
 
     def inverse_index(self, i: int) -> int:
-        e = self.identity_index
-        return next(j for j in range(self.order) if self.cayley[i][j] == e)
+        return self._index[self.elements[i].inverse()]
 
 
 def generate_frame_group(ss: SpinSpace, safety_bound: Optional[int] = None) -> FrameGroup:
-    """Closure of the signed frame images under multiplication.
+    """The signed frame products {+-v_A}, enumerated by blade mask A.
 
-    The generators contain their own inverses up to sign, so product
-    closure yields the group.  Exceeding the safety bound signals a
-    broken frame and raises.  Products are deduplicated by matrix
-    equality (hashing the sparse rows); the elements are sorted by
-    ``key()`` once, at the end.
+    v_A = v_(A - i) * v_i with i the highest bit of A: 2^m - 1 products.  The
+    Clifford relations v_i v_j + v_j v_i = 2 h_ij delta_ij I give v_A v_B =
+    +-v_(A xor B), so {+-v_A} is the group the signed frame generates.  They
+    are checked on the frame (v_i^2, and v_j v_i for i < j: m(m+1)/2
+    products); a frame that breaks them raises, as does an order 2^(m+1)
+    above the safety bound.  Deduplication hashes the sparse rows, so a
+    degenerate frame (v_A = +-v_B for some A != B) gives fewer than 2^(m+1)
+    elements.  They are sorted by ``key()`` once, at the end.
     """
-    bound = safety_bound if safety_bound is not None else 1 << (ss.sig.m + 2)
-    gens = []
-    for v in ss.frame:
-        gens.append(v)
-        gens.append(-v)
-    seen: Set[ExactMatrix] = set()
-    frontier = []
+    m = ss.sig.m
+    if 2 << m > (safety_bound if safety_bound is not None else 4 << m):
+        raise RuntimeError("frame group order exceeds safety bound")
     ident = ExactMatrix.identity(ss.dim)
-    for g in [ident, -ident] + gens:
-        if g not in seen:
-            seen.add(g)
-            frontier.append(g)
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                p = g * h
-                if p not in seen:
-                    if len(seen) >= bound:
-                        raise RuntimeError("frame-group closure exceeded safety bound")
-                    seen.add(p)
-                    nxt.append(p)
-        frontier = nxt
-    elements = tuple(sorted(seen, key=lambda m: m.key()))
-    return FrameGroup(ss.sig, elements)
+    blades = [ident]
+    for mask in range(1, 1 << m):
+        i = mask.bit_length() - 1
+        blades.append(blades[mask ^ 1 << i] * ss.frame[i])
+    for j, v in enumerate(ss.frame):
+        if v * v != ident.scale(sc(ss.sig.h(j))) or any(
+            v * ss.frame[i] != -blades[1 << i | 1 << j] for i in range(j)
+        ):
+            raise RuntimeError(f"frame vector e{j + 1} breaks the Clifford relations")
+    elements = set(blades) | {-b for b in blades}
+    return FrameGroup(ss.sig, tuple(sorted(elements, key=lambda g: g.key())))
 
 
 @lru_cache(maxsize=None)
@@ -209,9 +201,6 @@ class OrthMatrix:
     def det(self) -> ExactScalar:
         return self.mat.det()
 
-    def __eq__(self, other):
-        return isinstance(other, OrthMatrix) and self.sig == other.sig and self.mat == other.mat
-
 
 def _frame_matrix(ss: SpinSpace, images: Sequence[ExactMatrix]) -> OrthMatrix:
     """Orthogonal matrix whose column i holds the frame coordinates of images[i]."""
@@ -282,13 +271,6 @@ class KappaImage:
 
     def is_identity(self) -> bool:
         return self.sign == 1 and (self.scale is None or self.scale == ONE)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, KappaImage)
-            and self.sign == other.sign
-            and self.scale == other.scale
-        )
 
 
 def _isotropic_pair(ss: SpinSpace) -> Tuple[Tuple[ExactMatrix, ExactMatrix], tuple]:
@@ -416,70 +398,80 @@ class CheckResult:
     counterexample: Optional[str] = None
 
 
-def verify_extension_diagram(ss: SpinSpace, group: Optional[FrameGroup] = None) -> List[CheckResult]:
-    """Exhaustive frame-group checks for the twisted/untwisted comparison.
+def _reflection(m: int, i: int) -> ExactMatrix:
+    """r_i: the reflection e_i -> -e_i, e_j -> e_j (j != i) of V."""
+    return ExactMatrix.diag([MINUS_ONE if j == i else ONE for j in range(m)])
 
-    (a) the twisted adjoint of every group element is orthogonal,
-    (b) its kernel on the group is exactly {+-I},
+
+def verify_extension_diagram(ss: SpinSpace, group: Optional[FrameGroup] = None) -> List[CheckResult]:
+    """Frame-group checks for the twisted/untwisted comparison, certified
+    on the m frame vectors; ``group`` is the frame group of ``ss``.
+
+    (a) The twisted adjoint of every group element is orthogonal.  It is
+        multiplicative, Ad~(ab) = Ad~(a) o Ad~(b), since alpha is conjugation
+        by Gamma, and Ad~(-I) = id.  The group is generated by -I and the
+        frame, so if each frame vector maps V into V by a real orthogonal
+        matrix, so does every element.
+    (b) Its kernel on the group is exactly {+-I}.  Ad~(v_i) is checked to be
+        the reflection r_i, and +-I and the frame to lie in G.  The r_i
+        generate all 2^m sign diagonals, so the image has order 2^m; with
+        |G| = 2^(m+1) the kernel has order 2, so it is {+-I}.
     (c) Ad(gamma(u)) equals the twisted adjoint of u on frame vectors.
 
-    (a) and (b) share one twisted adjoint per element.  g lies in the
-    kernel iff alpha(g) v g^-1 = v for every frame vector v, which holds
-    iff its twisted adjoint matrix exists and is the identity: the
-    expansion verifies its coordinates exactly, and an image outside
-    span V is not a frame vector.
+    Each check is an exact matrix equality on the m twisted adjoints.
     """
     group = group or generate_frame_group(ss)
-    results = []
-
-    bad = None
-    kernel = []
-    for g in group.elements:
+    m = ss.sig.m
+    twisted, bad = [], None
+    for v in ss.frame:
         try:
-            adj = twisted_adjoint_matrix(ss, g)
+            twisted.append(twisted_adjoint_matrix(ss, v))
         except ValueError:
-            if bad is None:
-                bad = g
-            continue
-        if adj.mat.is_identity():
-            kernel.append(g)
-    results.append(
-        CheckResult(
-            "twisted-adjoint-lands-in-orthogonal-group",
-            bad is None,
-            counterexample=None if bad is None else str(bad),
-        )
-    )
-
-    ident = ExactMatrix.identity(ss.dim)
-    kernel_ok = sorted(k.key() for k in kernel) == sorted([ident.key(), (-ident).key()])
-    results.append(
-        CheckResult(
-            "twisted-adjoint-kernel-is-plus-minus-identity",
-            kernel_ok,
-            counterexample=None if kernel_ok else f"kernel size {len(kernel)}",
-        )
-    )
-
-    agree = True
-    for i in range(ss.sig.m):
-        u = ss.frame[i]
-        gamma_u = ss.gamma * u
-        if adjoint_matrix(ss, gamma_u) != twisted_adjoint_matrix(ss, u):
-            agree = False
+            bad = v
             break
-    results.append(CheckResult("adjoint-of-gamma-image-matches-twisted-adjoint", agree))
-    return results
+    ident = ExactMatrix.identity(ss.dim)
+    off = [f"e{i + 1}" for i, t in enumerate(twisted) if t.mat != _reflection(m, i)]
+    kernel_ok = (
+        bad is None and not off and group.order == 2 << m
+        and all(g in group for g in (ident, -ident, *ss.frame))
+    )
+    agree = bad is None and all(
+        adjoint_matrix(ss, ss.gamma * u) == t for u, t in zip(ss.frame, twisted)
+    )
+    return [
+        CheckResult("twisted-adjoint-lands-in-orthogonal-group", bad is None,
+                    counterexample=None if bad is None else str(bad)),
+        CheckResult("twisted-adjoint-kernel-is-plus-minus-identity", kernel_ok,
+                    counterexample=None if kernel_ok else
+                    f"group order {group.order}; not a reflection: {', '.join(off) or '-'}"),
+        CheckResult("adjoint-of-gamma-image-matches-twisted-adjoint", agree),
+    ]
 
 
 def plain_ad_kernel(ss: SpinSpace, group: Optional[FrameGroup] = None) -> List[ExactMatrix]:
-    """Kernel of the plain adjoint action restricted to the frame group."""
+    """Kernel of the plain adjoint action on the frame group, certified on
+    the m frame vectors; [] when the certificate fails.
+
+    Ad(v_i) is checked to be -r_i, so Ad(+-v_A) = (-1)^|A| r_A: the image is
+    generated by the -r_i, whose product is (-1)^(m+1) I, and has order
+    2^(m-1) for odd m and 2^m for even m.  With |G| = 2^(m+1) the kernel has
+    order 4 or 2.  +-I, and for odd m +-eta, are checked to be that many
+    distinct group elements commuting with the frame, so they are the
+    kernel; they are returned in group order.
+    """
     group = group or generate_frame_group(ss)
-    return [
-        g
-        for g in group.elements
-        if all(g * v == v * g for v in ss.frame)
-    ]
+    m = ss.sig.m
+    ident = ExactMatrix.identity(ss.dim)
+    central = [ident, -ident] + ([ss.eta, -ss.eta] if m % 2 else [])
+    members = {group.index_of(g) for g in central}
+    try:
+        ok = all(adjoint_matrix(ss, v).mat == -_reflection(m, i) for i, v in enumerate(ss.frame))
+    except ValueError:
+        ok = False
+    if ok and group.order == 2 << m and None not in members and len(members) == len(central):
+        if all(in_kernel_k(ss, g) for g in central):
+            return [group.elements[i] for i in sorted(members)]
+    return []
 
 
 def ad_surjectivity_witnesses(ss: SpinSpace) -> List[CheckResult]:
@@ -497,15 +489,9 @@ def ad_surjectivity_witnesses(ss: SpinSpace) -> List[CheckResult]:
             witness="I",
         )
     ]
-    reflections = []
     for i in range(m):
-        target = ExactMatrix.diag([sc(-1 if j == i else 1) for j in range(m)])
-        witness = ss.gamma * ss.frame[i]
-        ok = adjoint_matrix(ss, witness).mat == target
-        reflections.append(ok)
-        results.append(
-            CheckResult(f"reflection-e{i + 1}-witness", ok, witness=f"gamma(e{i + 1})")
-        )
+        ok = adjoint_matrix(ss, ss.gamma * ss.frame[i]).mat == _reflection(m, i)
+        results.append(CheckResult(f"reflection-e{i + 1}-witness", ok, witness=f"gamma(e{i + 1})"))
     if m % 2 == 1:
         witness = ExactMatrix.identity(ss.dim)
         for i in range(m):

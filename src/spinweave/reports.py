@@ -8,7 +8,6 @@ serialisation is deterministic: same inputs, byte-identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, List, Optional
 
 if TYPE_CHECKING:
@@ -29,29 +28,43 @@ WEYL_MINUS = "weyl-"
 KINDS = (PAULI, PAULI_TWISTED, DIRAC, CARTAN, WEYL_PLUS, WEYL_MINUS)
 
 
-@dataclass
 class Report:
-    check_name: str
-    signature: Optional[str]
-    status: str  # "pass" | "fail"
-    witness: Optional[str] = None
-    counterexample: Optional[str] = None
+    """One check verdict.  A plain ``__slots__`` class with the constructor,
+    equality and repr a dataclass would generate, without importing
+    ``dataclasses`` (and ``inspect``) when the CLI builds its parser."""
+
+    __slots__ = ("check_name", "signature", "status", "witness", "counterexample")
+
+    def __init__(self, check_name: str, signature: Optional[str], status: str,
+                 witness: Optional[str] = None, counterexample: Optional[str] = None):
+        self.check_name = check_name
+        self.signature = signature
+        self.status = status  # "pass" | "fail"
+        self.witness = witness
+        self.counterexample = counterexample
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):  # defining it leaves Report unhashable, as a dataclass is
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        pairs = zip(self.__slots__, self._fields())
+        return f"Report({', '.join(f'{name}={value!r}' for name, value in pairs)})"
 
     @property
     def ok(self) -> bool:
         return self.status == "pass"
 
     def to_json(self) -> dict:
-        out: dict = {
-            "check_name": self.check_name,
-            "signature": self.signature,
-            "status": self.status,
+        """All fields, but witness and counterexample only when set."""
+        return {
+            name: value for name, value in zip(self.__slots__, self._fields())
+            if value is not None or name == "signature"
         }
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample
-        return out
 
 
 def report(check_name: str, signature, ok: bool, witness=None, counterexample=None) -> Report:

@@ -70,6 +70,13 @@ class TestVerify:
         _, out2, _ = run(capsys, "verify", "--sig", "3,0", "--seed", "7")
         assert out1 == out2
 
+    @pytest.mark.parametrize("kl", [(8, 0), (4, 4)])
+    def test_every_check_passes_beyond_the_sweep(self, kl):
+        # perfbench's verify-sweep stops at m = 6; these run the generator
+        # certificates at m = 8 on both a definite and a mixed signature
+        reports = cli._verify_signature(Signature(*kl), 1)
+        assert reports and [r.check_name for r in reports if not r.ok] == []
+
 
 class TestAlphaIsGammaConjugation:
     SIG = Signature(7, 0)

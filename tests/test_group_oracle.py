@@ -1,0 +1,216 @@
+"""Exhaustive oracle for the frame-group certificates in ``spinweave.groups``.
+
+``generate_frame_group`` enumerates the group by blade mask and checks the
+Clifford relations on the frame; ``verify_extension_diagram`` and
+``plain_ad_kernel`` check the m frame vectors and count orders.  The
+reference code below is the exhaustive version they replace: closure under
+the 2m signed generators, one twisted adjoint per element, and m
+commutations per element.  Both must agree on every small signature, and on
+broken frames the certificate must fail exactly where the oracle fails or
+where the spin space breaks an identity the oracle never looks at.
+"""
+
+from typing import List, Optional
+
+import pytest
+
+from spinweave.clifford import Signature
+from spinweave.groups import (
+    CheckResult,
+    FrameGroup,
+    adjoint_matrix,
+    generate_frame_group,
+    plain_ad_kernel,
+    twisted_adjoint_matrix,
+    verify_extension_diagram,
+)
+from spinweave.linalg import ExactMatrix
+from spinweave.reps import SpinSpace, conjugate_spin_space, spin_space
+from spinweave.scalars import ExactScalar, sc
+
+
+# ---------------------------------------------------------------------------
+# reference code: the exhaustive loops
+# ---------------------------------------------------------------------------
+
+
+def closure_frame_group(ss: SpinSpace, safety_bound: Optional[int] = None) -> FrameGroup:
+    """Closure of {+-I, +-v_i} under right multiplication by the 2m signed
+    generators, raising once it exceeds the bound."""
+    bound = safety_bound if safety_bound is not None else 1 << (ss.sig.m + 2)
+    gens = [s for v in ss.frame for s in (v, -v)]
+    ident = ExactMatrix.identity(ss.dim)
+    seen = set()
+    frontier = []
+    for g in [ident, -ident] + gens:
+        if g not in seen:
+            seen.add(g)
+            frontier.append(g)
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for h in gens:
+                p = g * h
+                if p not in seen:
+                    if len(seen) >= bound:
+                        raise RuntimeError("frame-group closure exceeded safety bound")
+                    seen.add(p)
+                    nxt.append(p)
+        frontier = nxt
+    return FrameGroup(ss.sig, tuple(sorted(seen, key=lambda g: g.key())))
+
+
+def exhaustive_extension_diagram(ss: SpinSpace, group: FrameGroup) -> List[CheckResult]:
+    """(a) and (b) from one twisted adjoint per group element; (c) on the frame."""
+    bad = None
+    kernel = []
+    for g in group.elements:
+        try:
+            adj = twisted_adjoint_matrix(ss, g)
+        except ValueError:
+            if bad is None:
+                bad = g
+            continue
+        if adj.mat.is_identity():
+            kernel.append(g)
+    ident = ExactMatrix.identity(ss.dim)
+    kernel_ok = sorted(k.key() for k in kernel) == sorted([ident.key(), (-ident).key()])
+    agree = all(
+        adjoint_matrix(ss, ss.gamma * u) == twisted_adjoint_matrix(ss, u) for u in ss.frame
+    )
+    return [
+        CheckResult("twisted-adjoint-lands-in-orthogonal-group", bad is None),
+        CheckResult("twisted-adjoint-kernel-is-plus-minus-identity", kernel_ok),
+        CheckResult("adjoint-of-gamma-image-matches-twisted-adjoint", agree),
+    ]
+
+
+def exhaustive_plain_ad_kernel(ss: SpinSpace, group: FrameGroup) -> List[ExactMatrix]:
+    return [g for g in group.elements if all(g * v == v * g for v in ss.frame)]
+
+
+# ---------------------------------------------------------------------------
+# canonical spin spaces: identical results
+# ---------------------------------------------------------------------------
+
+SIGNATURES = [Signature(k, m - k) for m in range(1, 6) for k in range(m + 1)] + [
+    Signature(6, 0), Signature(3, 3), Signature(1, 5)
+]
+
+
+@pytest.mark.parametrize("sig", SIGNATURES, ids=str)
+def test_certificates_match_the_oracle(sig):
+    ss = spin_space(sig)
+    group = generate_frame_group(ss)
+    reference = closure_frame_group(ss)
+    assert group.elements == reference.elements
+    assert [g.key() for g in group.elements] == [g.key() for g in reference.elements]
+
+    got = [(r.name, r.ok) for r in verify_extension_diagram(ss, group)]
+    want = [(r.name, r.ok) for r in exhaustive_extension_diagram(ss, reference)]
+    assert got == want
+    assert all(ok for _, ok in got)
+
+    kernel = [g.key() for g in plain_ad_kernel(ss, group)]
+    assert kernel == [g.key() for g in exhaustive_plain_ad_kernel(ss, reference)]
+    assert len(kernel) == (4 if sig.m % 2 else 2)
+
+
+def test_degenerate_frame_gives_a_short_order():
+    """The upper Pauli blocks of Cl(0,3) satisfy its relations, but there
+    v_1 v_2 v_3 = +-I, so v_A = +-v_B for complementary masks: order 8."""
+    full = spin_space(Signature(0, 3))
+    frame = tuple(full.pauli_block(v) for v in full.frame)
+    eta = frame[0] * frame[1] * frame[2]
+    assert eta.scalar_value() is not None
+    ss = SpinSpace(full.sig, full.rep, frame, eta, full.iota, eta)
+    group = generate_frame_group(ss)
+    assert group.order == 8
+    assert group.elements == closure_frame_group(ss).elements
+
+
+# ---------------------------------------------------------------------------
+# altered spin spaces: the certificate fails where the oracle does
+# ---------------------------------------------------------------------------
+
+I_UNIT = ExactScalar(0, 1)
+# Frame mutations: the first three break the space, the last two keep it a
+# spin space of its signature (a sign flip, and conjugation by I + 2 v_1 v_2,
+# which is invertible since (v_1 v_2)^2 = -h_1 h_2 I).
+MUTATIONS = {
+    "2v": lambda ss: _rebuilt(ss, [ss.frame[0].scale(sc(2))] + list(ss.frame[1:])),
+    "iv": lambda ss: _rebuilt(ss, [ss.frame[0].scale(I_UNIT)] + list(ss.frame[1:])),
+    "v0+v1": lambda ss: _rebuilt(ss, [ss.frame[0] + ss.frame[1]] + list(ss.frame[1:])),
+    "gamma=I": lambda ss: _rebuilt(ss, list(ss.frame), ExactMatrix.identity(ss.dim)),
+    "-v": lambda ss: _rebuilt(ss, [-ss.frame[0]] + list(ss.frame[1:])),
+    "conjugated": lambda ss: conjugate_spin_space(
+        ss, ExactMatrix.identity(ss.dim) + (ss.frame[0] * ss.frame[1]).scale(sc(2))
+    ),
+}
+MUTATED_SIGNATURES = [Signature(k, m - k) for m in range(2, 5) for k in range(m + 1)] + [
+    Signature(5, 0), Signature(2, 3)
+]
+
+
+def _rebuilt(ss: SpinSpace, frame, gamma: Optional[ExactMatrix] = None) -> SpinSpace:
+    """A spin space with fresh caches; eta is the product of the new frame."""
+    eta = frame[0]
+    for v in frame[1:]:
+        eta = eta * v
+    return SpinSpace(ss.sig, ss.rep, tuple(frame), eta, ss.iota,
+                     ss.gamma if gamma is None else gamma)
+
+
+def _fails(ss: SpinSpace, generate, diagram, kernel) -> bool:
+    """True iff building the group raises or any verify-level check fails."""
+    try:
+        group = generate(ss)
+    except RuntimeError:
+        return True
+    if group.order != 2 ** (ss.sig.m + 1):
+        return True
+    if not all(r.ok for r in diagram(ss, group)):
+        return True
+    return len(kernel(ss, group)) != (4 if ss.sig.m % 2 else 2)
+
+
+def _certificate_fails(ss: SpinSpace) -> bool:
+    return _fails(ss, generate_frame_group, verify_extension_diagram, plain_ad_kernel)
+
+
+def _oracle_fails(ss: SpinSpace) -> bool:
+    return _fails(ss, closure_frame_group, exhaustive_extension_diagram,
+                  exhaustive_plain_ad_kernel)
+
+
+def _is_spin_space(ss: SpinSpace) -> bool:
+    """v_i v_j + v_j v_i = 2 h_ij delta_ij I, and Gamma anticommutes with
+    every v_i (so alpha(v_i) = -v_i).  The oracle tests neither directly."""
+    ident = ExactMatrix.identity(ss.dim)
+    for j, v in enumerate(ss.frame):
+        if v * v != ident.scale(sc(ss.sig.h(j))) or not v.anticommutes_with(ss.gamma):
+            return False
+        if any(not v.anticommutes_with(ss.frame[i]) for i in range(j)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+@pytest.mark.parametrize("sig", MUTATED_SIGNATURES, ids=str)
+def test_altered_spin_space_fails_where_the_oracle_does(sig, name):
+    ss = MUTATIONS[name](spin_space(sig))
+    valid = _is_spin_space(ss)
+    assert valid == (name in ("-v", "conjugated"))
+    assert _certificate_fails(ss) == (_oracle_fails(ss) or not valid)
+
+
+def test_oracle_misses_what_the_certificate_catches():
+    """Where the certificate is stricter: i*v_1 squares to -h_1 (the
+    oracle builds the frame group of another signature), and with Gamma = I
+    the twisted adjoint of v_i is -r_i, not the reflection r_i (at even m
+    the oracle still finds the kernel {+-I})."""
+    for sig, name in ((Signature(2, 0), "iv"), (Signature(2, 1), "iv"),
+                      (Signature(2, 2), "gamma=I")):
+        ss = MUTATIONS[name](spin_space(sig))
+        assert not _oracle_fails(ss)
+        assert _certificate_fails(ss)

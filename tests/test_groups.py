@@ -71,6 +71,21 @@ class TestFrameGroup:
         with pytest.raises(RuntimeError):
             generate_frame_group(ss, safety_bound=4)
 
+    def test_inverse_index_needs_no_cayley_table(self):
+        g = generate_frame_group(spin_space(sig(6, 0)))
+        e = g.identity_index
+        for i in (0, 1, g.order // 3, g.order - 1):
+            j = g.inverse_index(i)
+            assert g.elements[i] * g.elements[j] == g.elements[e]
+        assert g._cayley is None
+
+    def test_inverse_index_agrees_with_cayley_table(self):
+        g = generate_frame_group(spin_space(sig(2, 0)))
+        e = g.identity_index
+        for i in range(g.order):
+            assert g.cayley[i][g.inverse_index(i)] == e
+            assert [j for j in range(g.order) if g.cayley[i][j] == e] == [g.inverse_index(i)]
+
 
 class TestTwistedAdjoint:
     def test_identity(self):

@@ -53,6 +53,11 @@ def test_parser_loads_no_algebra_layer():
     assert doc["parser"] == ["spinweave", "spinweave.cli", "spinweave.reports"]
 
 
+def test_parser_loads_no_dataclasses():
+    code = "import sys, spinweave.cli as c; c.make_parser(); print('dataclasses' in sys.modules)"
+    assert fresh("-c", code).strip() == "False"
+
+
 def test_obstructions_adds_only_charclass():
     assert loaded("obstructions")["added"] == ["spinweave.charclass"]
 

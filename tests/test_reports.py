@@ -3,6 +3,7 @@ import json
 from spinweave.clifford import Signature
 from spinweave.linalg import ExactMatrix
 from spinweave.reports import (
+    Report,
     envelope,
     render_table,
     report,
@@ -78,3 +79,22 @@ def test_render_table():
     text = render_table([{"name": "s3", "spin": True, "w": None}])
     assert "s3" in text and "T" in text and "-" in text
     assert render_table([]) == "(empty)\n"
+
+
+def test_report_behaves_as_its_dataclass_did():
+    full = Report("c", "Cl(1,0)", "fail", "w", "x")
+    assert full == Report(check_name="c", signature="Cl(1,0)", status="fail",
+                          witness="w", counterexample="x")
+    assert full != Report("c", "Cl(1,0)", "fail", "w")
+    assert (full == ("c", "Cl(1,0)", "fail", "w", "x")) is False
+    assert repr(Report("c", None, "pass")) == (
+        "Report(check_name='c', signature=None, status='pass', witness=None, "
+        "counterexample=None)"
+    )
+    assert list(full.to_json()) == ["check_name", "signature", "status", "witness",
+                                    "counterexample"]
+    assert Report("c", None, "pass").to_json() == {
+        "check_name": "c", "signature": None, "status": "pass"}
+    assert not full.ok and Report("c", None, "pass").ok
+    assert Report.__hash__ is None
+    assert not hasattr(full, "__dict__")
