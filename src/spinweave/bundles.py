@@ -18,15 +18,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .clifford import CliffordElement, Signature, volume
 from .linalg import ExactMatrix
-from .reps import (
-    DIRAC,
-    PAULI,
-    Representation,
-    SpinSpace,
-    build_rep,
-    commutant,
-    spin_space,
-)
+from .reports import Report, report
+from .reps import DIRAC, PAULI, Representation, SpinSpace, build_rep
 from .scalars import ExactScalar, I, ONE, SQRT2, ZERO, sc
 
 if TYPE_CHECKING:
@@ -143,6 +136,39 @@ def projective_tau(m: int, sign: int, pair: TangentPair, rep: Representation) ->
     return out if sign > 0 else -out
 
 
+def sphere_example_check(m: int, samples: int, seed: int) -> Report:
+    """tau(x, y)^2 = |y|^2 at seeded tangent pairs of S^m."""
+    rep = sphere_representation(m)
+    ident = ExactMatrix.identity(rep.dim)
+    failures = 0
+    for pair in sample_tangent_pairs(m, samples, seed):
+        t = sphere_tau(m, pair, rep)
+        if t * t != ident.scale(sc(pair.norm_squared())):
+            failures += 1
+    return _count_report("sphere", f"m={m}", failures)
+
+
+def projective_example_check(m: int, samples: int, seed: int) -> Report:
+    """The RP^m maps at seeded tangent pairs: antipodally invariant, the two
+    signs opposite, and tau^2 = |y|^2."""
+    rep = sphere_representation(m)
+    ident = ExactMatrix.identity(rep.dim)
+    failures = 0
+    for pair in sample_tangent_pairs(m, samples, seed):
+        plus = projective_tau(m, 1, pair, rep)
+        anti = projective_tau(m, 1, pair.antipode(), rep)
+        if plus != anti or projective_tau(m, -1, pair, rep) != -plus:
+            failures += 1
+        if plus * plus != ident.scale(sc(pair.norm_squared())):
+            failures += 1
+    return _count_report("projective", f"m={m}", failures)
+
+
+def _count_report(name: str, signature: str, failures: int) -> Report:
+    return report(f"{name}-clifford-property", signature, failures == 0,
+                  counterexample=f"{failures} failures" if failures else None)
+
+
 # ---------------------------------------------------------------------------
 # exterior-algebra module
 # ---------------------------------------------------------------------------
@@ -230,6 +256,19 @@ def exterior_tau(v: Sequence, omega: ExteriorElement, h: Signature) -> ExteriorE
     return ExteriorElement(h.m, acc)
 
 
+def exterior_example_check(h: Signature) -> Report:
+    """tau(e_i)^2 = h_i on every basis form, for every frame vector e_i.
+    The record names the definite Cl(m,0) m=<m>, as the CLI prints it."""
+    ok = True
+    for i in range(h.m):
+        v = [1 if j == i else 0 for j in range(h.m)]
+        for mask in range(1 << h.m):
+            omega = ExteriorElement.basis_form(h.m, mask)
+            if exterior_tau(v, exterior_tau(v, omega, h), h) != omega.scale(sc(h.h(i))):
+                ok = False
+    return report("exterior-clifford-property", f"m={h.m}" if h.l == 0 else h, ok)
+
+
 def hermitean_tau(n: Sequence, omega: ExteriorElement) -> ExteriorElement:
     """Clifford action of n + conj(n) on the exterior algebra of the
     i-eigenspace model: sqrt2 * (conjugate contraction + wedge)."""
@@ -264,6 +303,22 @@ def hermitean_h_value(n: Sequence) -> ExactScalar:
         c = sc(c)
         acc = acc + c.conjugate() * c
     return acc + acc
+
+
+def hermitean_example_check(d: int, samples: int, seed: int) -> Report:
+    """tau(n)^2 = 2|n|^2 on every basis form, at seeded nonzero n in Q(i)^d."""
+    rng = random.Random(seed)
+    ok = True
+    for _ in range(samples):
+        n = [ExactScalar(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(d)]
+        if all(c.is_zero() for c in n):
+            continue
+        hv = hermitean_h_value(n)
+        for mask in range(1 << d):
+            omega = ExteriorElement.basis_form(d, mask)
+            if hermitean_tau(n, hermitean_tau(n, omega)) != omega.scale(hv):
+                ok = False
+    return report("hermitean-clifford-property", f"d={d}", ok)
 
 
 # ---------------------------------------------------------------------------
@@ -333,20 +388,10 @@ def sample_quadric_points(count: int, seed: int) -> List[QuadricPoint]:
     return [QuadricPoint(x, y) for x, y in zip(xs, ys)]
 
 
-@dataclass
-class SampleReport:
-    name: str
-    samples: int
-    failures: List[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def quadric_example_check(samples: Sequence[QuadricPoint]) -> SampleReport:
+def quadric_example_check(samples: Sequence[QuadricPoint]) -> Report:
     """Exact pointwise checks: involution, anticommutation, Clifford
-    property for the product metric, antipodal invariance, projector swap."""
+    property for the product metric, antipodal invariance, projector swap.
+    The counterexample is the first failure."""
     failures = []
     for idx, p in enumerate(samples):
         tau = quadric_tau(p)
@@ -367,7 +412,8 @@ def quadric_example_check(samples: Sequence[QuadricPoint]) -> SampleReport:
         p_minus = (ident - varpi).scale(half)
         if tau * p_plus != p_minus * tau:
             failures.append(f"sample {idx}: projectors not swapped by tau")
-    return SampleReport("quadric", len(samples), failures)
+    return report("quadric-pointwise-checks", None, not failures,
+                  counterexample=failures[0] if failures else None)
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +421,12 @@ def quadric_example_check(samples: Sequence[QuadricPoint]) -> SampleReport:
 # ---------------------------------------------------------------------------
 
 
-def associated_tau_welldefined(ss: SpinSpace, group: Optional[FrameGroup] = None) -> SampleReport:
+def associated_tau_welldefined(ss: SpinSpace, group: Optional[FrameGroup] = None) -> Report:
     """Check the twisting identity making the associated Clifford action
     well defined: Gamma * Ad~(a^-1)(v) * a^-1 = a^-1 * Gamma * v for every
     frame-group element a and frame vector v.  Also confirms the negative
-    control: dropping Gamma breaks the identity for some odd a.
+    control: dropping Gamma breaks the identity for some odd a.  The
+    counterexample is the first failure.
     """
     # the only user of groups here, so the other examples do not load it
     from .groups import frame_group, twisted_adjoint
@@ -404,7 +451,8 @@ def associated_tau_welldefined(ss: SpinSpace, group: Optional[FrameGroup] = None
             break
     if not control_broken:
         failures.append("negative control: identity held even without Gamma")
-    return SampleReport(f"associated-{ss.sig}", group.order * len(ss.frame), failures)
+    return report("associated-welldefined", ss.sig, not failures,
+                  counterexample=failures[0] if failures else None)
 
 
 # ---------------------------------------------------------------------------

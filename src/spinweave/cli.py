@@ -94,6 +94,8 @@ def _apply_config(args) -> Optional[str]:
                 return f"key 'format' must be \"json\" or \"table\", got {value!r}"
         elif type(value) is not int:
             return f"key {key!r} must be an integer, got {value!r}"
+        elif key in ("seed", "samples") and value < 1:
+            return f"key {key!r} must be positive, got {value}"
         if getattr(args, key, None) is None:
             setattr(args, key, value)
     return None
@@ -101,6 +103,10 @@ def _apply_config(args) -> Optional[str]:
 
 def _check_limits(args) -> Optional[str]:
     """Name the flag whose value is outside the documented limits, if any."""
+    if args.seed is not None and args.seed < 1:
+        return f"--seed must be a positive integer, got {args.seed}"
+    if getattr(args, "samples", 1) < 1:
+        return f"--samples must be positive, got {args.samples}"
     sig = getattr(args, "sig", None)
     if sig is not None and sig.m > MAX_M:
         return f"--sig {sig.k},{sig.l} has m = {sig.m}; the limit is m <= {MAX_M}"
@@ -223,22 +229,11 @@ def _verify_signature(sig: Signature, seed: int) -> List[Report]:
     from .reps import anticommutant, build_rep, commutant, spin_space, verify_clifford
     from .scalars import MINUS_ONE
 
-    reports: List[Report] = []
     ss = spin_space(sig)
     odd = sig.m % 2 == 1
 
     kinds = ("pauli", "pauli_twisted", "cartan") if odd else ("dirac", "weyl+", "weyl-")
-    for kind in kinds:
-        rep = build_rep(sig, kind)
-        res = verify_clifford(rep)
-        reports.append(
-            report(
-                f"clifford-relations-{kind}",
-                sig,
-                res.ok,
-                counterexample=None if res.ok else str(res.failures[:3]),
-            )
-        )
+    reports = [verify_clifford(build_rep(sig, kind)) for kind in kinds]
 
     expected = 2 if odd else 1
     reports.append(report("commutant-dimension", sig, len(commutant(ss.frame)) == expected))
@@ -259,10 +254,8 @@ def _verify_signature(sig: Signature, seed: int) -> List[Report]:
 
     group = frame_group(sig)
     reports.append(report("frame-group-order", sig, group.order == 2 ** (sig.m + 1)))
-    for res in verify_extension_diagram(ss, group):
-        reports.append(report(res.name, sig, res.ok, res.witness, res.counterexample))
-    for res in ad_surjectivity_witnesses(ss):
-        reports.append(report(res.name, sig, res.ok, res.witness, res.counterexample))
+    reports.extend(verify_extension_diagram(ss, group))
+    reports.extend(ad_surjectivity_witnesses(ss))
     if odd:
         kernel = plain_ad_kernel(ss, group)
         reports.append(report("plain-ad-kernel-size-4", sig, len(kernel) == 4))
@@ -323,84 +316,28 @@ def cmd_obstructions(args) -> int:
 
 def _run_example(name: str, m: int, samples: int, seed: int) -> List[Report]:
     from .bundles import (
-        ExteriorElement,
         associated_tau_welldefined,
-        exterior_tau,
-        hermitean_h_value,
-        hermitean_tau,
-        projective_tau,
+        exterior_example_check,
+        hermitean_example_check,
+        projective_example_check,
         quadric_example_check,
         sample_quadric_points,
-        sample_tangent_pairs,
-        sphere_representation,
-        sphere_tau,
+        sphere_example_check,
     )
     from .clifford import Signature
-    from .linalg import ExactMatrix
     from .reps import spin_space
-    from .scalars import ExactScalar, sc
 
-    reports: List[Report] = []
-    if name in ("sphere", "projective"):
-        rep = sphere_representation(m)
-        ident = ExactMatrix.identity(rep.dim)
-        failures = 0
-        for pair in sample_tangent_pairs(m, samples, seed):
-            if name == "sphere":
-                t = sphere_tau(m, pair, rep)
-                if t * t != ident.scale(sc(pair.norm_squared())):
-                    failures += 1
-            else:
-                plus = projective_tau(m, 1, pair, rep)
-                anti = projective_tau(m, 1, pair.antipode(), rep)
-                if plus != anti or projective_tau(m, -1, pair, rep) != -plus:
-                    failures += 1
-                if plus * plus != ident.scale(sc(pair.norm_squared())):
-                    failures += 1
-        reports.append(
-            report(f"{name}-clifford-property", f"m={m}", failures == 0,
-                   counterexample=None if not failures else f"{failures} failures")
-        )
-    elif name == "quadric":
-        res = quadric_example_check(sample_quadric_points(samples, seed))
-        reports.append(
-            report("quadric-pointwise-checks", None, res.ok,
-                   counterexample=None if res.ok else res.failures[0])
-        )
-    elif name == "exterior":
-        sig = Signature(m, 0)
-        ok = True
-        for i in range(sig.m):
-            v = [1 if j == i else 0 for j in range(sig.m)]
-            for mask in range(1 << sig.m):
-                omega = ExteriorElement.basis_form(sig.m, mask)
-                if exterior_tau(v, exterior_tau(v, omega, sig), sig) != omega.scale(sc(sig.h(i))):
-                    ok = False
-        reports.append(report("exterior-clifford-property", f"m={m}", ok))
-    elif name == "hermitean":
-        d = m // 2
-        rng = random.Random(seed)
-        ok = True
-        for _ in range(samples):
-            n = [ExactScalar(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(d)]
-            if all(c.is_zero() for c in n):
-                continue
-            hv = hermitean_h_value(n)
-            for mask in range(1 << d):
-                omega = ExteriorElement.basis_form(d, mask)
-                if hermitean_tau(n, hermitean_tau(n, omega)) != omega.scale(hv):
-                    ok = False
-        reports.append(report("hermitean-clifford-property", f"d={d}", ok))
-    elif name == "associated":
-        sig = Signature(m, 0)
-        res = associated_tau_welldefined(spin_space(sig))
-        reports.append(
-            report("associated-welldefined", str(sig), res.ok,
-                   counterexample=None if res.ok else res.failures[0])
-        )
-    else:
+    examples = {
+        "sphere": lambda: sphere_example_check(m, samples, seed),
+        "projective": lambda: projective_example_check(m, samples, seed),
+        "quadric": lambda: quadric_example_check(sample_quadric_points(samples, seed)),
+        "exterior": lambda: exterior_example_check(Signature(m, 0)),
+        "hermitean": lambda: hermitean_example_check(m // 2, samples, seed),
+        "associated": lambda: associated_tau_welldefined(spin_space(Signature(m, 0))),
+    }
+    if name not in examples:
         raise ValueError(f"unknown example {name!r}")
-    return reports
+    return [examples[name]()]
 
 
 def cmd_examples(args) -> int:
@@ -471,9 +408,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.max_m = 4
     if getattr(args, "samples", "absent") is None:
         args.samples = 25
-    if getattr(args, "samples", 1) < 1 or (args.seed is not None and args.seed < 1):
-        print("error: seed and sample counts must be positive", file=sys.stderr)
-        return 2
     error = _check_limits(args) or _resolve_seed(args)
     if error is not None:
         print(f"error: {error}", file=sys.stderr)

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .clifford import Signature
 from .linalg import ExactMatrix, rref_sparse
+from .reports import Report, report
 from .reps import EVEN, ODD, SpinSpace, spin_space
 from .scalars import ExactScalar, MINUS_ONE, ONE, ZERO, sc
 
@@ -390,20 +391,12 @@ def in_kernel_k(ss: SpinSpace, a: ExactMatrix) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CheckResult:
-    name: str
-    ok: bool
-    witness: Optional[str] = None
-    counterexample: Optional[str] = None
-
-
 def _reflection(m: int, i: int) -> ExactMatrix:
     """r_i: the reflection e_i -> -e_i, e_j -> e_j (j != i) of V."""
     return ExactMatrix.diag([MINUS_ONE if j == i else ONE for j in range(m)])
 
 
-def verify_extension_diagram(ss: SpinSpace, group: Optional[FrameGroup] = None) -> List[CheckResult]:
+def verify_extension_diagram(ss: SpinSpace, group: Optional[FrameGroup] = None) -> List[Report]:
     """Frame-group checks for the twisted/untwisted comparison, certified
     on the m frame vectors; ``group`` is the frame group of ``ss``.
 
@@ -439,12 +432,12 @@ def verify_extension_diagram(ss: SpinSpace, group: Optional[FrameGroup] = None) 
         adjoint_matrix(ss, ss.gamma * u) == t for u, t in zip(ss.frame, twisted)
     )
     return [
-        CheckResult("twisted-adjoint-lands-in-orthogonal-group", bad is None,
-                    counterexample=None if bad is None else str(bad)),
-        CheckResult("twisted-adjoint-kernel-is-plus-minus-identity", kernel_ok,
-                    counterexample=None if kernel_ok else
-                    f"group order {group.order}; not a reflection: {', '.join(off) or '-'}"),
-        CheckResult("adjoint-of-gamma-image-matches-twisted-adjoint", agree),
+        report("twisted-adjoint-lands-in-orthogonal-group", ss.sig, bad is None,
+               counterexample=None if bad is None else str(bad)),
+        report("twisted-adjoint-kernel-is-plus-minus-identity", ss.sig, kernel_ok,
+               counterexample=None if kernel_ok else
+               f"group order {group.order}; not a reflection: {', '.join(off) or '-'}"),
+        report("adjoint-of-gamma-image-matches-twisted-adjoint", ss.sig, agree),
     ]
 
 
@@ -474,7 +467,7 @@ def plain_ad_kernel(ss: SpinSpace, group: Optional[FrameGroup] = None) -> List[E
     return []
 
 
-def ad_surjectivity_witnesses(ss: SpinSpace) -> List[CheckResult]:
+def ad_surjectivity_witnesses(ss: SpinSpace) -> List[Report]:
     """Exhibit gamma-image witnesses hitting the generating reflections.
 
     The identity gets the identity witness, each frame reflection the
@@ -483,22 +476,24 @@ def ad_surjectivity_witnesses(ss: SpinSpace) -> List[CheckResult]:
     """
     m = ss.sig.m
     results = [
-        CheckResult(
+        report(
             "identity-witness",
+            ss.sig,
             adjoint_matrix(ss, ExactMatrix.identity(ss.dim)).mat.is_identity(),
             witness="I",
         )
     ]
     for i in range(m):
         ok = adjoint_matrix(ss, ss.gamma * ss.frame[i]).mat == _reflection(m, i)
-        results.append(CheckResult(f"reflection-e{i + 1}-witness", ok, witness=f"gamma(e{i + 1})"))
+        results.append(report(f"reflection-e{i + 1}-witness", ss.sig, ok,
+                              witness=f"gamma(e{i + 1})"))
     if m % 2 == 1:
         witness = ExactMatrix.identity(ss.dim)
         for i in range(m):
             witness = witness * (ss.gamma * ss.frame[i])
         ok = adjoint_matrix(ss, witness).mat == ExactMatrix.identity(m).scale(MINUS_ONE)
         results.append(
-            CheckResult("central-inversion-witness", ok, witness="product of gamma(e_i)")
+            report("central-inversion-witness", ss.sig, ok, witness="product of gamma(e_i)")
         )
     return results
 

@@ -1,8 +1,11 @@
-"""Report records and JSON serialisation shared by the CLI and tests.
+"""The one report record every check returns, and JSON serialisation.
 
-Output documents carry a top-level ``schema: 1`` marker; report entries
-are {check_name, signature, status, witness?, counterexample?}.  All
-serialisation is deterministic: same inputs, byte-identical output.
+Every check function in reps, groups and bundles returns a ``Report`` (or
+a list of them); the CLI prints those records as they are, and the tests
+assert on the same records.  Output documents carry a top-level
+``schema: 1`` marker; report entries are {check_name, signature, status,
+witness?, counterexample?}.  All serialisation is deterministic: same
+inputs, byte-identical output.
 """
 
 from __future__ import annotations

@@ -22,7 +22,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .clifford import CliffordElement, Signature, volume
 from .linalg import ExactMatrix, expand_in_basis, nullspace_sparse, vector_to_matrix
-from .reports import CARTAN, DIRAC, KINDS, PAULI, PAULI_TWISTED, WEYL_MINUS, WEYL_PLUS
+from .reports import (
+    CARTAN, DIRAC, KINDS, PAULI, PAULI_TWISTED, WEYL_MINUS, WEYL_PLUS, Report, report,
+)
 from .scalars import ExactScalar, I, MINUS_ONE, ONE, ZERO
 
 EVEN = "even"
@@ -211,21 +213,9 @@ def _restrict(op: ExactMatrix, basis: List[List[ExactScalar]]) -> ExactMatrix:
     return ExactMatrix(cols).transpose()
 
 
-@dataclass(eq=False)
-class VerifyReport:
-    """Outcome of the exact Clifford-relation sweep for one representation."""
-
-    sig: Signature
-    kind: str
-    failures: List[Tuple[int, int]]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def verify_clifford(rep: Representation) -> VerifyReport:
-    """Exact check of every anticommutator identity the images must satisfy."""
+def verify_clifford(rep: Representation) -> Report:
+    """Exact check of every anticommutator identity the images must satisfy;
+    the counterexample lists the first three failing (i, j) pairs."""
     h = rep.h_values()
     n = len(rep.images)
     failures = []
@@ -236,7 +226,8 @@ def verify_clifford(rep: Representation) -> VerifyReport:
             rhs = ident.scale(2 * h[i]) if i == j else ExactMatrix.zeros(rep.dim)
             if lhs != rhs:
                 failures.append((i, j))
-    return VerifyReport(rep.sig, rep.kind, failures)
+    return report(f"clifford-relations-{rep.kind}", rep.sig, not failures,
+                  counterexample=str(failures[:3]) if failures else None)
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,12 @@ from itertools import combinations
 from spinweave.bundles import (
     ExteriorElement,
     associated_tau_welldefined,
+    exterior_example_check,
     exterior_tau,
-    projective_tau,
+    projective_example_check,
     quadric_example_check,
     sample_quadric_points,
-    sample_tangent_pairs,
-    sphere_representation,
-    sphere_tau,
+    sphere_example_check,
 )
 from spinweave.charclass import (
     builtin_catalog,
@@ -151,7 +150,7 @@ def test_criterion_4_group_suite():
         group = frame_group(sig)
         assert group.order == 2 ** (sig.m + 1), f"order {group.order} for {sig}"
         for result in verify_extension_diagram(ss, group):
-            assert result.ok, f"{result.name} fails for {sig}"
+            assert result.ok, f"{result.check_name} fails for {sig}"
         if sig.m % 2:
             kernel = plain_ad_kernel(ss, group)
             ident = M.identity(ss.dim)
@@ -267,26 +266,18 @@ def test_criterion_7_obstruction_table():
 
 def test_criterion_8_bundle_examples():
     started = time.perf_counter()
+    # the check functions ``spinweave examples`` runs: sphere tau^2 = |y|^2;
+    # projective antipodal invariance, sign flip and tau^2 = |y|^2
     for m in range(1, 7):
-        rep = sphere_representation(m)
-        ident = M.identity(rep.dim)
-        for pair in sample_tangent_pairs(m, 100, seed=m):
-            t = sphere_tau(m, pair, rep)
-            assert t * t == ident.scale(sc(pair.norm_squared()))
-            plus = projective_tau(m, 1, pair, rep)
-            assert projective_tau(m, 1, pair.antipode(), rep) == plus
-            assert projective_tau(m, -1, pair, rep) == -plus
+        for check in (sphere_example_check, projective_example_check):
+            report = check(m, 100, seed=m)
+            assert report.ok, (report.check_name, report.counterexample)
 
     report = quadric_example_check(sample_quadric_points(50, seed=3))
-    assert report.ok, report.failures
+    assert report.ok, report.counterexample
 
     for sig in signatures(6):
-        for i in range(sig.m):
-            v = [1 if j == i else 0 for j in range(sig.m)]
-            for mask in range(1 << sig.m):
-                omega = ExteriorElement.basis_form(sig.m, mask)
-                twice = exterior_tau(v, exterior_tau(v, omega, sig), sig)
-                assert twice == omega.scale(sc(sig.h(i)))
+        assert exterior_example_check(sig).ok, f"tau(e_i)^2 != h_i for {sig}"
         for i, j in combinations(range(sig.m), 2):
             vi = [1 if t == i else 0 for t in range(sig.m)]
             vj = [1 if t == j else 0 for t in range(sig.m)]
@@ -298,7 +289,7 @@ def test_criterion_8_bundle_examples():
 
     for sig in signatures(4):
         result = associated_tau_welldefined(spin_space(sig))
-        assert result.ok, result.failures
+        assert result.ok, result.counterexample
 
     elapsed = time.perf_counter() - started
     assert elapsed < 120, f"criterion 8 exceeded budget: {elapsed:.1f}s"

@@ -3,15 +3,19 @@ from itertools import combinations
 
 import pytest
 
+from spinweave import bundles
 from spinweave.bundles import (
     ExteriorElement,
     QuadricPoint,
     RationalSpherePoint,
     TangentPair,
     associated_tau_welldefined,
+    exterior_example_check,
     exterior_tau,
+    hermitean_example_check,
     hermitean_h_value,
     hermitean_tau,
+    projective_example_check,
     projective_tau,
     quadric_example_check,
     quadric_tau,
@@ -19,6 +23,7 @@ from spinweave.bundles import (
     sample_quadric_points,
     sample_sphere_points,
     sample_tangent_pairs,
+    sphere_example_check,
     sphere_representation,
     sphere_tau,
     spin_space_morphisms,
@@ -26,7 +31,7 @@ from spinweave.bundles import (
 )
 from spinweave.clifford import Signature
 from spinweave.linalg import ExactMatrix
-from spinweave.reps import conjugate_spin_space, spin_space
+from spinweave.reps import SpinSpace, conjugate_spin_space, spin_space
 from spinweave.scalars import ExactScalar, I, ONE, ZERO, sc
 
 M = ExactMatrix
@@ -222,7 +227,7 @@ class TestQuadric:
 
     def test_sampled_checks(self):
         report = quadric_example_check(sample_quadric_points(12, seed=20))
-        assert report.ok, report.failures
+        assert report.ok, report.counterexample
 
     def test_varpi_antipodal(self):
         p = sample_quadric_points(1, seed=8)[0]
@@ -234,7 +239,19 @@ class TestAssociatedBundle:
     @pytest.mark.parametrize("s", [sig(1, 0), sig(2, 0), sig(3, 0), sig(1, 1)])
     def test_welldefinedness(self, s):
         report = associated_tau_welldefined(spin_space(s))
-        assert report.ok, report.failures
+        assert report.ok, report.counterexample
+
+    def test_gamma_replaced_by_identity_is_reported(self):
+        # Gamma * Ad~(a^-1)(v) * a^-1 = a^-1 * Gamma * v holds for any
+        # invertible Gamma, since alpha is conjugation by Gamma; what a space
+        # without a grading trips is the negative control
+        ss = spin_space(sig(3, 0))
+        flat = SpinSpace(ss.sig, ss.rep, ss.frame, ss.eta, ss.iota, M.identity(ss.dim))
+        report = associated_tau_welldefined(flat)
+        assert report.check_name == "associated-welldefined"
+        assert report.signature == "Cl(3,0)"
+        assert report.status == "fail"
+        assert report.counterexample == "negative control: identity held even without Gamma"
 
     def test_gamma_needed_specific_case(self):
         from spinweave.groups import twisted_adjoint
@@ -280,3 +297,32 @@ class TestSpinSpaceMorphisms:
         ss = spin_space(sig(1, 1))
         found = spin_space_morphisms(ss, ss)
         assert found is not None
+
+
+class TestExampleChecks:
+    """The records ``spinweave examples`` prints, one check function each."""
+
+    def test_records_carry_the_cli_name_and_signature(self):
+        records = [
+            sphere_example_check(2, 3, seed=1),
+            projective_example_check(2, 3, seed=1),
+            exterior_example_check(sig(3, 0)),
+            hermitean_example_check(2, 3, seed=1),
+            quadric_example_check(sample_quadric_points(2, seed=1)),
+        ]
+        assert [(r.check_name, r.signature, r.status, r.counterexample) for r in records] == [
+            ("sphere-clifford-property", "m=2", "pass", None),
+            ("projective-clifford-property", "m=2", "pass", None),
+            ("exterior-clifford-property", "m=3", "pass", None),
+            ("hermitean-clifford-property", "d=2", "pass", None),
+            ("quadric-pointwise-checks", None, "pass", None),
+        ]
+
+    def test_exterior_names_a_mixed_signature(self):
+        report = exterior_example_check(sig(1, 2))
+        assert report.ok and report.signature == "Cl(1,2)"
+
+    def test_sphere_counts_failing_samples(self, monkeypatch):
+        monkeypatch.setattr(bundles, "sphere_tau", lambda m, pair, rep: M.zeros(rep.dim))
+        report = sphere_example_check(2, 3, seed=1)
+        assert report.status == "fail" and report.counterexample == "3 failures"

@@ -320,6 +320,31 @@ class TestConfigFile:
         assert "positive" in err
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("examples", "sphere", "--seed", "0"), "--seed must be a positive integer, got 0"),
+            (("verify", "--sig", "1,0", "--seed", "-4"),
+             "--seed must be a positive integer, got -4"),
+            (("examples", "sphere", "--samples", "0"), "--samples must be positive, got 0"),
+            (("examples", "quadric", "--samples", "-1"), "--samples must be positive, got -1"),
+        ],
+    )
+    def test_nonpositive_flag_is_named(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "key, argv",
+        [("seed", ("verify", "--sig", "1,0")), ("samples", ("examples", "sphere"))],
+    )
+    def test_nonpositive_config_key_is_named(self, capsys, tmp_path, key, argv):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: 0}))
+        code, out, err = run(capsys, *argv, "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == f"error: bad config file: key {key!r} must be positive, got 0\n"
+
+    @pytest.mark.parametrize(
         "key, value, argv",
         [
             ("seed", "x", ("verify", "--sig", "1,0")),

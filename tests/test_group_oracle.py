@@ -16,7 +16,6 @@ import pytest
 
 from spinweave.clifford import Signature
 from spinweave.groups import (
-    CheckResult,
     FrameGroup,
     adjoint_matrix,
     generate_frame_group,
@@ -25,6 +24,7 @@ from spinweave.groups import (
     verify_extension_diagram,
 )
 from spinweave.linalg import ExactMatrix
+from spinweave.reports import Report, report
 from spinweave.reps import SpinSpace, conjugate_spin_space, spin_space
 from spinweave.scalars import ExactScalar, sc
 
@@ -60,7 +60,7 @@ def closure_frame_group(ss: SpinSpace, safety_bound: Optional[int] = None) -> Fr
     return FrameGroup(ss.sig, tuple(sorted(seen, key=lambda g: g.key())))
 
 
-def exhaustive_extension_diagram(ss: SpinSpace, group: FrameGroup) -> List[CheckResult]:
+def exhaustive_extension_diagram(ss: SpinSpace, group: FrameGroup) -> List[Report]:
     """(a) and (b) from one twisted adjoint per group element; (c) on the frame."""
     bad = None
     kernel = []
@@ -79,9 +79,9 @@ def exhaustive_extension_diagram(ss: SpinSpace, group: FrameGroup) -> List[Check
         adjoint_matrix(ss, ss.gamma * u) == twisted_adjoint_matrix(ss, u) for u in ss.frame
     )
     return [
-        CheckResult("twisted-adjoint-lands-in-orthogonal-group", bad is None),
-        CheckResult("twisted-adjoint-kernel-is-plus-minus-identity", kernel_ok),
-        CheckResult("adjoint-of-gamma-image-matches-twisted-adjoint", agree),
+        report("twisted-adjoint-lands-in-orthogonal-group", ss.sig, bad is None),
+        report("twisted-adjoint-kernel-is-plus-minus-identity", ss.sig, kernel_ok),
+        report("adjoint-of-gamma-image-matches-twisted-adjoint", ss.sig, agree),
     ]
 
 
@@ -106,8 +106,8 @@ def test_certificates_match_the_oracle(sig):
     assert group.elements == reference.elements
     assert [g.key() for g in group.elements] == [g.key() for g in reference.elements]
 
-    got = [(r.name, r.ok) for r in verify_extension_diagram(ss, group)]
-    want = [(r.name, r.ok) for r in exhaustive_extension_diagram(ss, reference)]
+    got = [(r.check_name, r.ok) for r in verify_extension_diagram(ss, group)]
+    want = [(r.check_name, r.ok) for r in exhaustive_extension_diagram(ss, reference)]
     assert got == want
     assert all(ok for _, ok in got)
 

@@ -300,7 +300,7 @@ class TestSurjectivityWitnesses:
     def test_witnesses(self, s):
         results = ad_surjectivity_witnesses(spin_space(s))
         assert all(r.ok for r in results)
-        names = [r.name for r in results]
+        names = [r.check_name for r in results]
         assert "identity-witness" in names
         if s.m % 2:
             assert "central-inversion-witness" in names

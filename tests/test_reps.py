@@ -131,7 +131,23 @@ class TestVerifyClifford:
         bad = Representation(rep.sig, rep.kind, (M(bad_rows), rep.images[1]), rep.dim)
         report = verify_clifford(bad)
         assert not report.ok
-        assert (0, 0) in report.failures
+        assert "(0, 0)" in report.counterexample
+        # e1 + E_00 fails its square and its anticommutator with e2
+        assert report.check_name == "clifford-relations-dirac"
+        assert report.status == "fail"
+        assert report.counterexample == str([(0, 0), (0, 1)])
+
+    def test_counterexample_lists_first_three_failures(self):
+        rep = build_rep(sig(4, 0), DIRAC)
+        bad_rows = [list(r) for r in rep.images[0].rows]
+        bad_rows[0][0] = bad_rows[0][0] + ONE
+        bad = Representation(rep.sig, rep.kind, (M(bad_rows),) + rep.images[1:], rep.dim)
+        report = verify_clifford(bad)
+        # (0, 0) .. (0, 3) all fail; the record keeps the first three
+        assert report.check_name == "clifford-relations-dirac"
+        assert report.signature == "Cl(4,0)"
+        assert report.status == "fail"
+        assert report.counterexample == str([(0, 0), (0, 1), (0, 2)])
 
 
 class TestCommutants:
