@@ -14,16 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .clifford import CliffordElement, Signature, volume
 from .linalg import ExactMatrix
 from .reports import Report, report
 from .reps import DIRAC, PAULI, Representation, SpinSpace, build_rep
 from .scalars import ExactScalar, I, ONE, SQRT2, ZERO, sc
-
-if TYPE_CHECKING:
-    from .groups import FrameGroup
 
 CE = CliffordElement
 
@@ -421,38 +418,25 @@ def quadric_example_check(samples: Sequence[QuadricPoint]) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def associated_tau_welldefined(ss: SpinSpace, group: Optional[FrameGroup] = None) -> Report:
-    """Check the twisting identity making the associated Clifford action
-    well defined: Gamma * Ad~(a^-1)(v) * a^-1 = a^-1 * Gamma * v for every
-    frame-group element a and frame vector v.  Also confirms the negative
-    control: dropping Gamma breaks the identity for some odd a.  The
-    counterexample is the first failure.
-    """
-    # the only user of groups here, so the other examples do not load it
-    from .groups import frame_group, twisted_adjoint
+def associated_tau_welldefined(ss: SpinSpace) -> Report:
+    """The twisting identity making the associated Clifford action well
+    defined: Gamma * Ad~(a^-1)(v) * a^-1 = a^-1 * Gamma * v for every
+    frame-group element a and frame vector v, certified on the frame.
 
-    group = group or frame_group(ss.sig)
-    failures = []
-    for a in group.elements:
-        inv = a.inverse()
-        for i, v in enumerate(ss.frame):
-            lhs = ss.gamma * twisted_adjoint(ss, inv, v) * inv
-            rhs = inv * ss.gamma * v
-            if lhs != rhs:
-                failures.append(f"element {group.index_of(a)}, vector e{i + 1}")
-    control_broken = False
-    for a in group.elements:
-        inv = a.inverse()
-        for v in ss.frame:
-            if twisted_adjoint(ss, inv, v) * inv != inv * v:
-                control_broken = True
-                break
-        if control_broken:
-            break
-    if not control_broken:
-        failures.append("negative control: identity held even without Gamma")
-    return report("associated-welldefined", ss.sig, not failures,
-                  counterexample=failures[0] if failures else None)
+    The identity says that Gamma^-1 a Gamma is the grade involution alpha(a)
+    on the frame group {+-v_A}.  Both sides are multiplicative, and
+    alpha(+-v_A) = (-1)^|A| (+-v_A), so they agree on the whole group iff
+    they agree on the frame: iff Gamma v_i = -v_i Gamma for i = 1..m, with
+    Gamma invertible.  The negative control follows: without Gamma the
+    identity would need Gamma^-1 v_1 Gamma = v_1, yet it is -v_1.  The
+    counterexample names the first frame vector Gamma does not anticommute
+    with.
+    """
+    failure = next((f"vector e{i + 1}" for i, v in enumerate(ss.frame)
+                    if not ss.gamma.anticommutes_with(v)), None)
+    if failure is None and ss.gamma.rank() < ss.dim:
+        failure = "Gamma is not invertible"
+    return report("associated-welldefined", ss.sig, failure is None, counterexample=failure)
 
 
 # ---------------------------------------------------------------------------

@@ -12,23 +12,15 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from typing import TYPE_CHECKING, List, Optional
 
 from .reports import (
-    KINDS,
-    Report,
-    envelope,
-    render_table,
-    report,
-    serialize_representation,
-    to_json_text,
+    KINDS, Report, envelope, render_table, serialize_representation, to_json_text,
 )
 
 if TYPE_CHECKING:
     from .clifford import Signature
-    from .reps import SpinSpace
 
 # Each subcommand imports the algebra layers it runs when it starts, so a
 # process loads only those: obstructions -> charclass; verify -> clifford,
@@ -72,6 +64,7 @@ def _resolve_seed(args) -> Optional[str]:
 
 
 _CONFIG_KEYS = ("seed", "samples", "max_m", "format")
+_CONFIG_LIMITS = {"max_m": MAX_M, "samples": MAX_SAMPLES}
 
 
 def _apply_config(args) -> Optional[str]:
@@ -96,6 +89,10 @@ def _apply_config(args) -> Optional[str]:
             return f"key {key!r} must be an integer, got {value!r}"
         elif key in ("seed", "samples") and value < 1:
             return f"key {key!r} must be positive, got {value}"
+        elif key == "max_m" and value < 0:
+            return f"key 'max_m' must not be negative, got {value}"
+        elif key in _CONFIG_LIMITS and value > _CONFIG_LIMITS[key]:
+            return f"key {key!r} must be at most {_CONFIG_LIMITS[key]}, got {value}"
         if getattr(args, key, None) is None:
             setattr(args, key, value)
     return None
@@ -199,76 +196,17 @@ def _signatures_for(args) -> List[Signature]:
     return out
 
 
-def _alpha_is_gamma_conjugation(ss: SpinSpace) -> bool:
-    """include(alpha(x)) == gamma^-1 include(x) gamma for every Clifford element x.
-
-    Both sides are unital algebra morphisms of the Clifford algebra: alpha
-    and include are, and conjugation by gamma is an automorphism.  The unit
-    and e_1..e_m generate the algebra, and two morphisms that agree on
-    generators agree everywhere, so checking those m + 1 elements is complete.
-    """
-    from .clifford import CliffordElement
-
-    ginv = ss.gamma.inverse()
-    return all(
-        ss.include(x.alpha()) == ginv * ss.include(x) * ss.gamma
-        for x in [CliffordElement.scalar(ss.sig, 1)]
-        + [CliffordElement.generator(ss.sig, i) for i in range(ss.sig.m)]
-    )
-
-
 def _verify_signature(sig: Signature, seed: int) -> List[Report]:
-    from .groups import (
-        ad_surjectivity_witnesses,
-        frame_group,
-        kappa,
-        plain_ad_kernel,
-        sample_lipschitz,
-        verify_extension_diagram,
-    )
-    from .reps import anticommutant, build_rep, commutant, spin_space, verify_clifford
-    from .scalars import MINUS_ONE
+    from .groups import frame_group, verify_spinor_groups
+    from .reps import build_rep, spin_space, verify_clifford, verify_spin_space
 
     ss = spin_space(sig)
-    odd = sig.m % 2 == 1
-
-    kinds = ("pauli", "pauli_twisted", "cartan") if odd else ("dirac", "weyl+", "weyl-")
-    reports = [verify_clifford(build_rep(sig, kind)) for kind in kinds]
-
-    expected = 2 if odd else 1
-    reports.append(report("commutant-dimension", sig, len(commutant(ss.frame)) == expected))
-    reports.append(
-        report("anticommutant-dimension", sig, len(anticommutant(ss.frame)) == expected)
+    kinds = ("pauli", "pauli_twisted", "cartan") if sig.m % 2 else ("dirac", "weyl+", "weyl-")
+    return (
+        [verify_clifford(build_rep(sig, kind)) for kind in kinds]
+        + verify_spin_space(ss)
+        + verify_spinor_groups(ss, seed, group=frame_group(sig))
     )
-
-    reports.append(
-        report(
-            "volume-square",
-            sig,
-            (ss.eta * ss.eta).scalar_value() == ss.iota * ss.iota,
-        )
-    )
-    reports.append(report("gamma-square", sig, (ss.gamma * ss.gamma).scalar_value() == MINUS_ONE))
-
-    reports.append(report("alpha-is-gamma-conjugation", sig, _alpha_is_gamma_conjugation(ss)))
-
-    group = frame_group(sig)
-    reports.append(report("frame-group-order", sig, group.order == 2 ** (sig.m + 1)))
-    reports.extend(verify_extension_diagram(ss, group))
-    reports.extend(ad_surjectivity_witnesses(ss))
-    if odd:
-        kernel = plain_ad_kernel(ss, group)
-        reports.append(report("plain-ad-kernel-size-4", sig, len(kernel) == 4))
-        rng = random.Random(seed)
-        ok = True
-        for _ in range(20):
-            a = sample_lipschitz(ss, rng, group)
-            b = sample_lipschitz(ss, rng, group)
-            if kappa(ss, a * b) != kappa(ss, a) * kappa(ss, b):
-                ok = False
-                break
-        reports.append(report("kappa-homomorphism-sampled", sig, ok))
-    return reports
 
 
 def cmd_verify(args) -> int:

@@ -498,6 +498,31 @@ def ad_surjectivity_witnesses(ss: SpinSpace) -> List[Report]:
     return results
 
 
+def verify_spinor_groups(
+    ss: SpinSpace, seed: int, kappa_pairs: int = 20, group: Optional[FrameGroup] = None
+) -> List[Report]:
+    """The group checks of ``verify``, in the order it prints them: frame
+    group order 2^(m+1), the extension diagram, the surjectivity witnesses
+    and, for odd m, a plain-Ad kernel of size 4 and kappa(ab) =
+    kappa(a) kappa(b) on ``kappa_pairs`` Lipschitz pairs drawn from
+    random.Random(seed); ``group`` is the frame group of ``ss``."""
+    group = group or generate_frame_group(ss)
+    sig = ss.sig
+    reports = [report("frame-group-order", sig, group.order == 2 << sig.m)]
+    reports.extend(verify_extension_diagram(ss, group))
+    reports.extend(ad_surjectivity_witnesses(ss))
+    if sig.m % 2:
+        reports.append(report("plain-ad-kernel-size-4", sig, len(plain_ad_kernel(ss, group)) == 4))
+        rng = random.Random(seed)
+        pairs = (
+            (sample_lipschitz(ss, rng, group), sample_lipschitz(ss, rng, group))
+            for _ in range(kappa_pairs)
+        )
+        ok = all(kappa(ss, a * b) == kappa(ss, a) * kappa(ss, b) for a, b in pairs)
+        reports.append(report("kappa-homomorphism-sampled", sig, ok))
+    return reports
+
+
 # ---------------------------------------------------------------------------
 # seeded sampling of Lipschitz elements
 # ---------------------------------------------------------------------------

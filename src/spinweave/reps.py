@@ -373,6 +373,35 @@ def conjugate_spin_space(ss: SpinSpace, a: ExactMatrix) -> SpinSpace:
     return _spin_space_from(rep, frame)
 
 
+def alpha_is_gamma_conjugation(ss: SpinSpace) -> bool:
+    """include(alpha(x)) == gamma^-1 include(x) gamma for every Clifford element x.
+
+    Both sides are unital algebra morphisms of the Clifford algebra: alpha
+    and include are, and conjugation by gamma is an automorphism.  The unit
+    and e_1..e_m generate the algebra, and two morphisms that agree on
+    generators agree everywhere, so checking those m + 1 elements is complete.
+    """
+    return all(
+        ss.include(x.alpha()) == ss.gamma_inv * ss.include(x) * ss.gamma
+        for x in [CliffordElement.scalar(ss.sig, 1)]
+        + [CliffordElement.generator(ss.sig, i) for i in range(ss.sig.m)]
+    )
+
+
+def verify_spin_space(ss: SpinSpace) -> List[Report]:
+    """The spin-space checks of ``verify``, in the order it prints them:
+    dim K(h) and dim A(h) are 2 for odd m and 1 for even m, eta^2 = iota^2,
+    gamma^2 = -I, and alpha is conjugation by gamma."""
+    expected = 2 if ss.sig.m % 2 else 1
+    return [
+        report("commutant-dimension", ss.sig, len(commutant(ss.frame)) == expected),
+        report("anticommutant-dimension", ss.sig, len(anticommutant(ss.frame)) == expected),
+        report("volume-square", ss.sig, (ss.eta * ss.eta).scalar_value() == ss.iota * ss.iota),
+        report("gamma-square", ss.sig, (ss.gamma * ss.gamma).scalar_value() == MINUS_ONE),
+        report("alpha-is-gamma-conjugation", ss.sig, alpha_is_gamma_conjugation(ss)),
+    ]
+
+
 def gamma_map(ss: SpinSpace, x: CliffordElement) -> ExactMatrix:
     """Algebra morphism extending v -> gamma * v on the spin space."""
     if x.sig != ss.sig:

@@ -45,7 +45,7 @@ from spinweave.groups import (
     sample_lipschitz,
     twisted_adjoint,
     twisted_adjoint_matrix,
-    verify_extension_diagram,
+    verify_spinor_groups,
 )
 from spinweave.linalg import ExactMatrix
 from spinweave.reps import (
@@ -56,15 +56,14 @@ from spinweave.reps import (
     PAULI_TWISTED,
     WEYL_MINUS,
     WEYL_PLUS,
-    anticommutant,
     build_rep,
     cartan_projectors,
-    commutant,
     decompose_even_restriction,
     gamma_map,
     grading_of,
     spin_space,
     verify_clifford,
+    verify_spin_space,
 )
 from spinweave.scalars import MINUS_ONE, ONE, sc
 
@@ -114,15 +113,16 @@ def test_criterion_1_algebra_suite():
     _announce(1, "Clifford relations m<=7 and 1000-triple associativity fuzz", started)
 
 
+def _assert_all_ok(reports, sig):
+    failed = [r.check_name for r in reports if not r.ok]
+    assert reports and not failed, f"{failed} fail for {sig}"
+
+
 def test_criterion_2_commutant_dimensions():
     started = time.perf_counter()
+    # the spin-space checks ``spinweave verify`` runs, led by dim K and dim A
     for sig in signatures(7):
-        ss = spin_space(sig)
-        expected = 2 if sig.m % 2 else 1
-        k_dim = len(commutant(ss.frame))
-        a_dim = len(anticommutant(ss.frame))
-        assert k_dim == expected, f"dim K = {k_dim} for {sig}"
-        assert a_dim == expected, f"dim A = {a_dim} for {sig}"
+        _assert_all_ok(verify_spin_space(spin_space(sig)), sig)
     _announce(2, "dim K(h) and dim A(h) are 1 (even m) / 2 (odd m) for m<=7", started)
 
 
@@ -130,9 +130,9 @@ def test_criterion_3_volume_and_gamma():
     started = time.perf_counter()
     for sig in signatures(6):
         ss = spin_space(sig)
-        ident = M.identity(ss.dim)
-        assert ss.eta * ss.eta == ident.scale(ss.iota * ss.iota)
-        assert ss.gamma * ss.gamma == -ident
+        # volume-square, gamma-square, and alpha on the generators
+        _assert_all_ok(verify_spin_space(ss), sig)
+        # alpha and the gamma map on every blade, beyond the generators
         ginv = ss.gamma.inverse()
         for mask in range(1 << sig.m):
             x = CE.blade(sig, mask)
@@ -148,9 +148,8 @@ def test_criterion_4_group_suite():
     for sig in signatures(6):
         ss = spin_space(sig)
         group = frame_group(sig)
-        assert group.order == 2 ** (sig.m + 1), f"order {group.order} for {sig}"
-        for result in verify_extension_diagram(ss, group):
-            assert result.ok, f"{result.check_name} fails for {sig}"
+        # order, extension diagram, witnesses, and for odd m kernel size and kappa
+        _assert_all_ok(verify_spinor_groups(ss, seed=1, group=group), sig)
         if sig.m % 2:
             kernel = plain_ad_kernel(ss, group)
             ident = M.identity(ss.dim)
@@ -164,13 +163,10 @@ def test_criterion_5_lipschitz_structure():
     # kappa is a homomorphism on >= 100 seeded random pairs per odd m
     for m in (1, 3, 5):
         sig = Signature(m, 0)
-        ss = spin_space(sig)
-        group = frame_group(sig)
-        rng = random.Random(100 + m)
-        for _ in range(100):
-            a = sample_lipschitz(ss, rng, group)
-            b = sample_lipschitz(ss, rng, group)
-            assert kappa(ss, a * b) == kappa(ss, a) * kappa(ss, b)
+        reports = verify_spinor_groups(spin_space(sig), seed=100 + m, kappa_pairs=100,
+                                       group=frame_group(sig))
+        assert reports[-1].check_name == "kappa-homomorphism-sampled"
+        _assert_all_ok(reports, sig)
 
     # kappa of the odd block elements is (-1, lambda/mu) exactly
     for sig in (Signature(1, 0), Signature(3, 0), Signature(0, 3), Signature(2, 3)):

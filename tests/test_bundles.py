@@ -29,11 +29,12 @@ from spinweave.bundles import (
     spin_space_morphisms,
     stereographic,
 )
-from spinweave.clifford import Signature
+from spinweave.clifford import CliffordElement, Signature
 from spinweave.linalg import ExactMatrix
 from spinweave.reps import SpinSpace, conjugate_spin_space, spin_space
 from spinweave.scalars import ExactScalar, I, ONE, ZERO, sc
 
+CE = CliffordElement
 M = ExactMatrix
 F = Fraction
 
@@ -241,17 +242,53 @@ class TestAssociatedBundle:
         report = associated_tau_welldefined(spin_space(s))
         assert report.ok, report.counterexample
 
+    @staticmethod
+    def _with_gamma(ss, gamma):
+        return SpinSpace(ss.sig, ss.rep, ss.frame, ss.eta, ss.iota, gamma)
+
     def test_gamma_replaced_by_identity_is_reported(self):
-        # Gamma * Ad~(a^-1)(v) * a^-1 = a^-1 * Gamma * v holds for any
-        # invertible Gamma, since alpha is conjugation by Gamma; what a space
-        # without a grading trips is the negative control
+        # the identity commutes with e1, so it conjugates e1 like alpha's
+        # negative control (no Gamma at all), not like alpha
         ss = spin_space(sig(3, 0))
-        flat = SpinSpace(ss.sig, ss.rep, ss.frame, ss.eta, ss.iota, M.identity(ss.dim))
-        report = associated_tau_welldefined(flat)
+        report = associated_tau_welldefined(self._with_gamma(ss, M.identity(ss.dim)))
         assert report.check_name == "associated-welldefined"
         assert report.signature == "Cl(3,0)"
         assert report.status == "fail"
-        assert report.counterexample == "negative control: identity held even without Gamma"
+        assert report.counterexample == "vector e1"
+
+    def test_gamma_commuting_only_with_e7_is_reported(self):
+        # e1...e6 anticommutes with e1..e6 and commutes with e7, so it agrees
+        # with alpha on every blade of e1..e6 and not on e7
+        s = sig(7, 0)
+        ss = spin_space(s)
+        e1_to_e6 = ss.include(CE.blade(s, 0b0111111))
+        report = associated_tau_welldefined(self._with_gamma(ss, e1_to_e6))
+        assert (report.status, report.counterexample) == ("fail", "vector e7")
+
+    def test_singular_gamma_is_reported(self):
+        # the zero matrix anticommutes with every frame vector
+        ss = spin_space(sig(2, 0))
+        report = associated_tau_welldefined(self._with_gamma(ss, M.zeros(ss.dim)))
+        assert (report.status, report.counterexample) == ("fail", "Gamma is not invertible")
+
+    @pytest.mark.parametrize("s", [sig(k, m - k) for m in range(1, 5) for k in range(m + 1)])
+    def test_agrees_with_exhaustive_blade_oracle(self, s):
+        # Gamma^-1 v_A Gamma = (-1)^|A| v_A on every blade mask A is alpha
+        # realised by Gamma on the whole frame group {+-v_A}; the candidates
+        # are every blade image v_B and the canonical Gamma times v_B
+        ss = spin_space(s)
+        blades = [ss.include(CE.blade(s, mask)) for mask in range(1 << s.m)]
+        verdicts = set()
+        for b in blades:
+            for gamma in (b, ss.gamma * b):
+                inv = gamma.inverse()
+                oracle = all(
+                    inv * v * gamma == (-v if bin(mask).count("1") % 2 else v)
+                    for mask, v in enumerate(blades)
+                )
+                assert associated_tau_welldefined(self._with_gamma(ss, gamma)).ok == oracle
+                verdicts.add(oracle)
+        assert verdicts == {True, False}
 
     def test_gamma_needed_specific_case(self):
         from spinweave.groups import twisted_adjoint

@@ -4,10 +4,8 @@ import pytest
 
 from spinweave import cli
 from spinweave.charclass import builtin_catalog, dump_catalog
-from spinweave.clifford import CliffordElement, Signature
+from spinweave.clifford import Signature
 from spinweave.cli import main
-from spinweave.linalg import ExactMatrix
-from spinweave.reps import SpinSpace, spin_space
 
 
 def run(capsys, *argv):
@@ -78,28 +76,6 @@ class TestVerify:
         assert reports and [r.check_name for r in reports if not r.ok] == []
 
 
-class TestAlphaIsGammaConjugation:
-    SIG = Signature(7, 0)
-
-    def _with_gamma(self, gamma):
-        ss = spin_space(self.SIG)
-        return SpinSpace(ss.sig, ss.rep, ss.frame, ss.eta, ss.iota, gamma)
-
-    def test_canonical_gamma_passes(self):
-        assert cli._alpha_is_gamma_conjugation(spin_space(self.SIG))
-
-    def test_identity_gamma_fails(self):
-        ss = self._with_gamma(ExactMatrix.identity(spin_space(self.SIG).dim))
-        assert not cli._alpha_is_gamma_conjugation(ss)
-
-    def test_gamma_wrong_only_on_e7_fails(self):
-        # e1...e6 anticommutes with e1..e6 and commutes with e7, so it
-        # conjugates like alpha on every blade of e1..e6 and not on e7
-        ss = spin_space(self.SIG)
-        e1_to_e6 = ss.include(CliffordElement.blade(self.SIG, 0b0111111))
-        assert not cli._alpha_is_gamma_conjugation(self._with_gamma(e1_to_e6))
-
-
 class TestLimits:
     @pytest.fixture(autouse=True)
     def no_work(self, monkeypatch):
@@ -130,7 +106,22 @@ class TestLimits:
         config.write_text(json.dumps({"max_m": 11}))
         code, _, err = run(capsys, "verify", "--config", str(config))
         assert code == 2
-        assert "--max-m" in err
+        assert err == "error: bad config file: key 'max_m' must be at most 10, got 11\n"
+
+    @pytest.mark.parametrize(
+        "key, value, argv, message",
+        [
+            ("max_m", -1, ("verify",), "must not be negative, got -1"),
+            ("samples", 10001, ("examples", "sphere"), "must be at most 10000, got 10001"),
+        ],
+    )
+    def test_config_value_outside_limits_names_key(self, capsys, tmp_path, key, value, argv,
+                                                   message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        code, out, err = run(capsys, *argv, "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == f"error: bad config file: key {key!r} {message}\n"
 
     def test_limits_are_inclusive(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_verify_signature", lambda sig, seed: [])

@@ -1,9 +1,11 @@
-"""Byte-identical stdout of the example subcommands, JSON and table.
+"""Byte-identical stdout of the example and verify subcommands, JSON and table.
 
 perfbench's golden gate covers the jobs of its workloads only: it never
-runs ``examples associated``, and it cannot see a changed counterexample
-or table layout on a path it does not run.  These digests pin the whole
-stdout of one small run of every example in both formats.
+runs ``examples associated``, runs ``verify`` only at m = 3..6 in JSON,
+and it cannot see a changed counterexample or table layout on a path it
+does not run.  These digests pin the whole stdout of one small run of
+every example, and of ``verify`` at m = 1, 2, 3 and 7 and over the
+m <= 3 sweep, in both formats.
 """
 
 import hashlib
@@ -40,11 +42,46 @@ GOLDEN = {
         "8f1cc64824b619187ed684fdfecc877872a36d39e27843fca99c86ddb02251f3",
 }
 
+# (argv after "verify", format) -> sha256 of stdout
+VERIFY_GOLDEN = {
+    (("--sig", "1,0"), "json"):
+        "f3d8ebaa19bf4c3a0dca4f1bf7658f283d77fe1499fb2725dcaad508caf3394b",
+    (("--sig", "1,0"), "table"):
+        "72234ef4bf19fedb0939a2d26fb3e2f70030646e5e17e78c596dc9371ac17a8a",
+    (("--sig", "0,2"), "json"):
+        "31b84e00496d360db1743c20b4499545743ce783e218d39c93c1ce2aa9fd8288",
+    (("--sig", "0,2"), "table"):
+        "b1e923054cc997184db8232388e910819d0948911b31022dbb0ab25368f6282e",
+    (("--sig", "2,1"), "json"):
+        "aff15deb3c0018f7fbc4f3b82d6ec7c24b456a58748984d505708c2d9e078ccb",
+    (("--sig", "2,1"), "table"):
+        "7649a8401cf89fd3aee45f4d1350ceb6176654dab181fe4dd2f9b773468297d8",
+    (("--sig", "7,0"), "json"):
+        "17c4916a5af7e64264e3fe28f927d14b465871e34406bf1490d170f9c1ca951c",
+    (("--sig", "7,0"), "table"):
+        "14d0bc64ece8864a91be6eaaf68d0898148def4e4b9fe6f3ce07b5297cb3e9cd",
+    (("--max-m", "3"), "json"):
+        "e895c8e6cb2aadcff3653d7371ca934ec767728e9485623f7e5397080e44c8a8",
+    (("--max-m", "3"), "table"):
+        "2b45bcc2476bba9575a197f1a3704da28c2923511c0de9b93c72204cad202ab9",
+}
+
+
+def _stdout_digest(capsys, monkeypatch, argv):
+    monkeypatch.delenv("SPINWEAVE_SEED", raising=False)
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    return hashlib.sha256(out.encode()).hexdigest()
+
 
 @pytest.mark.parametrize("argv, fmt", sorted(GOLDEN))
 def test_example_stdout_is_unchanged(capsys, monkeypatch, argv, fmt):
-    monkeypatch.delenv("SPINWEAVE_SEED", raising=False)
-    code = main(["examples", *argv, "--format", fmt])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv, fmt]
+    digest = _stdout_digest(capsys, monkeypatch, ["examples", *argv, "--format", fmt])
+    assert digest == GOLDEN[argv, fmt]
+
+
+@pytest.mark.parametrize("argv, fmt", sorted(VERIFY_GOLDEN))
+def test_verify_stdout_is_unchanged(capsys, monkeypatch, argv, fmt):
+    digest = _stdout_digest(capsys, monkeypatch, ["verify", *argv, "--format", fmt])
+    assert digest == VERIFY_GOLDEN[argv, fmt]

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from spinweave import groups
 from spinweave.clifford import CliffordElement, Signature
 from spinweave.linalg import ExactMatrix
 from spinweave.groups import (
@@ -24,6 +25,7 @@ from spinweave.groups import (
     twisted_adjoint,
     twisted_adjoint_matrix,
     verify_extension_diagram,
+    verify_spinor_groups,
 )
 from spinweave.reps import EVEN, ODD, grading_of, spin_space
 from spinweave.scalars import I, MINUS_ONE, ONE, sc
@@ -305,6 +307,33 @@ class TestSurjectivityWitnesses:
         if s.m % 2:
             assert "central-inversion-witness" in names
 
+
+
+class TestVerifySpinorGroups:
+    EXTENSION = ["twisted-adjoint-lands-in-orthogonal-group",
+                 "twisted-adjoint-kernel-is-plus-minus-identity",
+                 "adjoint-of-gamma-image-matches-twisted-adjoint"]
+
+    def test_even_m_reports_in_order(self):
+        reports = verify_spinor_groups(spin_space(sig(2, 0)), seed=1)
+        assert [r.check_name for r in reports] == [
+            "frame-group-order", *self.EXTENSION,
+            "identity-witness", "reflection-e1-witness", "reflection-e2-witness",
+        ]
+        assert all(r.ok for r in reports)
+
+    def test_odd_m_adds_kernel_and_kappa(self):
+        reports = verify_spinor_groups(spin_space(sig(1, 2)), seed=1)
+        assert [r.check_name for r in reports][-3:] == [
+            "central-inversion-witness", "plain-ad-kernel-size-4", "kappa-homomorphism-sampled",
+        ]
+        assert all(r.ok for r in reports)
+
+    def test_broken_kappa_is_reported(self, monkeypatch):
+        # a constant reflection is not multiplicative: (-1, 2)(-1, 2) = (1, 1)
+        monkeypatch.setattr(groups, "kappa", lambda ss, a: KappaImage(-1, sc(2)))
+        reports = verify_spinor_groups(spin_space(sig(3, 0)), seed=1, kappa_pairs=1)
+        assert [r.check_name for r in reports if not r.ok] == ["kappa-homomorphism-sampled"]
 
 class TestGradingCompatibility:
     def test_det_matches_grading(self):

@@ -12,6 +12,8 @@ from spinweave.reps import (
     WEYL_MINUS,
     WEYL_PLUS,
     Representation,
+    SpinSpace,
+    alpha_is_gamma_conjugation,
     anticommutant,
     build_rep,
     cartan_projectors,
@@ -24,6 +26,7 @@ from spinweave.reps import (
     grading_of,
     spin_space,
     verify_clifford,
+    verify_spin_space,
 )
 from spinweave.scalars import I, MINUS_ONE, ONE, sc
 
@@ -232,6 +235,46 @@ class TestSpinSpace:
                 x = CE.blade(s, mask)
                 assert ss.include(x.alpha()) == ginv * ss.include(x) * ss.gamma
 
+
+
+class TestAlphaIsGammaConjugation:
+    SIG = Signature(7, 0)
+
+    def _with_gamma(self, gamma):
+        ss = spin_space(self.SIG)
+        return SpinSpace(ss.sig, ss.rep, ss.frame, ss.eta, ss.iota, gamma)
+
+    def test_canonical_gamma_passes(self):
+        assert alpha_is_gamma_conjugation(spin_space(self.SIG))
+
+    def test_identity_gamma_fails(self):
+        ss = self._with_gamma(M.identity(spin_space(self.SIG).dim))
+        assert not alpha_is_gamma_conjugation(ss)
+
+    def test_gamma_wrong_only_on_e7_fails(self):
+        # e1...e6 anticommutes with e1..e6 and commutes with e7, so it
+        # conjugates like alpha on every blade of e1..e6 and not on e7
+        ss = spin_space(self.SIG)
+        e1_to_e6 = ss.include(CE.blade(self.SIG, 0b0111111))
+        assert not alpha_is_gamma_conjugation(self._with_gamma(e1_to_e6))
+
+
+class TestVerifySpinSpace:
+    NAMES = ["commutant-dimension", "anticommutant-dimension", "volume-square",
+             "gamma-square", "alpha-is-gamma-conjugation"]
+
+    @pytest.mark.parametrize("s", [sig(2, 0), sig(1, 2)])
+    def test_canonical_space_passes_in_order(self, s):
+        reports = verify_spin_space(spin_space(s))
+        assert [(r.check_name, r.signature, r.ok) for r in reports] == [
+            (name, str(s), True) for name in self.NAMES
+        ]
+
+    def test_identity_gamma_fails_its_two_checks(self):
+        ss = spin_space(sig(3, 0))
+        flat = SpinSpace(ss.sig, ss.rep, ss.frame, ss.eta, ss.iota, M.identity(ss.dim))
+        failed = [r.check_name for r in verify_spin_space(flat) if not r.ok]
+        assert failed == ["gamma-square", "alpha-is-gamma-conjugation"]
 
 class TestGammaMap:
     def test_unit(self):
