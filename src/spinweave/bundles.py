@@ -10,7 +10,6 @@ exact scalar field.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -18,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .clifford import CliffordElement, Signature, volume
 from .linalg import ExactMatrix
-from .reports import Report, report
+from .reports import Record, Report, report
 from .reps import DIRAC, PAULI, Representation, SpinSpace, build_rep
 from .scalars import ExactScalar, I, ONE, SQRT2, ZERO, sc
 
@@ -30,15 +29,15 @@ CE = CliffordElement
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RationalSpherePoint:
+class RationalSpherePoint(Record):
     """Point of S^m with exactly unit rational coordinates."""
 
-    coords: Tuple[Fraction, ...]
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
-        if sum(c * c for c in self.coords) != 1:
+    def __init__(self, coords: Tuple[Fraction, ...]):
+        if sum(c * c for c in coords) != 1:
             raise ValueError("sphere point does not have unit norm")
+        self._assign(coords)
 
     @property
     def m(self) -> int:
@@ -48,18 +47,17 @@ class RationalSpherePoint:
         return RationalSpherePoint(tuple(-c for c in self.coords))
 
 
-@dataclass(frozen=True)
-class TangentPair:
+class TangentPair(Record):
     """Sphere point with a rational tangent vector (exact orthogonality)."""
 
-    point: RationalSpherePoint
-    y: Tuple[Fraction, ...]
+    __slots__ = ("point", "y")
 
-    def __post_init__(self):
-        if len(self.y) != len(self.point.coords):
+    def __init__(self, point: RationalSpherePoint, y: Tuple[Fraction, ...]):
+        if len(y) != len(point.coords):
             raise ValueError("tangent vector has wrong length")
-        if sum(a * b for a, b in zip(self.point.coords, self.y)) != 0:
+        if sum(a * b for a, b in zip(point.coords, y)) != 0:
             raise ValueError("tangent vector is not orthogonal to the point")
+        self._assign(point, y)
 
     def antipode(self) -> "TangentPair":
         return TangentPair(self.point.antipode(), tuple(-c for c in self.y))
@@ -171,12 +169,10 @@ def _count_report(name: str, signature: str, failures: int) -> Report:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class ExteriorElement:
+class ExteriorElement(Record, frozen=False, eq=False):
     """Element of the exterior algebra on m covectors, sparse over subsets."""
 
-    m: int
-    terms: Dict[int, ExactScalar]
+    __slots__ = ("m", "terms")
 
     def __init__(self, m: int, terms: Optional[Dict[int, ExactScalar]] = None):
         self.m = m
@@ -323,12 +319,14 @@ def hermitean_example_check(d: int, samples: int, seed: int) -> Report:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadricPoint:
-    """Sample of the quadric with tangent data: circle and sphere parts."""
+class QuadricPoint(Record):
+    """Sample of the quadric with tangent data: x on the circle S^1 in R^2,
+    y on the sphere S^2 in R^3."""
 
-    x: TangentPair  # point/tangent on S^1 in R^2
-    y: TangentPair  # point/tangent on S^2 in R^3
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: TangentPair, y: TangentPair):
+        self._assign(x, y)
 
     def antipode(self) -> "QuadricPoint":
         return QuadricPoint(self.x.antipode(), self.y.antipode())

@@ -13,9 +13,10 @@ lpin (with a rank-2 witness bundle for odd dimension).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from .reports import Record
 
 F2Vector = Tuple[int, ...]
 
@@ -63,17 +64,15 @@ def f2_in_span(x: F2Vector, generators: Sequence[F2Vector]) -> bool:
     return m == 0
 
 
-@dataclass(frozen=True)
-class CohoClass:
+class CohoClass(Record):
     """Degree 1 or 2 class given by F2 coordinates in the declared basis."""
 
-    degree: int
-    coords: F2Vector
+    __slots__ = ("degree", "coords")
 
-    def __post_init__(self):
-        if self.degree not in (1, 2):
+    def __init__(self, degree: int, coords: F2Vector):
+        if degree not in (1, 2):
             raise ValueError("only degrees 1 and 2 are modelled")
-        object.__setattr__(self, "coords", _vec(self.coords))
+        self._assign(degree, _vec(coords))
 
     def is_zero(self) -> bool:
         return f2_is_zero(self.coords)
@@ -84,31 +83,28 @@ class CohoClass:
         return CohoClass(self.degree, f2_add(self.coords, other.coords))
 
 
-@dataclass(frozen=True)
-class CohoRing:
+class CohoRing(Record):
     """Named bases of H^1 and H^2 with the squaring map and cup products."""
 
-    basis1: Tuple[str, ...]
-    basis2: Tuple[str, ...]
-    sq: Tuple[F2Vector, ...]
-    cup: Dict[Tuple[int, int], F2Vector] = field(default_factory=dict)
+    __slots__ = ("basis1", "basis2", "sq", "cup")
 
-    def __post_init__(self):
-        if len(self.sq) != len(self.basis1):
+    def __init__(self, basis1: Tuple[str, ...], basis2: Tuple[str, ...],
+                 sq: Tuple[F2Vector, ...], cup: Optional[Dict[Tuple[int, int], F2Vector]] = None):
+        if len(sq) != len(basis1):
             raise ValueError("squaring table must cover the degree-1 basis")
-        for row in self.sq:
-            if len(row) != len(self.basis2):
+        for row in sq:
+            if len(row) != len(basis2):
                 raise ValueError("squaring table row has wrong length")
-        full_cup = dict(self.cup)
+        full_cup = dict(cup) if cup else {}
         for (i, j), v in list(full_cup.items()):
             sym = full_cup.setdefault((j, i), v)
             if sym != v:
                 raise ValueError("cup table is not symmetric")
-        for i, row in enumerate(self.sq):
+        for i, row in enumerate(sq):
             diag = full_cup.setdefault((i, i), row)
             if diag != _vec(row):
                 raise ValueError("cup(b,b) disagrees with sq(b)")
-        object.__setattr__(self, "cup", full_cup)
+        self._assign(basis1, basis2, sq, full_cup)
 
     def zero1(self) -> CohoClass:
         return CohoClass(1, f2_zero(len(self.basis1)))
@@ -137,53 +133,46 @@ class CohoRing:
         ]
 
 
-@dataclass(frozen=True)
-class BundleData:
+class BundleData(Record):
     """Real vector bundle described by its first two Stiefel-Whitney classes."""
 
-    name: str
-    rank: int
-    w1: CohoClass
-    w2: CohoClass
-    oriented: bool = False
+    __slots__ = ("name", "rank", "w1", "w2", "oriented")
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, name: str, rank: int, w1: CohoClass, w2: CohoClass,
+                 oriented: bool = False):
+        if rank < 1:
             raise ValueError("bundle rank must be positive")
-        if self.oriented and not self.w1.is_zero():
-            raise ValueError(f"oriented bundle {self.name} must have w1 = 0")
+        if oriented and not w1.is_zero():
+            raise ValueError(f"oriented bundle {name} must have w1 = 0")
+        self._assign(name, rank, w1, w2, oriented)
 
 
 TRIVIAL_RANK2 = "trivial-rank-2"
 
 
-@dataclass(frozen=True)
-class ManifoldData:
+class ManifoldData(Record):
     """Catalog record: everything the degree-2 obstruction checks consume."""
 
-    name: str
-    dim: int
-    ring: CohoRing
-    tangent: BundleData
-    liftable2: Tuple[F2Vector, ...]
-    bundles: Tuple[BundleData, ...] = ()
+    __slots__ = ("name", "dim", "ring", "tangent", "liftable2", "bundles")
 
-    def __post_init__(self):
-        if self.tangent.rank != self.dim:
-            raise ValueError(f"{self.name}: tangent rank must equal the dimension")
-        for gen in self.liftable2:
-            if len(gen) != len(self.ring.basis2):
-                raise ValueError(f"{self.name}: liftable2 generator has wrong length")
+    def __init__(self, name: str, dim: int, ring: CohoRing, tangent: BundleData,
+                 liftable2: Tuple[F2Vector, ...], bundles: Tuple[BundleData, ...] = ()):
+        if tangent.rank != dim:
+            raise ValueError(f"{name}: tangent rank must equal the dimension")
+        for gen in liftable2:
+            if len(gen) != len(ring.basis2):
+                raise ValueError(f"{name}: liftable2 generator has wrong length")
         # Every square of a degree-1 class must be liftable.  Squaring is
         # F2-linear on H^1: (x+y)^2 = x^2 + xy + yx + y^2 and xy = yx with F2
         # coefficients, so (x+y)^2 = x^2 + y^2 (CohoRing.square sums sq rows).
         # The liftable classes form a subspace, the span of liftable2.  A
         # linear map lands in a subspace exactly when it does on a basis, so
         # the b1 rows of sq decide the constraint for all 2^b1 classes.
-        for cls, row in zip(self.ring.basis1, self.ring.sq):
-            if not f2_in_span(row, self.liftable2):
-                raise _bad(self.name, f"sq.{cls}",
+        for cls, row in zip(ring.basis1, ring.sq):
+            if not f2_in_span(row, liftable2):
+                raise _bad(name, f"sq.{cls}",
                            "is not liftable (every square of a degree-1 class must be)")
+        self._assign(name, dim, ring, tangent, liftable2, bundles)
 
     def is_liftable(self, x: CohoClass) -> bool:
         return f2_in_span(x.coords, self.liftable2)

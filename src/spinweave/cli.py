@@ -40,9 +40,12 @@ def _parse_signature(text: str) -> Signature:
 
     try:
         k, l = (int(part) for part in text.split(","))
-        return Signature(k, l)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad signature {text!r}: expected k,l") from exc
+    try:
+        return Signature(k, l)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _resolve_seed(args) -> Optional[str]:

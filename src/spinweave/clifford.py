@@ -8,22 +8,23 @@ blade order and every product is normalised to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
+from .reports import Record
 from .scalars import ExactScalar, I, ONE, ZERO, sc
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     """Quadratic-form signature (k, l): k generators square to +1, l to -1."""
 
-    k: int
-    l: int
+    __slots__ = ("k", "l")
 
-    def __post_init__(self):
-        if self.k < 0 or self.l < 0 or self.m < 1:
-            raise ValueError(f"invalid signature ({self.k},{self.l})")
+    def __init__(self, k: int, l: int):
+        if k < 0 or l < 0 or k + l < 1:
+            raise ValueError(
+                f"invalid signature ({k},{l}): k and l must be non-negative with k + l >= 1"
+            )
+        self._assign(k, l)
 
     @property
     def m(self) -> int:
@@ -227,12 +228,13 @@ class CliffordElement:
     __repr__ = __str__
 
 
-@dataclass(frozen=True)
-class VolumeElement:
+class VolumeElement(Record):
     """The blade e_1...e_m together with iota normalising eta^2 = iota^2."""
 
-    eta: CliffordElement
-    iota: ExactScalar
+    __slots__ = ("eta", "iota")
+
+    def __init__(self, eta: CliffordElement, iota: ExactScalar):
+        self._assign(eta, iota)
 
 
 def volume(sig: Signature) -> VolumeElement:

@@ -10,13 +10,12 @@ elements, and the odd two-block elements available for odd m.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .clifford import Signature
 from .linalg import ExactMatrix, rref_sparse
-from .reports import Report, report
+from .reports import Record, Report, report
 from .reps import EVEN, ODD, SpinSpace, spin_space
 from .scalars import ExactScalar, MINUS_ONE, ONE, ZERO, sc
 
@@ -174,21 +173,19 @@ def expand_in_frame(ss: SpinSpace, x: ExactMatrix) -> Optional[List[ExactScalar]
     return _expand(ss.frame, _frame_probe(ss), x)
 
 
-@dataclass(frozen=True)
-class OrthMatrix:
+class OrthMatrix(Record):
     """Real m x m matrix orthogonal for the diagonal form of the signature."""
 
-    sig: Signature
-    mat: ExactMatrix
+    __slots__ = ("sig", "mat")
 
-    def __post_init__(self):
-        m = self.sig.m
-        if self.mat.n != m:
+    def __init__(self, sig: Signature, mat: ExactMatrix):
+        m = sig.m
+        if mat.n != m:
             raise ValueError("orthogonal matrix has wrong dimension")
-        h = [sc(self.sig.h(i)) for i in range(m)]
+        h = [sc(sig.h(i)) for i in range(m)]
         # Gram matrix M^T H M, summed over the nonzeros of each row of M
         gram: Dict[Tuple[int, int], ExactScalar] = {}
-        for r, row in enumerate(self.mat.sparse_rows):
+        for r, row in enumerate(mat.sparse_rows):
             for i, x in row:
                 xh = x * h[r]
                 for j, y in row:
@@ -198,6 +195,7 @@ class OrthMatrix:
         nonzero = {ij: v for ij, v in gram.items() if not v.is_zero()}
         if nonzero != {(i, i): h[i] for i in range(m)}:
             raise ValueError("matrix is not orthogonal for the signature")
+        self._assign(sig, mat)
 
     def det(self) -> ExactScalar:
         return self.mat.det()
@@ -252,15 +250,16 @@ def is_lipschitz(ss: SpinSpace, a: ExactMatrix, inv: Optional[ExactMatrix] = Non
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KappaImage:
+class KappaImage(Record):
     """Element of O1(C) = Z2 (even m) or O2(C) = Z2 x| C^x (odd m).
 
     Composition follows the semidirect rule phi(-1)z = z^-1.
     """
 
-    sign: int
-    scale: Optional[ExactScalar] = None
+    __slots__ = ("sign", "scale")
+
+    def __init__(self, sign: int, scale: Optional[ExactScalar] = None):
+        self._assign(sign, scale)
 
     def __mul__(self, other: "KappaImage") -> "KappaImage":
         if (self.scale is None) != (other.scale is None):

@@ -1,4 +1,5 @@
-"""The one report record every check returns, and JSON serialisation.
+"""The record base, the one report record every check returns, and JSON
+serialisation.
 
 Every check function in reps, groups and bundles returns a ``Report`` (or
 a list of them); the CLI prints those records as they are, and the tests
@@ -11,6 +12,7 @@ inputs, byte-identical output.
 from __future__ import annotations
 
 import json
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, List, Optional
 
 if TYPE_CHECKING:
@@ -31,10 +33,75 @@ WEYL_MINUS = "weyl-"
 KINDS = (PAULI, PAULI_TWISTED, DIRAC, CARTAN, WEYL_PLUS, WEYL_MINUS)
 
 
-class Report:
-    """One check verdict.  A plain ``__slots__`` class with the constructor,
-    equality and repr a dataclass would generate, without importing
-    ``dataclasses`` (and ``inspect``) when the CLI builds its parser."""
+class Record:
+    """Base of every record class in the package, in place of ``@dataclass``.
+
+    A subclass names its fields in ``__slots__`` and writes its own
+    ``__init__``, validation included.  Slots whose names start with ``_``
+    are caches: repr shows them not, equality ignores them.  The base
+    supplies, from the public slots, what ``dataclass`` would generate:
+
+    * ``frozen=True`` (default): equality and hash of the field tuple, and
+      ``AttributeError`` on assignment; ``__init__`` sets fields with
+      ``_assign``.
+    * ``frozen=False``: assignment allowed and, as for a mutable dataclass,
+      no hash.
+    * ``eq=False``: equality and hash are those of ``object`` (identity),
+      unless the class defines its own.
+
+    Importing ``dataclasses`` (which loads ``inspect``, ``ast``, ``dis`` and
+    ``tokenize``) and generating the classes cost every subcommand but the
+    parser 17-20 ms of start-up.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, frozen: bool = True, eq: bool = True):
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        get = attrgetter(*cls._fields)
+        # attrgetter returns a bare value for one name; keep the tuple, so
+        # every hash stays that of the field tuple
+        cls._values = get if len(cls._fields) > 1 else staticmethod(lambda r: (get(r),))
+        defaults = {}
+        if not eq:
+            defaults.update(__eq__=object.__eq__, __hash__=object.__hash__)
+        elif not frozen:
+            defaults["__hash__"] = None
+        if not frozen:
+            defaults.update(__setattr__=object.__setattr__, __delattr__=object.__delattr__)
+        for name, value in defaults.items():
+            if name not in vars(cls):
+                setattr(cls, name, value)
+
+    def _assign(self, *values) -> None:
+        """Set the fields of a frozen record, in slot order."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        pairs = zip(self._fields, self._values(self))
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in pairs)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Report(Record, frozen=False):
+    """One check verdict."""
 
     __slots__ = ("check_name", "signature", "status", "witness", "counterexample")
 
@@ -46,18 +113,6 @@ class Report:
         self.witness = witness
         self.counterexample = counterexample
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):  # defining it leaves Report unhashable, as a dataclass is
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        pairs = zip(self.__slots__, self._fields())
-        return f"Report({', '.join(f'{name}={value!r}' for name, value in pairs)})"
-
     @property
     def ok(self) -> bool:
         return self.status == "pass"
@@ -65,7 +120,7 @@ class Report:
     def to_json(self) -> dict:
         """All fields, but witness and counterexample only when set."""
         return {
-            name: value for name, value in zip(self.__slots__, self._fields())
+            name: value for name, value in zip(self._fields, self._values(self))
             if value is not None or name == "signature"
         }
 

@@ -16,14 +16,13 @@ volume involution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .clifford import CliffordElement, Signature, volume
 from .linalg import ExactMatrix, expand_in_basis, nullspace_sparse, vector_to_matrix
 from .reports import (
-    CARTAN, DIRAC, KINDS, PAULI, PAULI_TWISTED, WEYL_MINUS, WEYL_PLUS, Report, report,
+    CARTAN, DIRAC, KINDS, PAULI, PAULI_TWISTED, WEYL_MINUS, WEYL_PLUS, Record, Report, report,
 )
 from .scalars import ExactScalar, I, MINUS_ONE, ONE, ZERO
 
@@ -32,8 +31,7 @@ ODD = "odd"
 NEITHER = "neither"
 
 
-@dataclass(eq=False)
-class Representation:
+class Representation(Record, frozen=False, eq=False):
     """Images of an orthonormal frame under a spinor representation.
 
     For the Weyl kinds the stored images are those of the even-subalgebra
@@ -41,11 +39,15 @@ class Representation:
     exist on a half-spinor space.
     """
 
-    sig: Signature
-    kind: str
-    images: Tuple[ExactMatrix, ...]
-    dim: int
-    _blade_cache: Dict[int, ExactMatrix] = field(default_factory=dict, repr=False)
+    __slots__ = ("sig", "kind", "images", "dim", "_blade_cache")
+
+    def __init__(self, sig: Signature, kind: str, images: Tuple[ExactMatrix, ...], dim: int,
+                 _blade_cache: Optional[Dict[int, ExactMatrix]] = None):
+        self.sig = sig
+        self.kind = kind
+        self.images = images
+        self.dim = dim
+        self._blade_cache = {} if _blade_cache is None else _blade_cache
 
     def h_values(self) -> List[int]:
         """Expected generator squares for the stored images."""
@@ -312,19 +314,26 @@ def choose_gamma(frame: Sequence[ExactMatrix]) -> ExactMatrix:
     raise RuntimeError("no anticommuting square root of -I found (invalid spin space)")
 
 
-@dataclass(eq=False)
-class SpinSpace:
+class SpinSpace(Record, frozen=False, eq=False):
     """Matrix data of a spin space: frame images, volume, and gamma element."""
 
-    sig: Signature
-    rep: Representation
-    frame: Tuple[ExactMatrix, ...]
-    eta: ExactMatrix
-    iota: ExactScalar
-    gamma: ExactMatrix
-    _gamma_cache: Dict[int, ExactMatrix] = field(default_factory=dict, repr=False)
-    _gamma_inv: Optional[ExactMatrix] = field(default=None, repr=False)
-    _probes: Dict[str, tuple] = field(default_factory=dict, repr=False)
+    __slots__ = ("sig", "rep", "frame", "eta", "iota", "gamma",
+                 "_gamma_cache", "_gamma_inv", "_probes")
+
+    def __init__(self, sig: Signature, rep: Representation, frame: Tuple[ExactMatrix, ...],
+                 eta: ExactMatrix, iota: ExactScalar, gamma: ExactMatrix,
+                 _gamma_cache: Optional[Dict[int, ExactMatrix]] = None,
+                 _gamma_inv: Optional[ExactMatrix] = None,
+                 _probes: Optional[Dict[str, tuple]] = None):
+        self.sig = sig
+        self.rep = rep
+        self.frame = frame
+        self.eta = eta
+        self.iota = iota
+        self.gamma = gamma
+        self._gamma_cache = {} if _gamma_cache is None else _gamma_cache
+        self._gamma_inv = _gamma_inv
+        self._probes = {} if _probes is None else _probes
 
     @property
     def dim(self) -> int:
@@ -471,10 +480,11 @@ def _projector_pair(j: ExactMatrix) -> Tuple[ExactMatrix, ExactMatrix]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Intertwiner:
-    matrix: ExactMatrix
-    invertible: bool
+class Intertwiner(Record):
+    __slots__ = ("matrix", "invertible")
+
+    def __init__(self, matrix: ExactMatrix, invertible: bool):
+        self._assign(matrix, invertible)
 
 
 def _intertwiner_space(

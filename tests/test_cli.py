@@ -38,6 +38,15 @@ class TestBuild:
             run(capsys, "build", "--sig", "nope", "--kind", "dirac")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--sig=0,0", "--sig=-1,2"])
+    def test_invalid_signature_names_the_reason(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", flag])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "k and l must be non-negative with k + l >= 1" in err
+        assert "expected k,l" not in err
+
     def test_table_format(self, capsys):
         code, out, _ = run(capsys, "build", "--sig", "2,0", "--kind", "dirac",
                            "--format", "table")

@@ -58,6 +58,35 @@ def test_parser_loads_no_dataclasses():
     assert fresh("-c", code).strip() == "False"
 
 
+# Runs main on the remaining arguments, then prints which of the modules
+# behind ``dataclasses`` the process has loaded.
+HEAVY = """
+import contextlib, io, json, sys
+import spinweave.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "heavy": [m for m in ("dataclasses", "inspect") if m in sys.modules]}))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--sig", "3,0"),
+    ("examples", "sphere"),
+    ("examples", "associated"),
+    ("obstructions",),
+    ("build", "--sig", "2,0", "--kind", "dirac"),
+])
+def test_subcommand_loads_no_dataclasses_or_inspect(argv):
+    doc = json.loads(fresh("-c", HEAVY, *argv).splitlines()[-1])
+    assert doc == {"code": 0, "heavy": []}
+
+
+def test_layers_load_no_dataclasses_or_inspect():
+    code = ("import sys, spinweave.cli, spinweave.groups, spinweave.bundles, spinweave.charclass;"
+            " print([m for m in ('dataclasses', 'inspect') if m in sys.modules])")
+    assert fresh("-c", code).strip() == "[]"
+
+
 def test_obstructions_adds_only_charclass():
     assert loaded("obstructions")["added"] == ["spinweave.charclass"]
 
