@@ -12,7 +12,6 @@ inputs, byte-identical output.
 from __future__ import annotations
 
 import json
-from operator import attrgetter
 from typing import TYPE_CHECKING, Any, List, Optional
 
 if TYPE_CHECKING:
@@ -38,14 +37,16 @@ class Record:
 
     A subclass names its fields in ``__slots__`` and writes its own
     ``__init__``, validation included.  Slots whose names start with ``_``
-    are caches: repr shows them not, equality ignores them.  The base
-    supplies, from the public slots, what ``dataclass`` would generate:
+    are caches, which repr and equality leave out.  ``_key`` is the tuple of
+    the other slots, the fields; the base supplies from it what
+    ``dataclass`` would generate:
 
-    * ``frozen=True`` (default): equality and hash of the field tuple, and
-      ``AttributeError`` on assignment; ``__init__`` sets fields with
-      ``_assign``.
-    * ``frozen=False``: assignment allowed and, as for a mutable dataclass,
-      no hash.
+    * ``frozen=True`` (default): ``__init__`` sets the fields with
+      ``_assign``, which keeps their tuple as ``_key``.  Equality and hash
+      are those of ``_key``, an object equals itself without comparing it,
+      and assignment raises ``AttributeError``.
+    * ``frozen=False``: assignment allowed, ``_key`` read from the fields
+      on each use and, as for a mutable dataclass, no hash.
     * ``eq=False``: equality and hash are those of ``object`` (identity),
       unless the class defines its own.
 
@@ -54,21 +55,18 @@ class Record:
     parser 17-20 ms of start-up.
     """
 
-    __slots__ = ()
+    __slots__ = ("_key",)
 
     def __init_subclass__(cls, frozen: bool = True, eq: bool = True):
-        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
-        get = attrgetter(*cls._fields)
-        # attrgetter returns a bare value for one name; keep the tuple, so
-        # every hash stays that of the field tuple
-        cls._values = get if len(cls._fields) > 1 else staticmethod(lambda r: (get(r),))
+        fields = cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         defaults = {}
+        if not frozen:
+            defaults.update(__setattr__=object.__setattr__, __delattr__=object.__delattr__,
+                            _key=property(lambda self: tuple(getattr(self, n) for n in fields)))
         if not eq:
             defaults.update(__eq__=object.__eq__, __hash__=object.__hash__)
         elif not frozen:
             defaults["__hash__"] = None
-        if not frozen:
-            defaults.update(__setattr__=object.__setattr__, __delattr__=object.__delattr__)
         for name, value in defaults.items():
             if name not in vars(cls):
                 setattr(cls, name, value)
@@ -77,20 +75,20 @@ class Record:
         """Set the fields of a frozen record, in slot order."""
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "_key", values)
 
     def __eq__(self, other):
         if self is other:
             return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        values = self._values
-        return values(self) == values(other)
+        return self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._values(self))
+        return hash(self._key)
 
     def __repr__(self) -> str:
-        pairs = zip(self._fields, self._values(self))
+        pairs = zip(self._fields, self._key)
         return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in pairs)})"
 
     def __setattr__(self, name, value):
@@ -120,7 +118,7 @@ class Report(Record, frozen=False):
     def to_json(self) -> dict:
         """All fields, but witness and counterexample only when set."""
         return {
-            name: value for name, value in zip(self._fields, self._values(self))
+            name: value for name, value in zip(self._fields, self._key)
             if value is not None or name == "signature"
         }
 
