@@ -16,10 +16,10 @@ from itertools import permutations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .clifford import CliffordElement, Signature, volume
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, _wrap
 from .reports import Record, Report, report
 from .reps import DIRAC, PAULI, Representation, SpinSpace, build_rep
-from .scalars import ExactScalar, I, ONE, SQRT2, ZERO, sc
+from .scalars import ExactScalar, HALF, I, ONE, SQRT2, ZERO, sc
 
 CE = CliffordElement
 
@@ -208,20 +208,51 @@ class ExteriorElement(Record, frozen=False, eq=False):
         return not self.terms
 
 
-def _wedge_basis(mask: int, i: int) -> Tuple[int, int]:
-    """Insert covector i into the sorted subset; returns (mask, sign) or (0, 0)."""
-    if mask >> i & 1:
-        return 0, 0
-    before = (mask & ((1 << i) - 1)).bit_count()
-    return mask | (1 << i), -1 if before & 1 else 1
+# (i, contraction value, wedge value) of each covector i with a nonzero coefficient
+Slots = List[Tuple[int, ExactScalar, ExactScalar]]
 
 
-def _contract_basis(mask: int, i: int) -> Tuple[int, int]:
-    """Pair slot i of the sorted subset; returns (mask, sign) or (0, 0)."""
-    if not mask >> i & 1:
-        return 0, 0
-    before = (mask & ((1 << i) - 1)).bit_count()
-    return mask & ~(1 << i), -1 if before & 1 else 1
+def _basis_form_image(mask: int, slots: Slots) -> List[Tuple[int, ExactScalar]]:
+    """tau(omega_mask) as (mask, value) pairs, one per slot.
+
+    ``slots`` lists (i, contract, wedge) for every covector i with a
+    nonzero coefficient.  Covector i contracts omega_mask when slot i is
+    filled and wedges into it when slot i is empty; either way the image
+    is omega_(mask ^ 2^i), with the sign (-1)^(filled slots before i).
+    The masks are distinct, so no two pairs share a basis form.
+    """
+    out = []
+    for i, contract, wedge in slots:
+        bit = 1 << i
+        x = contract if mask & bit else wedge
+        out.append((mask ^ bit, -x if (mask & (bit - 1)).bit_count() & 1 else x))
+    return out
+
+
+def _act(m: int, slots: Slots, omega: ExteriorElement) -> ExteriorElement:
+    acc: Dict[int, ExactScalar] = {}
+    for mask, c in omega.terms.items():
+        for target, x in _basis_form_image(mask, slots):
+            acc[target] = acc.get(target, ZERO) + x * c
+    return ExteriorElement(m, acc)
+
+
+def _operator(m: int, slots: Slots) -> ExactMatrix:
+    """tau on the 2^m basis forms: row A holds the terms of tau(omega_A).
+
+    The rows are canonical: every value is a signed nonzero slot value,
+    and the columns are distinct and sorted.
+    """
+    return _wrap(1 << m, tuple(
+        tuple(sorted(_basis_form_image(mask, slots))) for mask in range(1 << m)
+    ))
+
+
+def _exterior_slots(v: Sequence, h: Signature) -> Slots:
+    if len(v) != h.m:
+        raise ValueError("dimension mismatch")
+    coeffs = [sc(c) for c in v]
+    return [(i, c, c * sc(h.h(i))) for i, c in enumerate(coeffs) if not c.is_zero()]
 
 
 def exterior_tau(v: Sequence, omega: ExteriorElement, h: Signature) -> ExteriorElement:
@@ -229,64 +260,56 @@ def exterior_tau(v: Sequence, omega: ExteriorElement, h: Signature) -> ExteriorE
 
     tau(v) w = v . w + g(v) ^ w  squares to h(v) times the identity.
     """
-    if len(v) != h.m or omega.m != h.m:
+    if omega.m != h.m:
         raise ValueError("dimension mismatch")
-    coeffs = [sc(c) for c in v]
-    acc: Dict[int, ExactScalar] = {}
-    for mask, c in omega.terms.items():
-        for i in range(h.m):
-            vi = coeffs[i]
-            if vi.is_zero():
-                continue
-            cmask, csign = _contract_basis(mask, i)
-            if csign:
-                term = vi * c if csign > 0 else -(vi * c)
-                acc[cmask] = acc.get(cmask, ZERO) + term
-            wmask, wsign = _wedge_basis(mask, i)
-            if wsign:
-                term = vi * c * sc(h.h(i))
-                acc[wmask] = acc.get(wmask, ZERO) + (term if wsign > 0 else -term)
-    return ExteriorElement(h.m, acc)
+    return _act(h.m, _exterior_slots(v, h), omega)
+
+
+def exterior_operator(v: Sequence, h: Signature) -> ExactMatrix:
+    """exterior_tau(v, ., h) as a matrix: row A holds tau(v) omega_A."""
+    return _operator(h.m, _exterior_slots(v, h))
 
 
 def exterior_example_check(h: Signature) -> Report:
     """tau(e_i)^2 = h_i on every basis form, for every frame vector e_i.
-    The record names the definite Cl(m,0) m=<m>, as the CLI prints it."""
+
+    Row A of T = tau(e_i) holds tau(omega_A), so by linearity row A of
+    T * T holds tau(tau(omega_A)), and row A of h_i * I holds
+    h_i * omega_A.  The one matrix equality T * T == h_i * I is therefore
+    the statement on every basis form.  The record names the definite
+    Cl(m,0) m=<m>, as the CLI prints it.
+    """
+    ident = ExactMatrix.identity(1 << h.m)
+    scaled = {1: ident, -1: -ident}  # h_i * I
     ok = True
     for i in range(h.m):
-        v = [1 if j == i else 0 for j in range(h.m)]
-        for mask in range(1 << h.m):
-            omega = ExteriorElement.basis_form(h.m, mask)
-            if exterior_tau(v, exterior_tau(v, omega, h), h) != omega.scale(sc(h.h(i))):
-                ok = False
+        t = exterior_operator([1 if j == i else 0 for j in range(h.m)], h)
+        if t * t != scaled[h.h(i)]:
+            ok = False
     return report("exterior-clifford-property", f"m={h.m}" if h.l == 0 else h, ok)
 
 
-def hermitean_tau(n: Sequence, omega: ExteriorElement) -> ExteriorElement:
-    """Clifford action of n + conj(n) on the exterior algebra of the
-    i-eigenspace model: sqrt2 * (conjugate contraction + wedge)."""
-    d = omega.m
+def _hermitean_slots(n: Sequence, d: int) -> Slots:
+    """Slots of n + conj(n): sqrt2 * (conjugate contraction + wedge)."""
     if len(n) != d:
         raise ValueError("dimension mismatch")
     coeffs = [sc(c) for c in n]
     for c in coeffs:
         if not c.is_gaussian():
             raise ValueError("eigenspace coordinates must be complex rationals")
-    acc: Dict[int, ExactScalar] = {}
-    for mask, c in omega.terms.items():
-        for i in range(d):
-            ai = coeffs[i]
-            if ai.is_zero():
-                continue
-            cmask, csign = _contract_basis(mask, i)
-            if csign:
-                term = ai.conjugate() * c
-                acc[cmask] = acc.get(cmask, ZERO) + (term if csign > 0 else -term)
-            wmask, wsign = _wedge_basis(mask, i)
-            if wsign:
-                term = ai * c
-                acc[wmask] = acc.get(wmask, ZERO) + (term if wsign > 0 else -term)
-    return ExteriorElement(d, acc).scale(SQRT2)
+    return [(i, SQRT2 * c.conjugate(), SQRT2 * c) for i, c in enumerate(coeffs) if not c.is_zero()]
+
+
+def hermitean_tau(n: Sequence, omega: ExteriorElement) -> ExteriorElement:
+    """Clifford action of n + conj(n) on the exterior algebra of the
+    i-eigenspace model: sqrt2 * (conjugate contraction + wedge)."""
+    return _act(omega.m, _hermitean_slots(n, omega.m), omega)
+
+
+def hermitean_operator(n: Sequence) -> ExactMatrix:
+    """hermitean_tau(n, .) as a matrix on the 2^d basis forms, d = len(n):
+    row A holds tau(n) omega_A."""
+    return _operator(len(n), _hermitean_slots(n, len(n)))
 
 
 def hermitean_h_value(n: Sequence) -> ExactScalar:
@@ -299,18 +322,22 @@ def hermitean_h_value(n: Sequence) -> ExactScalar:
 
 
 def hermitean_example_check(d: int, samples: int, seed: int) -> Report:
-    """tau(n)^2 = 2|n|^2 on every basis form, at seeded nonzero n in Q(i)^d."""
+    """tau(n)^2 = 2|n|^2 on every basis form, at seeded nonzero n in Q(i)^d.
+
+    As in exterior_example_check, T * T == 2|n|^2 * I for the operator
+    T = tau(n) is the statement on every basis form, row by row.
+    """
     rng = random.Random(seed)
+    ident = ExactMatrix.identity(1 << d)
     ok = True
     for _ in range(samples):
         n = [ExactScalar(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(d)]
         if all(c.is_zero() for c in n):
             continue
         hv = hermitean_h_value(n)
-        for mask in range(1 << d):
-            omega = ExteriorElement.basis_form(d, mask)
-            if hermitean_tau(n, hermitean_tau(n, omega)) != omega.scale(hv):
-                ok = False
+        t = hermitean_operator(n)
+        if t * t != ident.scale(hv):
+            ok = False
     return report("hermitean-clifford-property", f"d={d}", ok)
 
 
@@ -346,6 +373,11 @@ def _sigma3() -> Representation:
     return build_rep(_SIG3, PAULI)
 
 
+@lru_cache(maxsize=None)
+def _omega3() -> CliffordElement:
+    return volume(_SIG3).eta
+
+
 def quadric_tau(p: QuadricPoint) -> ExactMatrix:
     """Clifford action on S1 (x) S2 for the product metric.
 
@@ -357,7 +389,7 @@ def quadric_tau(p: QuadricPoint) -> ExactMatrix:
     xi = CE.vector(_SIG2, [sc(c) for c in p.x.y])
     y = CE.vector(_SIG3, [sc(c) for c in p.y.point.coords])
     t = CE.vector(_SIG3, [sc(c) for c in p.y.y])
-    omega = volume(_SIG3).eta
+    omega = _omega3()
     first = ExactMatrix.kron(theta.image(xi), sigma.image(y * omega))
     second = ExactMatrix.kron(ExactMatrix.identity(2), sigma.image(y * t))
     return (first + second).scale(I)
@@ -373,7 +405,7 @@ def quadric_varpi(p: QuadricPoint) -> ExactMatrix:
     theta, sigma = _theta2(), _sigma3()
     x = CE.vector(_SIG2, [sc(c) for c in p.x.point.coords])
     y = CE.vector(_SIG3, [sc(c) for c in p.y.point.coords])
-    omega = volume(_SIG3).eta
+    omega = _omega3()
     return ExactMatrix.kron(theta.image(x), sigma.image(y * omega).scale(-I))
 
 
@@ -388,10 +420,10 @@ def quadric_example_check(samples: Sequence[QuadricPoint]) -> Report:
     property for the product metric, antipodal invariance, projector swap.
     The counterexample is the first failure."""
     failures = []
+    ident = ExactMatrix.identity(4)
     for idx, p in enumerate(samples):
         tau = quadric_tau(p)
         varpi = quadric_varpi(p)
-        ident = ExactMatrix.identity(4)
         if varpi * varpi != ident:
             failures.append(f"sample {idx}: varpi is not involutive")
         if not varpi.anticommutes_with(tau):
@@ -402,9 +434,8 @@ def quadric_example_check(samples: Sequence[QuadricPoint]) -> Report:
         anti = p.antipode()
         if quadric_tau(anti) != tau or quadric_varpi(anti) != varpi:
             failures.append(f"sample {idx}: not antipodally invariant")
-        half = ExactScalar(1) / 2
-        p_plus = (ident + varpi).scale(half)
-        p_minus = (ident - varpi).scale(half)
+        p_plus = (ident + varpi).scale(HALF)
+        p_minus = (ident - varpi).scale(HALF)
         if tau * p_plus != p_minus * tau:
             failures.append(f"sample {idx}: projectors not swapped by tau")
     return report("quadric-pointwise-checks", None, not failures,

@@ -154,11 +154,7 @@ def _expand(
             if not target[i].is_zero():
                 acc = acc + s * target[i]
         coords.append(acc)
-    combo = ExactMatrix.zeros(x.n)
-    for coeff, v in zip(coords, mats):
-        if not coeff.is_zero():
-            combo = combo + v.scale(coeff)
-    return coords if combo == x else None
+    return coords if ExactMatrix.combination(x.n, zip(coords, mats)) == x else None
 
 
 def _frame_probe(ss: SpinSpace):

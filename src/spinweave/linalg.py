@@ -103,6 +103,40 @@ class ExactMatrix:
         return _wrap(n, ((),) * n)
 
     @classmethod
+    def combination(cls, n: int, terms: Iterable[Tuple[object, "ExactMatrix"]]) -> "ExactMatrix":
+        """The n x n matrix sum of c * M over the (c, M) terms, one pass per row.
+
+        Terms with a zero coefficient are dropped.  A row that one term
+        alone touches is that term's row scaled (a product of nonzeros is
+        nonzero); the others are summed column by column.
+        """
+        coeffs, rowsets = [], []
+        for c, mat in terms:
+            if mat.n != n:
+                raise ValueError("dimension mismatch")
+            c = sc(c)
+            if not c.is_zero():
+                coeffs.append(c)
+                rowsets.append(mat.sparse_rows)
+        if not coeffs:
+            return cls.zeros(n)
+        out = []
+        for rows in zip(*rowsets):
+            touching = [(c, row) for c, row in zip(coeffs, rows) if row]
+            if len(touching) == 1:
+                c, row = touching[0]
+                out.append(tuple((j, c * x) for j, x in row))
+                continue
+            acc: Dict[int, ExactScalar] = {}
+            for c, row in touching:
+                for j, x in row:
+                    cur = acc.get(j)
+                    acc[j] = c * x if cur is None else cur + c * x
+            # columns are unique, so sorting never compares two values
+            out.append(tuple(sorted(item for item in acc.items() if not item[1].is_zero())))
+        return _wrap(n, tuple(out))
+
+    @classmethod
     def diag(cls, entries: Sequence) -> "ExactMatrix":
         return cls.from_sparse_rows([[(i, x)] for i, x in enumerate(entries)])
 

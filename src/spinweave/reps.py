@@ -62,10 +62,8 @@ class Representation(Record, frozen=False, eq=False):
             raise ValueError("Weyl kinds do not represent the full algebra")
         if x.sig != self.sig:
             raise ValueError(f"element of {x.sig} fed to a {self.sig} representation")
-        out = ExactMatrix.zeros(self.dim)
-        for mask, coeff in x.terms.items():
-            out = out + self._blade_image(mask).scale(coeff)
-        return out
+        return ExactMatrix.combination(
+            self.dim, ((coeff, self._blade_image(mask)) for mask, coeff in x.terms.items()))
 
     def _blade_image(self, mask: int) -> ExactMatrix:
         cached = self._blade_cache.get(mask)
@@ -415,10 +413,8 @@ def gamma_map(ss: SpinSpace, x: CliffordElement) -> ExactMatrix:
     """Algebra morphism extending v -> gamma * v on the spin space."""
     if x.sig != ss.sig:
         raise ValueError(f"element of {x.sig} fed to a {ss.sig} spin space")
-    out = ExactMatrix.zeros(ss.dim)
-    for mask, coeff in x.terms.items():
-        out = out + _gamma_blade(ss, mask).scale(coeff)
-    return out
+    return ExactMatrix.combination(
+        ss.dim, ((coeff, _gamma_blade(ss, mask)) for mask, coeff in x.terms.items()))
 
 
 def _gamma_blade(ss: SpinSpace, mask: int) -> ExactMatrix:

@@ -4,7 +4,8 @@ perfbench's golden gate covers the jobs of its workloads only: it never
 runs ``examples associated``, runs ``verify`` only at m = 3..6 in JSON,
 and it cannot see a changed counterexample or table layout on a path it
 does not run.  These digests pin the whole stdout of one small run of
-every example, and of ``verify`` at m = 1, 2, 3 and 7 and over the
+every example, of every example at the size of its largest
+bundle-samples job, and of ``verify`` at m = 1, 2, 3 and 7 and over the
 m <= 3 sweep, in both formats.
 """
 
@@ -40,6 +41,31 @@ GOLDEN = {
         "ff62d8cd9bc88e4fd9a1a60ec1902a59448b2b177df01e5b3e9196b9f5002469",
     (("projective", "--m", "3", "--samples", "5"), "table"):
         "8f1cc64824b619187ed684fdfecc877872a36d39e27843fca99c86ddb02251f3",
+    # one job of each example at a size the bundle-samples workload runs
+    (("exterior", "--m", "8"), "json"):
+        "0599f05888700797bc335fa86c959e4ed1e5c1429f3cba8ebc5541071c416021",
+    (("exterior", "--m", "8"), "table"):
+        "3ddccacddb87530227bf5e6a50f50a3fb7e30f49b9a7f848b1a45c10bcdfd293",
+    (("exterior", "--m", "9"), "json"):
+        "7fcb39297958223ef2a9dd091bd1e3ff3c010d2dcd6d2d06f4b7dcd80c500a8c",
+    (("exterior", "--m", "9"), "table"):
+        "e780b428cc7d1b486a26726dd9b2102087226fbec0f2bf2ae8a0c526d78bc266",
+    (("hermitean", "--m", "8", "--samples", "24"), "json"):
+        "6af8026886be52c26a305163152bf9abc10adf4492df772d8e639ba0383c4e1e",
+    (("hermitean", "--m", "8", "--samples", "24"), "table"):
+        "de44395c2f006b0affe5e9eff50904f0f7505dbad48b6c670ef42468b4cdc706",
+    (("sphere", "--m", "6", "--samples", "13"), "json"):
+        "035fbd6a2e0dca5faaab18155748b1207ad0ffb0f9a73d328de607769ec6b5d3",
+    (("sphere", "--m", "6", "--samples", "13"), "table"):
+        "91c48111deb1ddaae9207fc2a699df81a22c1f0a28619c2008bd0ad65a3a1071",
+    (("projective", "--m", "6", "--samples", "6"), "json"):
+        "4177f5dc9dc94daa13b7f8ac730f17874b712d9e3fbfc7be592897f933bf05a6",
+    (("projective", "--m", "6", "--samples", "6"), "table"):
+        "6533250e2ef93fb8ec4fa4d0b105e5bfe52095a7bfb9052d58014a74810b18d6",
+    (("quadric", "--samples", "38"), "json"):
+        "eaec8b645b7182999a7f399fcfc6aebc5d5d1b89364b13829483c4db9aaab4ef",
+    (("quadric", "--samples", "38"), "table"):
+        "6c771553500d2f0c426120c8b2ad234b7809e40c2c790dc579547467f0773382",
 }
 
 # (argv after "verify", format) -> sha256 of stdout

@@ -232,3 +232,37 @@ def test_equality_hash_and_key_agree_with_reference(ab):
     again = (ma + mb) - mb
     assert again == ma and hash(again) == hash(ma) and again.key() == ma.key()
     assert len({ma, again, ExactMatrix(a)}) == 1
+
+
+@st.composite
+def combination_terms(draw):
+    """(n, terms) over a small pool of matrices, so terms repeat matrices;
+    GRID coefficients are often zero; the list may be empty; and with
+    ``cancel`` every term is followed by its negative, which empties each row."""
+    n = draw(st.integers(1, 5))
+    pool = draw(st.lists(square(n), min_size=1, max_size=3))
+    picks = draw(st.lists(st.tuples(st.sampled_from(GRID), st.integers(0, len(pool) - 1)), max_size=5))
+    terms = [(c, pool[k]) for c, k in picks]
+    if draw(st.booleans()):
+        terms += [(-c, a) for c, a in terms]
+    return n, terms
+
+
+@given(combination_terms())
+def test_combination_matches_reference(case):
+    n, terms = case
+    expected = [[ZERO] * n for _ in range(n)]
+    for c, a in terms:
+        expected = ref_add(expected, ref_scale(a, c))
+    mat = ExactMatrix.combination(n, [(c, ExactMatrix(a)) for c, a in terms])
+    assert dense(mat) == expected
+    for row in mat.sparse_rows:
+        cols = [c for c, _ in row]
+        assert cols == sorted(set(cols))
+        assert all(type(x) is ExactScalar and not x.is_zero() for _, x in row)
+    assert mat.sparse_rows == ExactMatrix(expected).sparse_rows
+
+
+def test_combination_rejects_a_mismatched_term():
+    with pytest.raises(ValueError):
+        ExactMatrix.combination(2, [(ONE, ExactMatrix.identity(3))])
