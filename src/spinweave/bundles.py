@@ -12,13 +12,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .clifford import CliffordElement, Signature, volume
 from .linalg import ExactMatrix, _wrap
 from .reports import Record, Report, report
-from .reps import DIRAC, PAULI, Representation, SpinSpace, build_rep
+from .reps import DIRAC, PAULI, Representation, SpinSpace, build_rep, invertible_intertwiner
 from .scalars import ExactScalar, HALF, I, ONE, SQRT2, ZERO, sc
 
 CE = CliffordElement
@@ -489,17 +489,6 @@ def _signed_permutation_isometries(ss1: SpinSpace, ss2: SpinSpace):
             ]
 
 
-def _intertwiner_to_targets(
-    frame: Sequence[ExactMatrix], targets: Sequence[ExactMatrix]
-) -> Optional[ExactMatrix]:
-    from .reps import _first_invertible, _intertwiner_space
-
-    basis = _intertwiner_space(frame, targets)
-    if not basis:
-        return None
-    return _first_invertible(basis)
-
-
 def spin_space_morphisms(
     ss1: SpinSpace,
     ss2: SpinSpace,
@@ -512,10 +501,8 @@ def spin_space_morphisms(
     """
     if ss1.dim != ss2.dim or ss1.sig.m != ss2.sig.m:
         return None
-    candidates = list(_signed_permutation_isometries(ss1, ss2))
-    candidates.extend([list(t) for t in extra_isometries])
-    for targets in candidates:
-        found = _intertwiner_to_targets(ss1.frame, targets)
+    for targets in chain(_signed_permutation_isometries(ss1, ss2), extra_isometries):
+        found = invertible_intertwiner(ss1.frame, targets)
         if found is not None:
             return found
     return None

@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .clifford import Signature
-from .linalg import ExactMatrix, rref_sparse
+from .linalg import ExactMatrix, _add_row
 from .reports import Record, Report, report
 from .reps import EVEN, ODD, SpinSpace, spin_space
 from .scalars import ExactScalar, MINUS_ONE, ONE, ZERO, sc
@@ -115,21 +115,19 @@ def _probe(mats: Sequence[ExactMatrix]) -> Tuple[List[Tuple[int, int]], ExactMat
     """Probe positions and inverted sample matrix for fast expansion.
 
     Greedily picks len(mats) entry positions, in row-major order among
-    the nonzeros, at which the matrices are linearly independent;
-    expansion then solves a small system and verifies the candidate
-    exactly.
+    the nonzeros, at which the matrices are linearly independent: a
+    position is kept when its row of values adds a pivot.  Expansion
+    then solves a small system and verifies the candidate exactly.
     """
     k = len(mats)
     positions: List[Tuple[int, int]] = []
-    rows: List[Dict[int, ExactScalar]] = []
+    pivots: Dict[int, Dict[int, ExactScalar]] = {}
     picked: List[List[ExactScalar]] = []
     for r in range(mats[0].n):
         for c in sorted({c for v in mats for c, _ in v.sparse_rows[r]}):
             vals = [v[r, c] for v in mats]
-            trial = rows + [{j: x for j, x in enumerate(vals) if not x.is_zero()}]
-            reduced, pivots = rref_sparse(trial, k)
-            if len(pivots) == len(trial):
-                rows = trial
+            row = [(j, x) for j, x in enumerate(vals) if not x.is_zero()]
+            if _add_row(pivots, row) is not None:
                 picked.append(vals)
                 positions.append((r, c))
                 if len(positions) == k:

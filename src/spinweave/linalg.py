@@ -1,4 +1,4 @@
-"""Exact sparse matrices over Q(i, sqrt2) and a sparse nullspace solver.
+"""Exact sparse matrices over Q(i, sqrt2) and one exact elimination step.
 
 ExactMatrix is the square carrier for representations and group
 elements.  Each row is stored as a tuple of (column, value) pairs that
@@ -9,10 +9,13 @@ sums and inverses cost time in the number of nonzeros rather than n^3
 or n^2.  The storage is canonical, which lets equality and hashing
 compare the pairs directly.
 
-The row-reduction helpers work on sparse dict rows so the big commutant
-systems (hundreds of unknowns, two-term equations) stay cheap; the
-reduced echelon form is canonical, which makes every solver in the
-library deterministic.
+Every exact solve is built on one incremental Gauss-Jordan step,
+``_add_row``, over a dict from each pivot column to its fully reduced
+sparse row.  ``rref_sparse`` feeds it a whole system; its canonical
+RREF serves ``nullspace_sparse``, ``expand_in_basis`` and ``rank`` and
+makes every solver in the library deterministic.  ``inverse`` reduces
+[A | I], ``det`` multiplies the leading values of A's rows, and
+``groups._probe`` keeps the entry rows that add a pivot.
 """
 
 from __future__ import annotations
@@ -249,7 +252,7 @@ class ExactMatrix:
         return _wrap(self.n, tuple(out))
 
     def inverse(self) -> "ExactMatrix":
-        """Gauss-Jordan inverse; raises ValueError on singular input.
+        """Gauss-Jordan inverse on [A | I]; raises ValueError on singular input.
 
         Monomial matrices (the whole frame group) take a direct path.
         """
@@ -257,46 +260,31 @@ class ExactMatrix:
         if fast is not None:
             return fast
         n = self.n
-        aug = [dict(row) for row in self.sparse_rows]
-        for i, row in enumerate(aug):
-            row[n + i] = ONE
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if col in aug[r]), None)
-            if pivot is None:
-                raise ValueError("matrix is singular")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = aug[col][col].inverse()
-            prow = aug[col] = {j: x * inv for j, x in aug[col].items()}
-            for r in range(n):
-                if r != col and col in aug[r]:
-                    _eliminate(aug[r], col, prow)
+        pivots: Dict[int, SparseRow] = {}
+        for r, row in enumerate(self.sparse_rows):
+            _add_row(pivots, row + ((n + r, ONE),))
+        if any(col not in pivots for col in range(n)):
+            raise ValueError("matrix is singular")
         return _wrap(n, tuple(
-            tuple(sorted((j - n, x) for j, x in row.items() if j >= n)) for row in aug
+            tuple(sorted((j - n, x) for j, x in pivots[col].items() if j >= n)) for col in range(n)
         ))
 
     def det(self) -> ExactScalar:
-        n = self.n
-        work = [dict(row) for row in self.sparse_rows]
-        det = ONE
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if col in work[r]), None)
-            if pivot is None:
+        """Product of the leading values the rows add, times the sign of the
+        permutation taking each row to its pivot column."""
+        pivots: Dict[int, SparseRow] = {}
+        det, perm = ONE, []
+        for row in self.sparse_rows:
+            step = _add_row(pivots, row)
+            if step is None:
                 return ZERO
-            if pivot != col:
-                work[col], work[pivot] = work[pivot], work[col]
-                det = -det
-            lead = work[col][col]
-            det = det * lead
-            inv = lead.inverse()
-            prow = {j: x * inv for j, x in work[col].items()}
-            for r in range(col + 1, n):
-                if col in work[r]:
-                    _eliminate(work[r], col, prow)
-        return det
+            perm.append(step[0])
+            det = det * step[1]
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+        return -det if inversions % 2 else det
 
     def rank(self) -> int:
-        reduced, pivots = rref_sparse([dict(row) for row in self.sparse_rows if row], self.n)
-        return len(pivots)
+        return len(rref_sparse(self.sparse_rows, self.n)[1])
 
     # -- queries ------------------------------------------------------------
 
@@ -445,34 +433,45 @@ def _eliminate(row: SparseRow, col: int, pivot: SparseRow) -> None:
             row[j] = acc
 
 
-def rref_sparse(rows: List[SparseRow], ncols: int) -> Tuple[List[SparseRow], List[int]]:
-    """Reduced row echelon form of a sparse system; returns (rows, pivot cols).
+def _add_row(pivots: Dict[int, SparseRow], row: Iterable) -> Optional[Tuple[int, ExactScalar]]:
+    """One Gauss-Jordan step: add a row (a dict or (column, value) pairs)
+    to the fully reduced rows stored by pivot column.
+
+    The row is copied and its pivot columns are eliminated; a stored row
+    is zero at every other pivot column, so one pass suffices.  If
+    anything is left, it is normalised at its leading column, that
+    column is cleared from the stored rows, and the result is
+    (column, leading value before normalising).  A dependent row gives
+    None and leaves pivots untouched.
+    """
+    row = dict(row)
+    for col in [c for c in row if c in pivots]:
+        _eliminate(row, col, pivots[col])
+    if not row:
+        return None
+    col = min(row)
+    lead = row[col]
+    inv = lead.inverse()
+    row = {j: v * inv for j, v in row.items()}
+    for other in pivots.values():
+        if col in other:
+            _eliminate(other, col, row)
+    pivots[col] = row
+    return col, lead
+
+
+def rref_sparse(rows: Iterable, ncols: int) -> Tuple[List[SparseRow], List[int]]:
+    """Reduced row echelon form of a sparse system in ncols unknowns;
+    returns (rows, pivot cols), both in increasing pivot order.
 
     The output is the canonical RREF, so callers can rely on it for
     deterministic bases regardless of input row order.
     """
-    work = [dict(r) for r in rows if r]
-    reduced: List[SparseRow] = []
-    pivots: List[int] = []
-    for col in range(ncols):
-        pivot_row = None
-        for idx, row in enumerate(work):
-            if col in row and min(row) == col:
-                pivot_row = idx
-                break
-        if pivot_row is None:
-            continue
-        row = work.pop(pivot_row)
-        inv = row[col].inverse()
-        row = {j: v * inv for j, v in row.items()}
-        for other in work + reduced:
-            if col in other:
-                _eliminate(other, col, row)
-        reduced.append(row)
-        pivots.append(col)
-        work = [r for r in work if r]
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return [reduced[i] for i in order], sorted(pivots)
+    pivots: Dict[int, SparseRow] = {}
+    for row in rows:
+        _add_row(pivots, row)
+    cols = sorted(pivots)
+    return [pivots[col] for col in cols], cols
 
 
 def nullspace_sparse(rows: List[SparseRow], ncols: int) -> List[List[ExactScalar]]:
@@ -482,16 +481,15 @@ def nullspace_sparse(rows: List[SparseRow], ncols: int) -> List[List[ExactScalar
     1 in its free coordinate.
     """
     reduced, pivots = rref_sparse(rows, ncols)
-    pivot_set = set(pivots)
-    pivot_of = {col: row for col, row in zip(pivots, reduced)}
+    pivot_of = dict(zip(pivots, reduced))
     basis = []
     for free in range(ncols):
-        if free in pivot_set:
+        if free in pivot_of:
             continue
         vec = [ZERO] * ncols
         vec[free] = ONE
-        for col in pivots:
-            coeff = pivot_of[col].get(free)
+        for col, row in pivot_of.items():
+            coeff = row.get(free)
             if coeff is not None:
                 vec[col] = -coeff
         basis.append(vec)
@@ -527,7 +525,8 @@ def expand_in_basis(
     coords = [ZERO] * k
     for col, row in zip(pivots, reduced):
         coords[col] = row.get(k, ZERO)
-    # verify exactly (span may not contain target even when consistent rows ran out)
+    # the last column is not a pivot, so the coordinates solve the system
+    # exactly; the check below is a postcondition
     for i in range(length):
         acc = ZERO
         for j in range(k):

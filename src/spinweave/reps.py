@@ -282,6 +282,16 @@ def _sign_normalised(w: ExactMatrix) -> ExactMatrix:
     return w if lead.leads_positive() else -w
 
 
+def _span_candidates(basis: Sequence[ExactMatrix]):
+    """Deterministic candidates from a span: the basis, then
+    b_i + c * b_j for i < j over the coefficients 1, -1, i, -i."""
+    yield from basis
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            for coeff in (ONE, MINUS_ONE, I, -I):
+                yield basis[i] + basis[j].scale(coeff)
+
+
 def choose_gamma(frame: Sequence[ExactMatrix]) -> ExactMatrix:
     """Deterministic element of the anticommutant with square -I.
 
@@ -295,13 +305,7 @@ def choose_gamma(frame: Sequence[ExactMatrix]) -> ExactMatrix:
         half = n // 2
         z, ident = ExactMatrix.zeros(half), ExactMatrix.identity(half)
         return ExactMatrix.block2(z, -ident, ident, z)
-    basis = anticommutant(frame)
-    candidates: List[ExactMatrix] = list(basis)
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            for coeff in (ONE, MINUS_ONE, I, -I):
-                candidates.append(basis[i] + basis[j].scale(coeff))
-    for cand in candidates:
+    for cand in _span_candidates(anticommutant(frame)):
         square = (cand * cand).scalar_value()
         if square is None or square.is_zero():
             continue
@@ -504,24 +508,17 @@ def _intertwiner_space(
     return [vector_to_matrix(vec, n) for vec in nullspace_sparse(rows, n * n)]
 
 
-def _first_invertible(basis: List[ExactMatrix]) -> Optional[ExactMatrix]:
-    """Deterministic invertible element of a span: basis vectors first,
-    then pairwise combinations over a small coefficient grid."""
-    for b in basis:
+def invertible_intertwiner(
+    images1: Sequence[ExactMatrix], images2: Sequence[ExactMatrix]
+) -> Optional[ExactMatrix]:
+    """First invertible a with a x = y a for every paired (x, y), taken
+    from the span candidates of the canonical intertwiner basis, or None."""
+    for cand in _span_candidates(_intertwiner_space(images1, images2)):
         try:
-            b.inverse()
-            return b
+            cand.inverse()
+            return cand
         except ValueError:
             pass
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            for coeff in (ONE, MINUS_ONE, I, -I):
-                cand = basis[i] + basis[j].scale(coeff)
-                try:
-                    cand.inverse()
-                    return cand
-                except ValueError:
-                    continue
     return None
 
 
@@ -529,10 +526,5 @@ def find_intertwiner(r1: Representation, r2: Representation) -> Optional[Intertw
     """Invertible a with a r1(e_i) = r2(e_i) a, if one exists."""
     if r1.dim != r2.dim or len(r1.images) != len(r2.images):
         return None
-    basis = _intertwiner_space(r1.images, r2.images)
-    if not basis:
-        return None
-    cand = _first_invertible(basis)
-    if cand is None:
-        return None
-    return Intertwiner(cand, True)
+    cand = invertible_intertwiner(r1.images, r2.images)
+    return None if cand is None else Intertwiner(cand, True)
