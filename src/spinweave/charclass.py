@@ -122,16 +122,6 @@ class CohoRing(Record):
                 acc = f2_add(acc, self.sq[i])
         return CohoClass(2, acc)
 
-    def all_degree1(self) -> List[CohoClass]:
-        """All 2^b1 classes of H^1, for tests on small rings (b1 <= 12)."""
-        n = len(self.basis1)
-        if n > 12:
-            raise ValueError("degree-1 group too large to enumerate")
-        return [
-            CohoClass(1, tuple((mask >> i) & 1 for i in range(n)))
-            for mask in range(1 << n)
-        ]
-
 
 class BundleData(Record):
     """Real vector bundle described by its first two Stiefel-Whitney classes."""

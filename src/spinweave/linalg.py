@@ -12,10 +12,10 @@ compare the pairs directly.
 Every exact solve is built on one incremental Gauss-Jordan step,
 ``_add_row``, over a dict from each pivot column to its fully reduced
 sparse row.  ``rref_sparse`` feeds it a whole system; its canonical
-RREF serves ``nullspace_sparse``, ``expand_in_basis`` and ``rank`` and
-makes every solver in the library deterministic.  ``inverse`` reduces
-[A | I], ``det`` multiplies the leading values of A's rows, and
-``groups._probe`` keeps the entry rows that add a pivot.
+RREF serves ``nullspace_sparse`` and ``rank`` and makes every solver in
+the library deterministic.  ``inverse`` reduces [A | I], ``det``
+multiplies the leading values of A's rows, and ``groups._probe`` keeps
+the entry rows that add a pivot.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class ExactMatrix:
     value) pairs in ascending column order; ``rows`` is the dense view.
     """
 
-    __slots__ = ("n", "sparse_rows", "_dense", "_key", "_hash")
+    __slots__ = ("n", "sparse_rows", "_dense", "_hash")
 
     rows = _DenseRows()
 
@@ -80,7 +80,7 @@ class ExactMatrix:
             data.append(tuple(entries))
         self.n = n
         self.sparse_rows = tuple(data)
-        self._dense = self._key = self._hash = None
+        self._dense = self._hash = None
 
     # -- constructors ------------------------------------------------------
 
@@ -331,16 +331,14 @@ class ExactMatrix:
     def key(self) -> tuple:
         """Canonical hashable key (used for stable ordering): the reduced
         coordinate tuple of every entry, zeros included, in row-major order."""
-        if self._key is None:
-            n = self.n
-            out: list = []
-            for row in self.sparse_rows:
-                full = [_ZERO_KEY] * n
-                for c, x in row:
-                    full[c] = _coordinate_key(x)
-                out += full
-            self._key = tuple(out)
-        return self._key
+        n = self.n
+        out: list = []
+        for row in self.sparse_rows:
+            full = [_ZERO_KEY] * n
+            for c, x in row:
+                full[c] = _coordinate_key(x)
+            out += full
+        return tuple(out)
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -377,7 +375,7 @@ def _wrap(n: int, rows: Tuple[Row, ...]) -> ExactMatrix:
     mat = _new(ExactMatrix)
     mat.n = n
     mat.sparse_rows = rows
-    mat._dense = mat._key = mat._hash = None
+    mat._dense = mat._hash = None
     return mat
 
 
@@ -494,47 +492,6 @@ def nullspace_sparse(rows: List[SparseRow], ncols: int) -> List[List[ExactScalar
                 vec[col] = -coeff
         basis.append(vec)
     return basis
-
-
-def expand_in_basis(
-    vectors: List[List[ExactScalar]], target: List[ExactScalar]
-) -> Optional[List[ExactScalar]]:
-    """Coordinates of target in the span of the given vectors, or None.
-
-    Solves the small least-structured system exactly by RREF on the
-    augmented matrix [V | target].
-    """
-    k = len(vectors)
-    if k == 0:
-        return [] if all(x.is_zero() for x in target) else None
-    length = len(target)
-    rows: List[SparseRow] = []
-    for i in range(length):
-        row: SparseRow = {}
-        for j in range(k):
-            v = vectors[j][i]
-            if not v.is_zero():
-                row[j] = v
-        if not target[i].is_zero():
-            row[k] = target[i]
-        if row:
-            rows.append(row)
-    reduced, pivots = rref_sparse(rows, k + 1)
-    if k in pivots:
-        return None  # inconsistent
-    coords = [ZERO] * k
-    for col, row in zip(pivots, reduced):
-        coords[col] = row.get(k, ZERO)
-    # the last column is not a pivot, so the coordinates solve the system
-    # exactly; the check below is a postcondition
-    for i in range(length):
-        acc = ZERO
-        for j in range(k):
-            if not coords[j].is_zero():
-                acc = acc + coords[j] * vectors[j][i]
-        if acc != target[i]:
-            return None
-    return coords
 
 
 def matrix_to_vector(mat: ExactMatrix) -> List[ExactScalar]:

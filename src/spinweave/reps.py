@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .clifford import CliffordElement, Signature, volume
-from .linalg import ExactMatrix, expand_in_basis, nullspace_sparse, vector_to_matrix
+from .linalg import ExactMatrix, nullspace_sparse, vector_to_matrix
 from .reports import (
     CARTAN, DIRAC, KINDS, PAULI, PAULI_TWISTED, WEYL_MINUS, WEYL_PLUS, Record, Report, report,
 )
@@ -196,21 +196,41 @@ def _eigenspace_basis(j: ExactMatrix, eigenvalue: ExactScalar) -> List[List[Exac
 
 
 def _restrict(op: ExactMatrix, basis: List[List[ExactScalar]]) -> ExactMatrix:
-    """Matrix of an operator on an invariant subspace in the given basis."""
+    """Matrix of an operator on an invariant subspace in its canonical kernel basis.
+
+    ``basis`` is the canonical RREF kernel basis from ``nullspace_sparse``.
+    Vector k is 1 at its free column f_k and 0 at the other free columns;
+    its other nonzeros sit at pivot columns left of f_k, so f_k is its last
+    nonzero.  A vector w = sum_k c_k b_k of the span therefore has
+    w[f_k] = c_k: its coordinates are its entries at f_1..f_d, read without
+    elimination.  The read gives numbers for any w, so each image is checked
+    exactly against the combination of its coordinates; a mismatch means
+    the image left the subspace, and ValueError is raised.
+    """
+    vectors = [[(c, x) for c, x in enumerate(vec) if not x.is_zero()] for vec in basis]
+    free = [vec[-1][0] for vec in vectors]
+    op_cols = op.transpose().sparse_rows
     cols = []
-    for vec in basis:
-        image = []
-        for row in op.sparse_rows:
-            acc = ZERO
-            for c, x in row:
-                if not vec[c].is_zero():
-                    acc = acc + x * vec[c]
-            image.append(acc)
-        coords = expand_in_basis(basis, image)
-        if coords is None:
+    for vec in vectors:
+        image = _sparse_sum((x, op_cols[c]) for c, x in vec)
+        coords = [image.get(f, ZERO) for f in free]
+        if _sparse_sum(zip(coords, vectors)) != image:
             raise ValueError("subspace is not invariant under the operator")
         cols.append(coords)
     return ExactMatrix(cols).transpose()
+
+
+def _sparse_sum(terms) -> Dict[int, ExactScalar]:
+    """Nonzero entries of the sum of c * w over the (c, w) terms, each w
+    given as (index, value) pairs."""
+    acc: Dict[int, ExactScalar] = {}
+    for c, w in terms:
+        if c.is_zero():
+            continue
+        for j, x in w:
+            cur = acc.get(j)
+            acc[j] = c * x if cur is None else cur + c * x
+    return {j: x for j, x in acc.items() if not x.is_zero()}
 
 
 def verify_clifford(rep: Representation) -> Report:
@@ -320,11 +340,11 @@ class SpinSpace(Record, frozen=False, eq=False):
     """Matrix data of a spin space: frame images, volume, and gamma element."""
 
     __slots__ = ("sig", "rep", "frame", "eta", "iota", "gamma",
-                 "_gamma_cache", "_gamma_inv", "_probes")
+                 "_gamma_rep", "_gamma_inv", "_probes")
 
     def __init__(self, sig: Signature, rep: Representation, frame: Tuple[ExactMatrix, ...],
                  eta: ExactMatrix, iota: ExactScalar, gamma: ExactMatrix,
-                 _gamma_cache: Optional[Dict[int, ExactMatrix]] = None,
+                 _gamma_rep: Optional[Representation] = None,
                  _gamma_inv: Optional[ExactMatrix] = None,
                  _probes: Optional[Dict[str, tuple]] = None):
         self.sig = sig
@@ -333,7 +353,7 @@ class SpinSpace(Record, frozen=False, eq=False):
         self.eta = eta
         self.iota = iota
         self.gamma = gamma
-        self._gamma_cache = {} if _gamma_cache is None else _gamma_cache
+        self._gamma_rep = _gamma_rep
         self._gamma_inv = _gamma_inv
         self._probes = {} if _probes is None else _probes
 
@@ -414,24 +434,13 @@ def verify_spin_space(ss: SpinSpace) -> List[Report]:
 
 
 def gamma_map(ss: SpinSpace, x: CliffordElement) -> ExactMatrix:
-    """Algebra morphism extending v -> gamma * v on the spin space."""
-    if x.sig != ss.sig:
-        raise ValueError(f"element of {x.sig} fed to a {ss.sig} spin space")
-    return ExactMatrix.combination(
-        ss.dim, ((coeff, _gamma_blade(ss, mask)) for mask, coeff in x.terms.items()))
-
-
-def _gamma_blade(ss: SpinSpace, mask: int) -> ExactMatrix:
-    cached = ss._gamma_cache.get(mask)
-    if cached is not None:
-        return cached
-    if mask == 0:
-        out = ExactMatrix.identity(ss.dim)
-    else:
-        low = mask & -mask
-        out = (ss.gamma * ss.frame[low.bit_length() - 1]) * _gamma_blade(ss, mask ^ low)
-    ss._gamma_cache[mask] = out
-    return out
+    """Algebra morphism extending v -> gamma * v on the spin space: the image
+    of x under the representation with generator images gamma * v_i, built
+    on first use and kept on the spin space."""
+    if ss._gamma_rep is None:
+        images = tuple(ss.gamma * v for v in ss.frame)
+        ss._gamma_rep = Representation(ss.sig, ss.rep.kind, images, ss.dim)
+    return ss._gamma_rep.image(x)
 
 
 def grading_of(a: ExactMatrix, ss: SpinSpace) -> str:

@@ -1,4 +1,4 @@
-"""Byte-identical stdout of the example and verify subcommands, JSON and table.
+"""Byte-identical stdout of the example, verify and build subcommands, JSON and table.
 
 perfbench's golden gate covers the jobs of its workloads only: it never
 runs ``examples associated``, runs ``verify`` only at m = 3..6 in JSON,
@@ -6,7 +6,9 @@ and it cannot see a changed counterexample or table layout on a path it
 does not run.  These digests pin the whole stdout of one small run of
 every example, of every example at the size of its largest
 bundle-samples job, and of ``verify`` at m = 1, 2, 3 and 7 and over the
-m <= 3 sweep, in both formats.
+m <= 3 sweep, in both formats.  ``build`` is the one subcommand that
+prints the restricted Weyl matrices; its digests cover both halves at
+2,2, 0,4, 3,3 and 5,5 (m = 10) and the other kinds at one signature each.
 """
 
 import hashlib
@@ -92,6 +94,54 @@ VERIFY_GOLDEN = {
         "2b45bcc2476bba9575a197f1a3704da28c2923511c0de9b93c72204cad202ab9",
 }
 
+# (argv after "build", format) -> sha256 of stdout
+BUILD_GOLDEN = {
+    (("--sig", "2,2", "--kind", "weyl+"), "json"):
+        "7513287f1a9a3dca0591858f893ce12c5acbff044d3b285485206a6400f3468e",
+    (("--sig", "2,2", "--kind", "weyl+"), "table"):
+        "1d13411aab12da277fe96af882768f53c4cbf783cfb525ea365ead04c48e4ff6",
+    (("--sig", "2,2", "--kind", "weyl-"), "json"):
+        "b44febaee6b6b731b2575c8929fd70d7da2484259e551e788612566e7f276609",
+    (("--sig", "2,2", "--kind", "weyl-"), "table"):
+        "45b81407c04fd6c21db50ac3df9e7119bf24d496443ac285c66b8e26ef272348",
+    (("--sig", "0,4", "--kind", "weyl+"), "json"):
+        "f440a791c2e47a7e20da8b460dca680666274833320f99d913cde436d151ecbd",
+    (("--sig", "0,4", "--kind", "weyl+"), "table"):
+        "4f07b44963ebd20442a8824fe5167e55c0e8ba013253aac5d56afd0033b097e0",
+    (("--sig", "0,4", "--kind", "weyl-"), "json"):
+        "23ceb359f3e2a293df3fff9958a9a9733d11c0e3aff00df4b02e5c84740dd549",
+    (("--sig", "0,4", "--kind", "weyl-"), "table"):
+        "cd982768e995decb99509ac8cb5eb7b03847aa21c7c1d4311e1f583e565f05cf",
+    (("--sig", "3,3", "--kind", "weyl+"), "json"):
+        "43749038500d4f2924bcb1248e6d4ad944dcd6e01639b5f1f5a5385ba6bc035e",
+    (("--sig", "3,3", "--kind", "weyl+"), "table"):
+        "92ce1ebb4b50a2315c6cf803ba9276555af0a2b6c24d42a9fec39b33110643e3",
+    (("--sig", "3,3", "--kind", "weyl-"), "json"):
+        "4d0a39a80e11a263955364cb5f5ce4f17d3e32373583f5b600676ee57e65644f",
+    (("--sig", "3,3", "--kind", "weyl-"), "table"):
+        "9cb289066de10500a8130af199b642cf0e8c90a54554d203efe20d4b0040dddb",
+    (("--sig", "5,5", "--kind", "weyl+"), "json"):
+        "ca8b1033ad38c62f8fafc911f9c465167c7b3de7d5460f93b9cd85ad37ff8510",
+    (("--sig", "5,5", "--kind", "weyl+"), "table"):
+        "2e4b47d4e48bfbf09796fe6d8a548b1b54c6f79409a12c7b79774677afbafbed",
+    (("--sig", "5,5", "--kind", "weyl-"), "json"):
+        "c458837643ce3185887df6f04ace0de4451d14a87bc6e7a559e8ecdb34bee968",
+    (("--sig", "5,5", "--kind", "weyl-"), "table"):
+        "b9338ce71ab4b24234b47c11f0edf6a91468ac31025cde21ef027384cf048629",
+    (("--sig", "1,3", "--kind", "dirac"), "json"):
+        "fb8c8fb7d2adabc2e049f289343852facf2be2b111b77f531ae709574d723f6a",
+    (("--sig", "1,3", "--kind", "dirac"), "table"):
+        "3c729ce0d34e6cead44f8a69676004e01a17df56b21dc37c69213738b9e0e66a",
+    (("--sig", "2,1", "--kind", "cartan"), "json"):
+        "544c61c75a15a36c33e7464fae2b0d40a2fb277571b1254e7108ca85a8e7869b",
+    (("--sig", "2,1", "--kind", "cartan"), "table"):
+        "2ecfacfa6e8b9d6636299bf5608a20bc29d143c553d9c38eacb9352a46673efd",
+    (("--sig", "1,2", "--kind", "pauli"), "json"):
+        "a4caa90564a7f54b09e7b8f3b04746bc95f621361f14dfb0f826d75bac9c8165",
+    (("--sig", "1,2", "--kind", "pauli"), "table"):
+        "1ddc8af700d1e9a8a8854e937874a6d62d6d430f6b42fcd9fdd9c1266eeca53d",
+}
+
 
 def _stdout_digest(capsys, monkeypatch, argv):
     monkeypatch.delenv("SPINWEAVE_SEED", raising=False)
@@ -111,3 +161,9 @@ def test_example_stdout_is_unchanged(capsys, monkeypatch, argv, fmt):
 def test_verify_stdout_is_unchanged(capsys, monkeypatch, argv, fmt):
     digest = _stdout_digest(capsys, monkeypatch, ["verify", *argv, "--format", fmt])
     assert digest == VERIFY_GOLDEN[argv, fmt]
+
+
+@pytest.mark.parametrize("argv, fmt", sorted(BUILD_GOLDEN))
+def test_build_stdout_is_unchanged(capsys, monkeypatch, argv, fmt):
+    digest = _stdout_digest(capsys, monkeypatch, ["build", *argv, "--format", fmt])
+    assert digest == BUILD_GOLDEN[argv, fmt]

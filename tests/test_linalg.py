@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from spinweave.linalg import (
     ExactMatrix,
-    expand_in_basis,
     matrix_to_vector,
     nullspace_sparse,
     rref_sparse,
@@ -124,14 +123,6 @@ def test_nullspace_solutions_satisfy_system(vals):
             for j, coeff in row.items():
                 acc = acc + coeff * vec[j]
             assert acc.is_zero()
-
-
-def test_expand_in_basis():
-    v1 = [ONE, ZERO, ONE]
-    v2 = [ZERO, ONE, ONE]
-    coords = expand_in_basis([v1, v2], [sc(2), sc(3), sc(5)])
-    assert coords == [sc(2), sc(3)]
-    assert expand_in_basis([v1, v2], [ONE, ZERO, ZERO]) is None
 
 
 def test_vector_matrix_roundtrip():
