@@ -13,13 +13,14 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, permutations
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .clifford import CliffordElement, Signature, volume
 from .linalg import ExactMatrix, _wrap
 from .reports import Record, Report, report
 from .reps import DIRAC, PAULI, Representation, SpinSpace, build_rep, invertible_intertwiner
-from .scalars import ExactScalar, HALF, I, ONE, SQRT2, ZERO, sc
+from .scalars import ExactScalar, HALF, I, ONE, SQRT2, ZERO, _sum_products, sc
 
 CE = CliffordElement
 
@@ -66,38 +67,52 @@ class TangentPair(Record):
         return sum(c * c for c in self.y)
 
 
+def _over_lcm(ratios: Sequence[Tuple[int, int]]) -> Tuple[List[int], int]:
+    """N and B with N_i / B = a_i / b_i for the (a, b) ratios, B the lcm of the b."""
+    den = lcm(*(b for _, b in ratios))
+    return [a * (den // b) for a, b in ratios], den
+
+
+def _projection(ratios: Sequence[Tuple[int, int]]) -> Tuple[RationalSpherePoint, List[int], int]:
+    """Inverse stereographic projection on integers: the point x = X / D, X and
+    D, where X = (2 B P, B^2 - |P|^2) and D = B^2 + |P|^2 for parameters P / B."""
+    nums, den = _over_lcm(ratios)
+    norm = sum(p * p for p in nums)
+    xs, d = [2 * den * p for p in nums] + [den * den - norm], den * den + norm
+    return RationalSpherePoint(tuple(Fraction(x, d) for x in xs)), xs, d
+
+
 def stereographic(params: Sequence[Fraction]) -> RationalSpherePoint:
     """Inverse stereographic projection; zero parameters hit the north pole."""
-    norm = Fraction(sum(p * p for p in params))
-    den = 1 + norm
-    coords = tuple(2 * Fraction(p) / den for p in params) + ((1 - norm) / den,)
-    return RationalSpherePoint(coords)
+    return _projection([Fraction(p).as_integer_ratio() for p in params])[0]
 
 
-def _random_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+def _random_ratio(rng: random.Random) -> Tuple[int, int]:
+    return rng.randint(-9, 9), rng.randint(1, 9)
 
 
 def sample_sphere_points(m: int, count: int, seed: int) -> List[RationalSpherePoint]:
     if m < 1:
         raise ValueError("sphere dimension must be positive")
     rng = random.Random(seed)
-    return [stereographic([_random_fraction(rng) for _ in range(m)]) for _ in range(count)]
+    return [_projection([_random_ratio(rng) for _ in range(m)])[0] for _ in range(count)]
 
 
 def sample_tangent_pairs(m: int, count: int, seed: int) -> List[TangentPair]:
+    """Seeded tangent pairs: x = X / D from _projection and v = V / C, so the
+    tangent part y = v - (x.v) x is (D^2 V - (X.V) X) / (C D^2)."""
     if m < 1:
         raise ValueError("sphere dimension must be positive")
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        x = stereographic([_random_fraction(rng) for _ in range(m)])
-        v = [_random_fraction(rng) for _ in range(m + 1)]
-        dot = sum(a * b for a, b in zip(x.coords, v))
-        y = tuple(b - dot * a for a, b in zip(x.coords, v))
-        if all(c == 0 for c in y):
+        x, xs, d = _projection([_random_ratio(rng) for _ in range(m)])
+        vs, c = _over_lcm([_random_ratio(rng) for _ in range(m + 1)])
+        dot = sum(a * b for a, b in zip(xs, vs))
+        ys = [d * d * b - dot * a for a, b in zip(xs, vs)]
+        if not any(ys):
             continue
-        out.append(TangentPair(x, y))
+        out.append(TangentPair(x, tuple(Fraction(y, c * d * d) for y in ys)))
     return out
 
 
@@ -114,13 +129,13 @@ def sphere_representation(m: int) -> Representation:
 
 
 def sphere_tau(m: int, pair: TangentPair, rep: Representation) -> ExactMatrix:
-    """Clifford map of the round sphere: (x, y) -> i * theta(x y)."""
+    """Clifford map of the round sphere: (x, y) -> i * theta(x y) = theta(i x y)."""
     if pair.point.m != m or rep.sig != Signature(m + 1, 0):
         raise ValueError("pair or representation does not match the sphere dimension")
     sig = rep.sig
     x = CE.vector(sig, [sc(c) for c in pair.point.coords])
     y = CE.vector(sig, [sc(c) for c in pair.y])
-    return rep.image(x * y).scale(I)
+    return rep.image((x * y).scale(I))
 
 
 def projective_tau(m: int, sign: int, pair: TangentPair, rep: Representation) -> ExactMatrix:
@@ -230,11 +245,8 @@ def _basis_form_image(mask: int, slots: Slots) -> List[Tuple[int, ExactScalar]]:
 
 
 def _act(m: int, slots: Slots, omega: ExteriorElement) -> ExteriorElement:
-    acc: Dict[int, ExactScalar] = {}
-    for mask, c in omega.terms.items():
-        for target, x in _basis_form_image(mask, slots):
-            acc[target] = acc.get(target, ZERO) + x * c
-    return ExteriorElement(m, acc)
+    pairs = ((c, _basis_form_image(mask, slots)) for mask, c in omega.terms.items())
+    return ExteriorElement(m, dict(_sum_products(pairs)))
 
 
 def _operator(m: int, slots: Slots) -> ExactMatrix:

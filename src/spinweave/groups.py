@@ -17,7 +17,7 @@ from .clifford import Signature
 from .linalg import ExactMatrix, _add_row
 from .reports import Record, Report, report
 from .reps import EVEN, ODD, SpinSpace, spin_space
-from .scalars import ExactScalar, MINUS_ONE, ONE, ZERO, sc
+from .scalars import ExactScalar, MINUS_ONE, ONE, ZERO, _sum_products, sc
 
 
 class FrameGroup:
@@ -112,7 +112,8 @@ def twisted_adjoint(ss: SpinSpace, a: ExactMatrix, v: ExactMatrix) -> ExactMatri
 
 
 def _probe(mats: Sequence[ExactMatrix]) -> Tuple[List[Tuple[int, int]], ExactMatrix]:
-    """Probe positions and inverted sample matrix for fast expansion.
+    """Probe positions and the transposed inverse sample matrix, whose row
+    i holds the weight of probe entry i in each coefficient.
 
     Greedily picks len(mats) entry positions, in row-major order among
     the nonzeros, at which the matrices are linearly independent: a
@@ -131,7 +132,7 @@ def _probe(mats: Sequence[ExactMatrix]) -> Tuple[List[Tuple[int, int]], ExactMat
                 picked.append(vals)
                 positions.append((r, c))
                 if len(positions) == k:
-                    return positions, ExactMatrix(picked).inverse()
+                    return positions, ExactMatrix(picked).inverse().transpose()
     raise ValueError("matrices are linearly dependent")
 
 
@@ -143,15 +144,10 @@ def _expand(
     The probe entries of x give the only possible coefficients; the
     combination is then compared with x exactly.
     """
-    positions, sample_inv = probe
-    target = [x[r, c] for r, c in positions]
-    coords = []
-    for row in sample_inv.sparse_rows:
-        acc = ZERO
-        for i, s in row:
-            if not target[i].is_zero():
-                acc = acc + s * target[i]
-        coords.append(acc)
+    positions, weights = probe
+    pairs = ((x[r, c], row) for (r, c), row in zip(positions, weights.sparse_rows))
+    values = dict(_sum_products(pairs))
+    coords = [values.get(k, ZERO) for k in range(len(mats))]
     return coords if ExactMatrix.combination(x.n, zip(coords, mats)) == x else None
 
 
@@ -178,16 +174,10 @@ class OrthMatrix(Record):
             raise ValueError("orthogonal matrix has wrong dimension")
         h = [sc(sig.h(i)) for i in range(m)]
         # Gram matrix M^T H M, summed over the nonzeros of each row of M
-        gram: Dict[Tuple[int, int], ExactScalar] = {}
+        pairs = []
         for r, row in enumerate(mat.sparse_rows):
-            for i, x in row:
-                xh = x * h[r]
-                for j, y in row:
-                    term = xh * y
-                    cur = gram.get((i, j))
-                    gram[i, j] = term if cur is None else cur + term
-        nonzero = {ij: v for ij, v in gram.items() if not v.is_zero()}
-        if nonzero != {(i, i): h[i] for i in range(m)}:
+            pairs += ((x * h[r], [((i, j), y) for j, y in row]) for i, x in row)
+        if dict(_sum_products(pairs)) != {(i, i): h[i] for i in range(m)}:
             raise ValueError("matrix is not orthogonal for the signature")
         self._assign(sig, mat)
 

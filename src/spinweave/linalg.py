@@ -7,7 +7,10 @@ canonical frame images, volume elements and frame-group elements are
 unit-monomial (one entry from {+-1, +-i} per row), so their products,
 sums and inverses cost time in the number of nonzeros rather than n^3
 or n^2.  The storage is canonical, which lets equality and hashing
-compare the pairs directly.
+compare the pairs directly.  Product and combination rows with several
+terms are summed on the scalar kernel (``scalars._sum_products``): raw
+integer cells, one canonical ExactScalar per output cell, which equals the
+term-by-term sum because the canonical form is unique.
 
 Every exact solve is built on one incremental Gauss-Jordan step,
 ``_add_row``, over a dict from each pivot column to its fully reduced
@@ -23,7 +26,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .scalars import ExactScalar, ONE, ZERO, sc
+from .scalars import ExactScalar, ONE, ZERO, _sum_products, sc
 
 Row = Tuple[Tuple[int, ExactScalar], ...]
 
@@ -111,7 +114,7 @@ class ExactMatrix:
 
         Terms with a zero coefficient are dropped.  A row that one term
         alone touches is that term's row scaled (a product of nonzeros is
-        nonzero); the others are summed column by column.
+        nonzero); the others are summed on the scalar kernel.
         """
         coeffs, rowsets = [], []
         for c, mat in terms:
@@ -130,13 +133,7 @@ class ExactMatrix:
                 c, row = touching[0]
                 out.append(tuple((j, c * x) for j, x in row))
                 continue
-            acc: Dict[int, ExactScalar] = {}
-            for c, row in touching:
-                for j, x in row:
-                    cur = acc.get(j)
-                    acc[j] = c * x if cur is None else cur + c * x
-            # columns are unique, so sorting never compares two values
-            out.append(tuple(sorted(item for item in acc.items() if not item[1].is_zero())))
+            out.append(_sum_products(touching))
         return _wrap(n, tuple(out))
 
     @classmethod
@@ -196,7 +193,6 @@ class ExactMatrix:
         if not isinstance(other, ExactMatrix):
             return self.scale(other)
         self._check(other)
-        n = self.n
         brows = other.sparse_rows
         out = []
         for arow in self.sparse_rows:
@@ -205,15 +201,8 @@ class ExactMatrix:
                 k, x = arow[0]
                 out.append(tuple((j, x * y) for j, y in brows[k]))
                 continue
-            acc: List[Optional[ExactScalar]] = [None] * n
-            for k, x in arow:
-                for j, y in brows[k]:
-                    cur = acc[j]
-                    acc[j] = x * y if cur is None else cur + x * y
-            out.append(tuple(
-                (j, v) for j, v in enumerate(acc) if v is not None and not v.is_zero()
-            ))
-        return _wrap(n, tuple(out))
+            out.append(_sum_products((x, brows[k]) for k, x in arow))
+        return _wrap(self.n, tuple(out))
 
     def __rmul__(self, other):
         if isinstance(other, ExactMatrix):

@@ -24,7 +24,7 @@ from .linalg import ExactMatrix, nullspace_sparse, vector_to_matrix
 from .reports import (
     CARTAN, DIRAC, KINDS, PAULI, PAULI_TWISTED, WEYL_MINUS, WEYL_PLUS, Record, Report, report,
 )
-from .scalars import ExactScalar, I, MINUS_ONE, ONE, ZERO
+from .scalars import ExactScalar, I, MINUS_ONE, ONE, ZERO, _sum_products
 
 EVEN = "even"
 ODD = "odd"
@@ -212,25 +212,13 @@ def _restrict(op: ExactMatrix, basis: List[List[ExactScalar]]) -> ExactMatrix:
     op_cols = op.transpose().sparse_rows
     cols = []
     for vec in vectors:
-        image = _sparse_sum((x, op_cols[c]) for c, x in vec)
-        coords = [image.get(f, ZERO) for f in free]
-        if _sparse_sum(zip(coords, vectors)) != image:
+        image = _sum_products((x, op_cols[c]) for c, x in vec)
+        entries = dict(image)
+        coords = [entries.get(f, ZERO) for f in free]
+        if _sum_products(zip(coords, vectors)) != image:
             raise ValueError("subspace is not invariant under the operator")
         cols.append(coords)
     return ExactMatrix(cols).transpose()
-
-
-def _sparse_sum(terms) -> Dict[int, ExactScalar]:
-    """Nonzero entries of the sum of c * w over the (c, w) terms, each w
-    given as (index, value) pairs."""
-    acc: Dict[int, ExactScalar] = {}
-    for c, w in terms:
-        if c.is_zero():
-            continue
-        for j, x in w:
-            cur = acc.get(j)
-            acc[j] = c * x if cur is None else cur + c * x
-    return {j: x for j, x in acc.items() if not x.is_zero()}
 
 
 def verify_clifford(rep: Representation) -> Report:

@@ -11,6 +11,12 @@ denominator, (p + q*i + r*sqrt2 + s*i*sqrt2) / den, in canonical form:
 den > 0 and gcd(p, q, r, s, den) = 1, so zero is (0, 0, 0, 0, 1) and
 equal values have equal fields.  The ring operations work on the ints
 and normalise with a single gcd, skipped when the denominator is 1.
+
+Matrix, Clifford and exterior products run on one kernel: ``_accumulate``
+adds the products into raw integer cells and ``_collect`` reduces each
+nonzero cell once.  A cell holds the exact sum over a positive denominator
+and the canonical form is unique, so the result has the same five ints as
+adding canonical ExactScalar products one by one.
 """
 
 from __future__ import annotations
@@ -357,6 +363,54 @@ def _reduce(p: int, q: int, r: int, s: int, den: int) -> ExactScalar:
     if g == 1:
         return _make(p, q, r, s, den)
     return _make(p // g, q // g, r // g, s // g, den // g)
+
+
+def _accumulate(acc: dict, x: ExactScalar, terms) -> None:
+    """Add x * y into acc[key] for each (key, y) in terms, on raw integers.
+
+    A cell is a list [p, q, r, s, den], den > 0, not reduced.  Equal
+    denominators add numerators; unequal ones rescale both sides to the lcm.
+    """
+    p1, q1, r1, s1, d1 = x.p, x.q, x.r, x.s, x.den
+    gaussian = not (r1 or s1)
+    for key, y in terms:
+        p2, q2, r2, s2 = y.p, y.q, y.r, y.s
+        if gaussian and not (r2 or s2):
+            p, q, r, s = p1 * p2 - q1 * q2, p1 * q2 + q1 * p2, 0, 0
+        else:
+            p = p1 * p2 - q1 * q2 + 2 * (r1 * r2 - s1 * s2)
+            q = p1 * q2 + q1 * p2 + 2 * (r1 * s2 + s1 * r2)
+            r = p1 * r2 - q1 * s2 + r1 * p2 - s1 * q2
+            s = p1 * s2 + q1 * r2 + r1 * q2 + s1 * p2
+        den = d1 * y.den
+        cell = acc.get(key)
+        if cell is None:
+            acc[key] = [p, q, r, s, den]
+        elif cell[4] == den:
+            acc[key] = [cell[0] + p, cell[1] + q, cell[2] + r, cell[3] + s, den]
+        else:
+            big = lcm(cell[4], den)
+            a, b = big // cell[4], big // den
+            acc[key] = [cell[0] * a + p * b, cell[1] * a + q * b,
+                        cell[2] * a + r * b, cell[3] * a + s * b, big]
+
+
+def _collect(acc: dict) -> tuple:
+    """The nonzero cells of acc as (key, canonical ExactScalar) pairs in key
+    order: one ``_reduce`` per cell, none over 1 (exact: see the module)."""
+    out = []
+    for key, (p, q, r, s, den) in sorted(acc.items()):
+        if p or q or r or s:
+            out.append((key, _make(p, q, r, s, 1) if den == 1 else _reduce(p, q, r, s, den)))
+    return tuple(out)
+
+
+def _sum_products(pairs) -> tuple:
+    """Per key, the sum of x * y over the (x, terms) pairs and the (key, y) in terms."""
+    acc: dict = {}
+    for x, terms in pairs:
+        _accumulate(acc, x, terms)
+    return _collect(acc)
 
 
 def _gadd(x, y):
