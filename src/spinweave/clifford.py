@@ -160,14 +160,6 @@ class CliffordElement:
             pairs += ((ca, by_sign[1]), (-ca, by_sign[-1]))
         return CliffordElement(sig, dict(_sum_products(pairs)))
 
-    def __pow__(self, n: int) -> "CliffordElement":
-        if n < 0:
-            raise ValueError("negative powers not supported")
-        out = CliffordElement.scalar(self.sig, 1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     # -- grading -----------------------------------------------------------
 
     def alpha(self) -> "CliffordElement":

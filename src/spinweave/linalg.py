@@ -209,18 +209,6 @@ class ExactMatrix:
             return NotImplemented
         return self.scale(other)
 
-    def __pow__(self, k: int) -> "ExactMatrix":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = ExactMatrix.identity(self.n)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def transpose(self) -> "ExactMatrix":
         cols: List[list] = [[] for _ in range(self.n)]
         for r, row in enumerate(self.sparse_rows):

@@ -467,9 +467,7 @@ def sc(x) -> ExactScalar:
 
 ZERO = ExactScalar(0)
 ONE = ExactScalar(1)
-TWO = ExactScalar(2)
 MINUS_ONE = ExactScalar(-1)
 HALF = ExactScalar(Fraction(1, 2))
 I = ExactScalar(0, 1)
-MINUS_I = ExactScalar(0, -1)
 SQRT2 = ExactScalar(0, 0, 1)

@@ -32,7 +32,7 @@ from spinweave.bundles import (
 from spinweave.clifford import CliffordElement, Signature
 from spinweave.linalg import ExactMatrix
 from spinweave.reps import SpinSpace, conjugate_spin_space, spin_space
-from spinweave.scalars import ExactScalar, I, ONE, ZERO, sc
+from spinweave.scalars import ExactScalar, HALF, I, ONE, ZERO, sc
 
 CE = CliffordElement
 M = ExactMatrix
@@ -108,16 +108,21 @@ class TestSphereTau:
 
 
 class TestProjectiveTau:
-    def test_antipodal_invariance(self):
-        rep = sphere_representation(3)
-        for pair in sample_tangent_pairs(3, 10, seed=2):
-            plus = projective_tau(3, 1, pair, rep)
-            assert projective_tau(3, 1, pair.antipode(), rep) == plus
+    """The antipode and sign comparisons that projective_example_check
+    certifies by construction instead of recomputing."""
 
-    def test_minus_is_negation(self):
-        rep = sphere_representation(2)
-        pair = sample_tangent_pairs(2, 1, seed=4)[0]
-        assert projective_tau(2, -1, pair, rep) == -projective_tau(2, 1, pair, rep)
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_antipodal_invariance(self, m):
+        rep = sphere_representation(m)
+        for pair in sample_tangent_pairs(m, 10, seed=2):
+            plus = projective_tau(m, 1, pair, rep)
+            assert projective_tau(m, 1, pair.antipode(), rep) == plus
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_minus_is_negation(self, m):
+        rep = sphere_representation(m)
+        for pair in sample_tangent_pairs(m, 5, seed=4):
+            assert projective_tau(m, -1, pair, rep) == -projective_tau(m, 1, pair, rep)
 
     def test_clifford_property_both_signs(self):
         rep = sphere_representation(2)
@@ -227,13 +232,20 @@ class TestQuadric:
         assert w * w == M.identity(4)
 
     def test_sampled_checks(self):
-        report = quadric_example_check(sample_quadric_points(12, seed=20))
+        points = sample_quadric_points(12, seed=20)
+        report = quadric_example_check(points)
         assert report.ok, report.counterexample
+        # the projector swap, which quadric_example_check certifies by the
+        # anticommutation it checks
+        ident = M.identity(4)
+        for p in points:
+            tau, varpi = quadric_tau(p), quadric_varpi(p)
+            assert tau * (ident + varpi).scale(HALF) == (ident - varpi).scale(HALF) * tau
 
     def test_varpi_antipodal(self):
-        p = sample_quadric_points(1, seed=8)[0]
-        assert quadric_varpi(p.antipode()) == quadric_varpi(p)
-        assert quadric_tau(p.antipode()) == quadric_tau(p)
+        for p in sample_quadric_points(12, seed=8):
+            assert quadric_varpi(p.antipode()) == quadric_varpi(p)
+            assert quadric_tau(p.antipode()) == quadric_tau(p)
 
 
 class TestAssociatedBundle:
@@ -363,3 +375,15 @@ class TestExampleChecks:
         monkeypatch.setattr(bundles, "sphere_tau", lambda m, pair, rep: M.zeros(rep.dim))
         report = sphere_example_check(2, 3, seed=1)
         assert report.status == "fail" and report.counterexample == "3 failures"
+        # the projective maps are +-sphere_tau: one failure per pair, not two
+        report = projective_example_check(2, 3, seed=1)
+        assert report.status == "fail" and report.counterexample == "3 failures"
+
+    @pytest.mark.parametrize("name, broken, first", [
+        ("quadric_varpi", lambda p: M.identity(4), "sample 0: varpi does not anticommute with tau"),
+        ("quadric_tau", lambda p: M.zeros(4), "sample 0: Clifford property fails"),
+    ], ids=["varpi-identity", "tau-zero"])
+    def test_quadric_names_the_first_failure(self, monkeypatch, name, broken, first):
+        monkeypatch.setattr(bundles, name, broken)
+        report = quadric_example_check(sample_quadric_points(2, seed=1))
+        assert report.status == "fail" and report.counterexample == first
