@@ -4,7 +4,7 @@ Continuous groups are never enumerated.  Pin is probed through the
 finite subgroup generated by the frame images (order 2^(m+1)), the
 Lipschitz group through a membership predicate plus seeded random
 elements assembled from guaranteed members: scalars, frame-group
-elements, and the odd two-block elements available for odd m.
+elements, and the odd elements available for odd m.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .clifford import Signature
 from .linalg import ExactMatrix, _add_row
 from .reports import Record, Report, report
-from .reps import EVEN, ODD, SpinSpace, spin_space
+from .reps import EVEN, NEITHER, ODD, SpinSpace, _projector_pair, spin_space
 from .scalars import ExactScalar, MINUS_ONE, ONE, ZERO, _sum_products, sc
 
 
@@ -261,9 +261,11 @@ def _isotropic_pair(ss: SpinSpace) -> Tuple[Tuple[ExactMatrix, ExactMatrix], tup
     """Ordered isotropic basis of A(h) normalised from (Gamma, Gamma*eta),
     with its expansion probe; cached on the spin space.
 
-    For the canonical Cartan form these are the two corner blocks; kappa
-    reads off as the reflection scale on this pair, making the odd-block
-    elements map to (-1, lambda/mu) exactly.
+    With j = eta/iota the pair is Gamma (I + j) and Gamma (j - I); Gamma
+    anticommutes with j and j^2 = I, so each squares to -(I - j^2) = 0.
+    kappa reads off as the reflection scale on this pair, making the odd
+    elements map to (-1, lambda/mu) exactly.  On the canonical Cartan frame
+    the pair is the two corner blocks.
     """
     cached = ss._probes.get("isotropic")
     if cached is None:
@@ -306,39 +308,44 @@ def kappa(ss: SpinSpace, a: ExactMatrix) -> KappaImage:
 
 
 # ---------------------------------------------------------------------------
-# odd block elements and the Pin x (C* x C*) model
+# odd elements and the Pin x (C* x C*) model
 # ---------------------------------------------------------------------------
 
 
 def build_odd_element(ss: SpinSpace, lam, mu, a_pin: ExactMatrix) -> ExactMatrix:
-    """Assemble the odd Lipschitz block [[0, lam*s(a)], [mu*s(a), 0]]."""
+    """Odd Lipschitz element (lam P+ + mu P-) Gamma a for odd a and
+    (mu P- - lam P+) Gamma a for even a, with P+- = (I +- eta/iota)/2.
+
+    The scalar pair commutes with the frame (eta is central at odd m), and
+    Gamma and a normalise span V, so the element is Lipschitz; through Gamma
+    it anticommutes with eta.  The sign on P+ for even a makes it the block
+    [[0, lam*s(a)], [mu*s(a), 0]] on the canonical Cartan frame, with s(a)
+    the Pauli image of a.
+    """
     if ss.sig.m % 2 == 0:
         raise ValueError("odd block elements need odd m")
     lam, mu = sc(lam), sc(mu)
     if lam.is_zero() or mu.is_zero():
         raise ValueError("scale parameters must be nonzero")
-    sigma_a = ss.pauli_block(a_pin)
-    half = ss.dim // 2
-    z = ExactMatrix.zeros(half)
-    return ExactMatrix.block2(z, sigma_a.scale(lam), sigma_a.scale(mu), z)
+    if clifford_parity(ss, a_pin) == EVEN:
+        lam = -lam
+    return scalar_pair(ss, lam, mu) * ss.gamma * a_pin
 
 
 def embed_pin_pair(ss: SpinSpace, a_pin: ExactMatrix, lam, mu) -> ExactMatrix:
     """Image of (a, lambda, mu) in the Lipschitz group.
 
-    Even Pin parts land block-diagonally as diag(lam*s(a), mu*s(a)); odd
-    parts land in the antidiagonal blocks.  Moving an odd factor past a
-    scalar pair swaps (lambda, mu).
+    Even Pin parts land as (lam P+ + mu P-) a, odd parts as the odd element
+    (lam P+ + mu P-) Gamma a; on the canonical Cartan frame these are
+    diag(lam*s(a), mu*s(a)) and the antidiagonal blocks.  Moving an odd
+    factor past a scalar pair swaps (lambda, mu).
     """
     if ss.sig.m % 2 == 0:
         raise ValueError("the pair model needs odd m")
-    lam, mu = sc(lam), sc(mu)
-    sigma_a = ss.pauli_block(a_pin)
-    half = ss.dim // 2
-    z = ExactMatrix.zeros(half)
+    pair = scalar_pair(ss, lam, mu)
     if clifford_parity(ss, a_pin) == EVEN:
-        return ExactMatrix.block2(sigma_a.scale(lam), z, z, sigma_a.scale(mu))
-    return ExactMatrix.block2(z, sigma_a.scale(lam), sigma_a.scale(mu), z)
+        return pair * a_pin
+    return pair * ss.gamma * a_pin
 
 
 def clifford_parity(ss: SpinSpace, a: ExactMatrix) -> str:
@@ -348,20 +355,16 @@ def clifford_parity(ss: SpinSpace, a: ExactMatrix) -> str:
         return EVEN
     if conj == -a:
         return ODD
-    return "neither"
+    return NEITHER
 
 
 def scalar_pair(ss: SpinSpace, lam, mu) -> ExactMatrix:
-    """K(h) element acting by lam on the +eta eigenblock and mu on the other."""
+    """K(h) element lam P+ + mu P-, acting by lam on the +iota eigenspace of
+    eta and by mu on the other; P+- = (I +- eta/iota)/2."""
     if ss.sig.m % 2 == 0:
         raise ValueError("scalar pairs need odd m")
-    half = ss.dim // 2
-    return ExactMatrix.block2(
-        ExactMatrix.identity(half).scale(sc(lam)),
-        ExactMatrix.zeros(half),
-        ExactMatrix.zeros(half),
-        ExactMatrix.identity(half).scale(sc(mu)),
-    )
+    plus, minus = _projector_pair(ss.eta.scale(ss.iota.inverse()))
+    return plus.scale(sc(lam)) + minus.scale(sc(mu))
 
 
 def in_kernel_k(ss: SpinSpace, a: ExactMatrix) -> bool:
@@ -525,7 +528,7 @@ def sample_lipschitz(
     ss: SpinSpace, rng: random.Random, group: Optional[FrameGroup] = None
 ) -> ExactMatrix:
     """Random guaranteed Lipschitz element: a short product of scalars,
-    frame-group elements, and (odd m) odd block elements."""
+    frame-group elements, and (odd m) odd elements."""
     group = group or generate_frame_group(ss)
     out = ExactMatrix.identity(ss.dim)
     for _ in range(rng.randint(1, 3)):

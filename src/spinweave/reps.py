@@ -24,7 +24,7 @@ from .linalg import ExactMatrix, nullspace_sparse, vector_to_matrix
 from .reports import (
     CARTAN, DIRAC, KINDS, PAULI, PAULI_TWISTED, WEYL_MINUS, WEYL_PLUS, Record, Report, report,
 )
-from .scalars import ExactScalar, I, MINUS_ONE, ONE, ZERO, _sum_products
+from .scalars import HALF, ExactScalar, I, MINUS_ONE, ONE, ZERO, _sum_products
 
 EVEN = "even"
 ODD = "odd"
@@ -267,22 +267,6 @@ def anticommutant(frame: Sequence[ExactMatrix]) -> List[ExactMatrix]:
 # ---------------------------------------------------------------------------
 
 
-def _is_cartan_block_frame(frame: Sequence[ExactMatrix]) -> bool:
-    n = frame[0].n
-    if n % 2:
-        return False
-    half = n // 2
-    for v in frame:
-        # each top row stays in the left half and reappears negated, shifted
-        # by half, as the matching bottom row
-        for top, bottom in zip(v.sparse_rows[:half], v.sparse_rows[half:]):
-            if any(c >= half for c, _ in top):
-                return False
-            if bottom != tuple((c + half, -x) for c, x in top):
-                return False
-    return True
-
-
 def _sign_normalised(w: ExactMatrix) -> ExactMatrix:
     lead = w.first_nonzero()
     if lead is None:
@@ -291,8 +275,8 @@ def _sign_normalised(w: ExactMatrix) -> ExactMatrix:
 
 
 def _span_candidates(basis: Sequence[ExactMatrix]):
-    """Deterministic candidates from a span: the basis, then
-    b_i + c * b_j for i < j over the coefficients 1, -1, i, -i."""
+    """Deterministic candidates from a span for ``invertible_intertwiner``:
+    the basis, then b_i + c * b_j for i < j over the coefficients 1, -1, i, -i."""
     yield from basis
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
@@ -301,27 +285,50 @@ def _span_candidates(basis: Sequence[ExactMatrix]):
 
 
 def choose_gamma(frame: Sequence[ExactMatrix]) -> ExactMatrix:
-    """Deterministic element of the anticommutant with square -I.
+    """Deterministic element of the anticommutant A(h) with square -I, in
+    closed form on any frame; eta = v_1...v_m is the frame volume, with
+    eta^2 = iota^2 I.
 
-    Frames in canonical Cartan block form get the literal swap block
-    [[0,-I],[I,0]]; otherwise candidates are scaled from the canonical
-    anticommutant basis and the leading-sign rule fixes the overall sign.
+    Even m: v_i passes the m - 1 other vectors of eta, each anticommuting with
+    it, so eta anticommutes with every v_i, and ((i/iota) eta)^2 = -I.  A(h)
+    is the line through eta, so Gamma is (i/iota) eta with its sign fixed by
+    the leading-sign rule.  No solve is needed.
+
+    Odd m: eta commutes with every v_i, and A(h) = Gamma0 span{I, eta} for any
+    Gamma0 in A(h) with square -I.  Gamma0 anticommutes with eta (an odd
+    product of frame vectors), so b = Gamma0 (x + y eta) has the scalar square
+    b^2 = -(x^2 - iota^2 y^2) I: b -> b^2 is a nondegenerate quadratic form
+    on A(h).  So if the canonical basis vectors b1, b2 are both isotropic,
+    b1 + b2 is not.  Take b the first of b1, b2, b1 + b2 with b^2 = s I,
+    s != 0; let r = -1/s and c = x I + y eta with x = (1 + r)/2 and
+    y = (1 - r)/(2 iota).  b anticommutes with eta, so
+    (b c)^2 = b^2 (x - y eta)(x + y eta) = s (x^2 - iota^2 y^2) = s r = -I.
+    On a canonical Cartan frame b1 and b2 are isotropic, b = b1 + b2 is the
+    swap block and s = 1, so Gamma = swap eta/iota = [[0,-I],[I,0]].
+    A frame without a 2-dimensional A(h) or an anisotropic b is not a spin
+    space, and RuntimeError is raised.
     """
-    n = frame[0].n
-    m = len(frame)
-    if m % 2 == 1 and _is_cartan_block_frame(frame):
-        half = n // 2
-        z, ident = ExactMatrix.zeros(half), ExactMatrix.identity(half)
-        return ExactMatrix.block2(z, -ident, ident, z)
-    for cand in _span_candidates(anticommutant(frame)):
-        square = (cand * cand).scalar_value()
-        if square is None or square.is_zero():
-            continue
-        scale = (MINUS_ONE / square).sqrt()
-        if scale is None:
-            continue
-        return _sign_normalised(cand.scale(scale))
-    raise RuntimeError("no anticommuting square root of -I found (invalid spin space)")
+    eta, iota = _frame_volume(frame)
+    if len(frame) % 2 == 0:
+        return _sign_normalised(eta.scale(I / iota))
+    basis = anticommutant(frame)
+    if len(basis) != 2:
+        raise RuntimeError("no anticommuting square root of -I found (invalid spin space)")
+    b1, b2 = basis
+    # scalar_value() is None off the scalars, and both None and zero are falsy
+    if (b1 * b1).scalar_value():
+        b = b1
+    elif (b2 * b2).scalar_value():
+        b = b2
+    else:
+        b = b1 + b2
+    s = (b * b).scalar_value()
+    if not s:
+        raise RuntimeError("no anticommuting square root of -I found (invalid spin space)")
+    r = MINUS_ONE / s
+    c = ExactMatrix.combination(eta.n, [((ONE + r) * HALF, ExactMatrix.identity(eta.n)),
+                                        ((ONE - r) * HALF / iota, eta)])
+    return b * c
 
 
 class SpinSpace(Record, frozen=False, eq=False):
@@ -358,15 +365,6 @@ class SpinSpace(Record, frozen=False, eq=False):
     def include(self, x: CliffordElement) -> ExactMatrix:
         """Image of a Clifford element under the inclusion representation."""
         return self.rep.image(x)
-
-    def pauli_block(self, a: ExactMatrix) -> ExactMatrix:
-        """Top-left block of a canonical Cartan-form matrix (the sigma image)."""
-        if self.sig.m % 2 == 0:
-            raise ValueError("pauli blocks only exist for odd m")
-        half = self.dim // 2
-        return ExactMatrix.from_sparse_rows(
-            [[(c, x) for c, x in row if c < half] for row in a.sparse_rows[:half]]
-        )
 
 
 @lru_cache(maxsize=None)

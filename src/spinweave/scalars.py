@@ -22,30 +22,15 @@ adding canonical ExactScalar products one by one.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
-from typing import Optional, Union
+from math import gcd, lcm
+from typing import Union
 
 Rat = Union[int, Fraction]
-
-_F0 = Fraction(0)
 
 
 def _gmul(a, b, c, d):
     # (a+bi)(c+di)
     return a * c - b * d, a * d + b * c
-
-
-def _rat_sqrt(q: Fraction) -> Optional[Fraction]:
-    """Exact square root of a rational, or None."""
-    if q < 0:
-        return None
-    if q == 0:
-        return _F0
-    n, d = q.numerator, q.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
 
 
 def _sign_with_sqrt2(x: int, y: int) -> int:
@@ -253,39 +238,6 @@ class ExactScalar:
             return rs > 0
         return self.imag_sign() > 0
 
-    def sqrt(self) -> Optional["ExactScalar"]:
-        """A square root inside Q(i, sqrt2) if one exists, else None."""
-        if self.is_zero():
-            return ZERO
-        # target (u + v*sqrt2)^2 with Gaussian u, v:
-        #   u^2 + 2 v^2 = p,  2 u v = q   where self = p + q*sqrt2.
-        p = (self.a, self.b)
-        q = (self.c, self.d)
-        if q == (_F0, _F0):
-            r = _gauss_sqrt(p)
-            if r is not None:
-                return ExactScalar(r[0], r[1], 0, 0)
-            half = _gauss_sqrt((p[0] / 2, p[1] / 2))
-            if half is not None:
-                return ExactScalar(0, 0, half[0], half[1])
-            return None
-        # u != 0; u^2 solves 2 t^2 - 2 p t + q^2/2... derived from
-        # t + q^2/(4t) = p with t = u^2:  4 t^2 - 4 p t + q^2 = 0.
-        disc = _gauss_sqrt(_gsub(_gmul(p[0], p[1], p[0], p[1]), _gscale(_gmul(q[0], q[1], q[0], q[1]), 2)))
-        if disc is None:
-            return None
-        for sign in (1, -1):
-            t = _gscale(_gadd(p, _gscale(disc, sign)), Fraction(1, 2))
-            u = _gauss_sqrt(t)
-            if u is None or u == (_F0, _F0):
-                continue
-            inv2u = _gauss_inv(_gscale(u, 2))
-            v = _gmul(q[0], q[1], inv2u[0], inv2u[1])
-            cand = ExactScalar(u[0], u[1], v[0], v[1])
-            if cand * cand == self:
-                return cand
-        return None
-
     # -- equality / hashing / display ------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -411,47 +363,6 @@ def _sum_products(pairs) -> tuple:
     for x, terms in pairs:
         _accumulate(acc, x, terms)
     return _collect(acc)
-
-
-def _gadd(x, y):
-    return x[0] + y[0], x[1] + y[1]
-
-
-def _gsub(x, y):
-    return x[0] - y[0], x[1] - y[1]
-
-
-def _gscale(x, s):
-    return x[0] * s, x[1] * s
-
-
-def _gauss_inv(x):
-    n = x[0] * x[0] + x[1] * x[1]
-    return x[0] / n, -x[1] / n
-
-
-def _gauss_sqrt(w) -> Optional[tuple]:
-    """Square root of a Gaussian rational as a Gaussian rational, or None."""
-    s, t = w
-    if t == 0:
-        r = _rat_sqrt(s)
-        if r is not None:
-            return (r, _F0)
-        r = _rat_sqrt(-s)
-        if r is not None:
-            return (_F0, r)
-        return None
-    # (g + hi)^2 = s + ti:  g^2 = (s + |w|)/2 with |w| = sqrt(s^2+t^2)
-    mod = _rat_sqrt(s * s + t * t)
-    if mod is None:
-        return None
-    g = _rat_sqrt((s + mod) / 2)
-    if g is None or g == 0:
-        return None
-    h = t / (2 * g)
-    if g * g - h * h == s and 2 * g * h == t:
-        return (g, h)
-    return None
 
 
 def sc(x) -> ExactScalar:

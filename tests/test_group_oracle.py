@@ -8,6 +8,11 @@ the 2m signed generators, one twisted adjoint per element, and m
 commutations per element.  Both must agree on every small signature, and on
 broken frames the certificate must fail exactly where the oracle fails or
 where the spin space breaks an identity the oracle never looks at.
+
+The odd-m Lipschitz elements ``build_odd_element``, ``embed_pin_pair`` and
+``scalar_pair`` are built from the projectors (I +- eta/iota)/2 and Gamma on
+any frame; on the canonical Cartan frames they must equal the block
+assembly from Pauli images below.
 """
 
 from typing import List, Optional
@@ -18,14 +23,18 @@ from spinweave.clifford import Signature
 from spinweave.groups import (
     FrameGroup,
     adjoint_matrix,
+    build_odd_element,
+    clifford_parity,
+    embed_pin_pair,
     generate_frame_group,
     plain_ad_kernel,
+    scalar_pair,
     twisted_adjoint_matrix,
     verify_extension_diagram,
 )
 from spinweave.linalg import ExactMatrix
 from spinweave.reports import Report, report
-from spinweave.reps import SpinSpace, conjugate_spin_space, spin_space
+from spinweave.reps import EVEN, SpinSpace, conjugate_spin_space, spin_space
 from spinweave.scalars import ExactScalar, sc
 
 
@@ -89,6 +98,38 @@ def exhaustive_plain_ad_kernel(ss: SpinSpace, group: FrameGroup) -> List[ExactMa
     return [g for g in group.elements if all(g * v == v * g for v in ss.frame)]
 
 
+def pauli_block(a: ExactMatrix) -> ExactMatrix:
+    """Top-left block of a canonical Cartan-form matrix (the sigma image)."""
+    half = a.n // 2
+    return ExactMatrix.from_sparse_rows(
+        [[(c, x) for c, x in row if c < half] for row in a.sparse_rows[:half]]
+    )
+
+
+def cartan_scalar_pair(ss: SpinSpace, lam, mu) -> ExactMatrix:
+    """diag(lam I, mu I)."""
+    half = ss.dim // 2
+    z, ident = ExactMatrix.zeros(half), ExactMatrix.identity(half)
+    return ExactMatrix.block2(ident.scale(sc(lam)), z, z, ident.scale(sc(mu)))
+
+
+def cartan_odd_element(ss: SpinSpace, lam, mu, a_pin: ExactMatrix) -> ExactMatrix:
+    """The odd block [[0, lam s(a)], [mu s(a), 0]] for any a."""
+    sigma_a = pauli_block(a_pin)
+    z = ExactMatrix.zeros(ss.dim // 2)
+    return ExactMatrix.block2(z, sigma_a.scale(sc(lam)), sigma_a.scale(sc(mu)), z)
+
+
+def cartan_embed_pin_pair(ss: SpinSpace, a_pin: ExactMatrix, lam, mu) -> ExactMatrix:
+    """diag(lam s(a), mu s(a)) for even a and [[0, lam s(a)], [mu s(a), 0]]
+    for odd a, with s(a) the upper Pauli block of a."""
+    sigma_a = pauli_block(a_pin)
+    z = ExactMatrix.zeros(ss.dim // 2)
+    if clifford_parity(ss, a_pin) == EVEN:
+        return ExactMatrix.block2(sigma_a.scale(sc(lam)), z, z, sigma_a.scale(sc(mu)))
+    return cartan_odd_element(ss, lam, mu, a_pin)
+
+
 # ---------------------------------------------------------------------------
 # canonical spin spaces: identical results
 # ---------------------------------------------------------------------------
@@ -120,13 +161,24 @@ def test_degenerate_frame_gives_a_short_order():
     """The upper Pauli blocks of Cl(0,3) satisfy its relations, but there
     v_1 v_2 v_3 = +-I, so v_A = +-v_B for complementary masks: order 8."""
     full = spin_space(Signature(0, 3))
-    frame = tuple(full.pauli_block(v) for v in full.frame)
+    frame = tuple(pauli_block(v) for v in full.frame)
     eta = frame[0] * frame[1] * frame[2]
     assert eta.scalar_value() is not None
     ss = SpinSpace(full.sig, full.rep, frame, eta, full.iota, eta)
     group = generate_frame_group(ss)
     assert group.order == 8
     assert group.elements == closure_frame_group(ss).elements
+
+
+@pytest.mark.parametrize("sig", [s for s in SIGNATURES if s.m % 2], ids=str)
+def test_odd_elements_match_the_cartan_blocks(sig):
+    ss = spin_space(sig)
+    group = generate_frame_group(ss)
+    for lam, mu in ((sc(2), sc(3)), (ExactScalar(1, 1), ExactScalar(0, -1) / 2)):
+        assert scalar_pair(ss, lam, mu) == cartan_scalar_pair(ss, lam, mu)
+        for a in group.elements:
+            assert build_odd_element(ss, lam, mu, a) == cartan_odd_element(ss, lam, mu, a)
+            assert embed_pin_pair(ss, a, lam, mu) == cartan_embed_pin_pair(ss, a, lam, mu)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spinweave.clifford import CliffordElement, Signature, volume
+from spinweave.groups import KappaImage, build_odd_element, kappa, verify_spinor_groups
 from spinweave.linalg import ExactMatrix
 from spinweave.reps import (
     CARTAN,
@@ -28,7 +31,7 @@ from spinweave.reps import (
     verify_clifford,
     verify_spin_space,
 )
-from spinweave.scalars import I, MINUS_ONE, ONE, sc
+from spinweave.scalars import ExactScalar, I, MINUS_ONE, ONE, sc
 
 CE = CliffordElement
 M = ExactMatrix
@@ -187,12 +190,21 @@ class TestChooseGamma:
         expected = ss.eta.scale(I * ss.iota)
         assert ss.gamma == expected
         assert (ss.gamma * ss.gamma).scalar_value() == MINUS_ONE
+        # every even signature up to MAX_M: +-(i iota) eta with a positive lead
+        for s in all_signatures(10):
+            if s.m % 2 == 0:
+                ss = spin_space(s)
+                expected = ss.eta.scale(I * ss.iota)
+                assert ss.gamma in (expected, -expected)
+                assert ss.gamma.first_nonzero().leads_positive()
 
     def test_odd_canonical_swap_block(self):
-        ss = spin_space(sig(3, 0))
-        half = ss.dim // 2
-        z, ident = M.zeros(half), M.identity(half)
-        assert ss.gamma == M.block2(z, -ident, ident, z)
+        for s in all_signatures(9):
+            if s.m % 2:
+                ss = spin_space(s)
+                half = ss.dim // 2
+                z, ident = M.zeros(half), M.identity(half)
+                assert ss.gamma == M.block2(z, -ident, ident, z)
 
     def test_gamma_anticommutes_with_frame(self):
         for s in all_signatures(6):
@@ -214,6 +226,39 @@ class TestChooseGamma:
         conj = conjugate_spin_space(ss, a)
         expected = a * ss.gamma * a.inverse()
         assert conj.gamma in (expected, -expected)
+
+
+@st.composite
+def _conjugated_spin_space(draw, parity):
+    """A canonical spin space with n <= 4 (every m <= 4) of the given m parity,
+    conjugated by an invertible matrix with entries p + q*i, p in [-2, 2] and
+    q in [-1, 1]."""
+    s = draw(st.sampled_from([s for s in all_signatures(4) if s.m % 2 == parity]))
+    ss = spin_space(s)
+    entry = st.builds(ExactScalar, st.integers(-2, 2), st.integers(-1, 1))
+    row = st.lists(entry, min_size=ss.dim, max_size=ss.dim)
+    a = M(draw(st.lists(row, min_size=ss.dim, max_size=ss.dim)))
+    assume(a.rank() == ss.dim)
+    return conjugate_spin_space(ss, a)
+
+
+class TestConjugatedFrames:
+    """Gamma and the odd Lipschitz elements on frames that are not canonical."""
+
+    @pytest.mark.parametrize("parity", [0, 1], ids=["even-m", "odd-m"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 1000))
+    def test_every_check_passes(self, parity, data, seed):
+        ss = data.draw(_conjugated_spin_space(parity))
+        assert (ss.gamma * ss.gamma).scalar_value() == MINUS_ONE
+        for v in ss.frame:
+            assert ss.gamma.anticommutes_with(v)
+        assert all(r.ok for r in verify_spin_space(ss))
+        # at odd m this samples kappa on odd elements of the conjugated space
+        assert all(r.ok for r in verify_spinor_groups(ss, seed, kappa_pairs=5))
+        if ss.sig.m % 2:
+            odd = build_odd_element(ss, 2, 3, ss.frame[0])
+            assert kappa(ss, odd) == KappaImage(-1, sc(2) / 3)
 
 
 class TestSpinSpace:

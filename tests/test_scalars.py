@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spinweave.scalars import (
-    HALF,
     I,
     MINUS_ONE,
     ONE,
@@ -90,28 +89,6 @@ def test_leads_positive():
     assert I.leads_positive()
     assert not (-I).leads_positive()
     assert (SQRT2 - ONE).leads_positive()
-
-
-@pytest.mark.parametrize(
-    "value",
-    [sc(4), sc(2), sc(Fraction(9, 4)), MINUS_ONE, sc(-2), ExactScalar(0, 2), ExactScalar(3, 4), HALF],
-)
-def test_sqrt_roundtrip(value):
-    root = value.sqrt()
-    assert root is not None
-    assert root * root == value
-
-
-def test_sqrt_outside_field():
-    assert sc(3).sqrt() is None
-    assert SQRT2.sqrt() is None
-
-
-@given(scalars)
-def test_sqrt_of_square(x):
-    r = (x * x).sqrt()
-    assert r is not None
-    assert r * r == x * x
 
 
 def test_pow():
