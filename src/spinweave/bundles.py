@@ -204,6 +204,8 @@ class ExteriorElement(Record, frozen=False, eq=False):
         return cls(m)
 
     def __add__(self, other: "ExteriorElement") -> "ExteriorElement":
+        if other.m != self.m:
+            raise ValueError("dimension mismatch")
         out = dict(self.terms)
         for mask, coeff in other.terms.items():
             out[mask] = out.get(mask, ZERO) + coeff

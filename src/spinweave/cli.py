@@ -208,7 +208,7 @@ def _verify_signature(sig: Signature, seed: int) -> List[Report]:
     return (
         [verify_clifford(build_rep(sig, kind)) for kind in kinds]
         + verify_spin_space(ss)
-        + verify_spinor_groups(ss, seed, group=frame_group(sig))
+        + verify_spinor_groups(frame_group(sig), seed)
     )
 
 

@@ -16,20 +16,21 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .clifford import Signature
 from .linalg import ExactMatrix, _add_row
 from .reports import Record, Report, report
-from .reps import EVEN, NEITHER, ODD, SpinSpace, _projector_pair, spin_space
+from .reps import EVEN, NEITHER, ODD, SpinSpace, spin_space
 from .scalars import ExactScalar, MINUS_ONE, ONE, ZERO, _sum_products, sc
 
 
 class FrameGroup:
-    """Finite subgroup of Pin generated by {+-frame}; includes +-I.
+    """Finite subgroup of Pin generated by {+-frame} of the spin space
+    ``ss``; includes +-I.
 
     The Cayley table is materialised on first use; element order is
     canonical (sorted by ``ExactMatrix.key``).  Lookups hash the sparse
     rows, not the key.
     """
 
-    def __init__(self, sig: Signature, elements: Tuple[ExactMatrix, ...]):
-        self.sig = sig
+    def __init__(self, ss: SpinSpace, elements: Tuple[ExactMatrix, ...]):
+        self.ss = ss
         self.elements = elements
         self._index = {g: i for i, g in enumerate(elements)}
         self._cayley: Optional[Tuple[Tuple[int, ...], ...]] = None
@@ -61,21 +62,18 @@ class FrameGroup:
         return self._index[self.elements[i].inverse()]
 
 
-def generate_frame_group(ss: SpinSpace, safety_bound: Optional[int] = None) -> FrameGroup:
+def generate_frame_group(ss: SpinSpace) -> FrameGroup:
     """The signed frame products {+-v_A}, enumerated by blade mask A.
 
     v_A = v_(A - i) * v_i with i the highest bit of A: 2^m - 1 products.  The
     Clifford relations v_i v_j + v_j v_i = 2 h_ij delta_ij I give v_A v_B =
     +-v_(A xor B), so {+-v_A} is the group the signed frame generates.  They
     are checked on the frame (v_i^2, and v_j v_i for i < j: m(m+1)/2
-    products); a frame that breaks them raises, as does an order 2^(m+1)
-    above the safety bound.  Deduplication hashes the sparse rows, so a
-    degenerate frame (v_A = +-v_B for some A != B) gives fewer than 2^(m+1)
-    elements.  They are sorted by ``key()`` once, at the end.
+    products); a frame that breaks them raises.  Deduplication hashes the
+    sparse rows, so a degenerate frame (v_A = +-v_B for some A != B) gives
+    fewer than 2^(m+1) elements, sorted by ``key()`` once, at the end.
     """
     m = ss.sig.m
-    if 2 << m > (safety_bound if safety_bound is not None else 4 << m):
-        raise RuntimeError("frame group order exceeds safety bound")
     ident = ExactMatrix.identity(ss.dim)
     blades = [ident]
     for mask in range(1, 1 << m):
@@ -87,7 +85,7 @@ def generate_frame_group(ss: SpinSpace, safety_bound: Optional[int] = None) -> F
         ):
             raise RuntimeError(f"frame vector e{j + 1} breaks the Clifford relations")
     elements = set(blades) | {-b for b in blades}
-    return FrameGroup(ss.sig, tuple(sorted(elements, key=lambda g: g.key())))
+    return FrameGroup(ss, tuple(sorted(elements, key=lambda g: g.key())))
 
 
 @lru_cache(maxsize=None)
@@ -360,11 +358,13 @@ def clifford_parity(ss: SpinSpace, a: ExactMatrix) -> str:
 
 def scalar_pair(ss: SpinSpace, lam, mu) -> ExactMatrix:
     """K(h) element lam P+ + mu P-, acting by lam on the +iota eigenspace of
-    eta and by mu on the other; P+- = (I +- eta/iota)/2."""
+    eta and by mu on the other; P+- = (I +- eta/iota)/2, so it is
+    (lam + mu)/2 I + (lam - mu)/(2 iota) eta."""
     if ss.sig.m % 2 == 0:
         raise ValueError("scalar pairs need odd m")
-    plus, minus = _projector_pair(ss.eta.scale(ss.iota.inverse()))
-    return plus.scale(sc(lam)) + minus.scale(sc(mu))
+    lam, mu = sc(lam), sc(mu)
+    terms = [((lam + mu) / 2, ExactMatrix.identity(ss.dim)), ((lam - mu) / (ss.iota * 2), ss.eta)]
+    return ExactMatrix.combination(ss.dim, terms)
 
 
 def in_kernel_k(ss: SpinSpace, a: ExactMatrix) -> bool:
@@ -382,9 +382,9 @@ def _reflection(m: int, i: int) -> ExactMatrix:
     return ExactMatrix.diag([MINUS_ONE if j == i else ONE for j in range(m)])
 
 
-def verify_extension_diagram(ss: SpinSpace, group: Optional[FrameGroup] = None) -> List[Report]:
+def verify_extension_diagram(group: FrameGroup) -> List[Report]:
     """Frame-group checks for the twisted/untwisted comparison, certified
-    on the m frame vectors; ``group`` is the frame group of ``ss``.
+    on the m frame vectors of the group's spin space.
 
     (a) The twisted adjoint of every group element is orthogonal.  It is
         multiplicative, Ad~(ab) = Ad~(a) o Ad~(b), since alpha is conjugation
@@ -399,7 +399,7 @@ def verify_extension_diagram(ss: SpinSpace, group: Optional[FrameGroup] = None) 
 
     Each check is an exact matrix equality on the m twisted adjoints.
     """
-    group = group or generate_frame_group(ss)
+    ss = group.ss
     m = ss.sig.m
     twisted, bad = [], None
     for v in ss.frame:
@@ -427,7 +427,7 @@ def verify_extension_diagram(ss: SpinSpace, group: Optional[FrameGroup] = None) 
     ]
 
 
-def plain_ad_kernel(ss: SpinSpace, group: Optional[FrameGroup] = None) -> List[ExactMatrix]:
+def plain_ad_kernel(group: FrameGroup) -> List[ExactMatrix]:
     """Kernel of the plain adjoint action on the frame group, certified on
     the m frame vectors; [] when the certificate fails.
 
@@ -438,7 +438,7 @@ def plain_ad_kernel(ss: SpinSpace, group: Optional[FrameGroup] = None) -> List[E
     distinct group elements commuting with the frame, so they are the
     kernel; they are returned in group order.
     """
-    group = group or generate_frame_group(ss)
+    ss = group.ss
     m = ss.sig.m
     ident = ExactMatrix.identity(ss.dim)
     central = [ident, -ident] + ([ss.eta, -ss.eta] if m % 2 else [])
@@ -484,26 +484,22 @@ def ad_surjectivity_witnesses(ss: SpinSpace) -> List[Report]:
     return results
 
 
-def verify_spinor_groups(
-    ss: SpinSpace, seed: int, kappa_pairs: int = 20, group: Optional[FrameGroup] = None
-) -> List[Report]:
+def verify_spinor_groups(group: FrameGroup, seed: int, kappa_pairs: int = 20) -> List[Report]:
     """The group checks of ``verify``, in the order it prints them: frame
     group order 2^(m+1), the extension diagram, the surjectivity witnesses
     and, for odd m, a plain-Ad kernel of size 4 and kappa(ab) =
     kappa(a) kappa(b) on ``kappa_pairs`` Lipschitz pairs drawn from
-    random.Random(seed); ``group`` is the frame group of ``ss``."""
-    group = group or generate_frame_group(ss)
+    random.Random(seed), all on the group's spin space."""
+    ss = group.ss
     sig = ss.sig
     reports = [report("frame-group-order", sig, group.order == 2 << sig.m)]
-    reports.extend(verify_extension_diagram(ss, group))
+    reports.extend(verify_extension_diagram(group))
     reports.extend(ad_surjectivity_witnesses(ss))
     if sig.m % 2:
-        reports.append(report("plain-ad-kernel-size-4", sig, len(plain_ad_kernel(ss, group)) == 4))
+        reports.append(report("plain-ad-kernel-size-4", sig, len(plain_ad_kernel(group)) == 4))
         rng = random.Random(seed)
-        pairs = (
-            (sample_lipschitz(ss, rng, group), sample_lipschitz(ss, rng, group))
-            for _ in range(kappa_pairs)
-        )
+        pairs = ((sample_lipschitz(group, rng), sample_lipschitz(group, rng))
+                 for _ in range(kappa_pairs))
         ok = all(kappa(ss, a * b) == kappa(ss, a) * kappa(ss, b) for a, b in pairs)
         reports.append(report("kappa-homomorphism-sampled", sig, ok))
     return reports
@@ -524,12 +520,10 @@ def _random_scalar(rng: random.Random) -> ExactScalar:
     return _SCALAR_GRID[rng.randrange(len(_SCALAR_GRID))]
 
 
-def sample_lipschitz(
-    ss: SpinSpace, rng: random.Random, group: Optional[FrameGroup] = None
-) -> ExactMatrix:
-    """Random guaranteed Lipschitz element: a short product of scalars,
-    frame-group elements, and (odd m) odd elements."""
-    group = group or generate_frame_group(ss)
+def sample_lipschitz(group: FrameGroup, rng: random.Random) -> ExactMatrix:
+    """Random guaranteed Lipschitz element of the group's spin space: a
+    short product of scalars, group elements, and (odd m) odd elements."""
+    ss = group.ss
     out = ExactMatrix.identity(ss.dim)
     for _ in range(rng.randint(1, 3)):
         choice = rng.randrange(3 if ss.sig.m % 2 else 2)
@@ -544,10 +538,9 @@ def sample_lipschitz(
 
 
 def factor_scalar_times_pin(
-    ss: SpinSpace, a: ExactMatrix, group: Optional[FrameGroup] = None
+    group: FrameGroup, a: ExactMatrix
 ) -> Optional[Tuple[ExactScalar, ExactMatrix]]:
     """Factor a = z * g with g in the frame group, searching the group."""
-    group = group or generate_frame_group(ss)
     for g in group.elements:
         z = (a * g.inverse()).scalar_value()
         if z is not None and not z.is_zero():
@@ -556,14 +549,14 @@ def factor_scalar_times_pin(
 
 
 def factor_kernel_element(
-    ss: SpinSpace, a: ExactMatrix, group: Optional[FrameGroup] = None
+    group: FrameGroup, a: ExactMatrix
 ) -> Optional[Tuple[ExactMatrix, ExactMatrix]]:
     """Factor a kappa-kernel element as (K(h) element) * (gamma-image of Pin).
 
     Searches even frame-group elements g (for which gamma(g) = g) for one
     with a * g^-1 in K(h).
     """
-    group = group or generate_frame_group(ss)
+    ss = group.ss
     for g in group.elements:
         if clifford_parity(ss, g) != EVEN:
             continue

@@ -149,9 +149,9 @@ def test_criterion_4_group_suite():
         ss = spin_space(sig)
         group = frame_group(sig)
         # order, extension diagram, witnesses, and for odd m kernel size and kappa
-        _assert_all_ok(verify_spinor_groups(ss, seed=1, group=group), sig)
+        _assert_all_ok(verify_spinor_groups(group, seed=1), sig)
         if sig.m % 2:
-            kernel = plain_ad_kernel(ss, group)
+            kernel = plain_ad_kernel(group)
             ident = M.identity(ss.dim)
             expected = {ident.key(), (-ident).key(), ss.eta.key(), (-ss.eta).key()}
             assert {g.key() for g in kernel} == expected, f"Ad kernel wrong for {sig}"
@@ -163,8 +163,7 @@ def test_criterion_5_lipschitz_structure():
     # kappa is a homomorphism on >= 100 seeded random pairs per odd m
     for m in (1, 3, 5):
         sig = Signature(m, 0)
-        reports = verify_spinor_groups(spin_space(sig), seed=100 + m, kappa_pairs=100,
-                                       group=frame_group(sig))
+        reports = verify_spinor_groups(frame_group(sig), seed=100 + m, kappa_pairs=100)
         assert reports[-1].check_name == "kappa-homomorphism-sampled"
         _assert_all_ok(reports, sig)
 
@@ -183,8 +182,8 @@ def test_criterion_5_lipschitz_structure():
         group = frame_group(sig)
         rng = random.Random(17)
         for _ in range(30):
-            a = sample_lipschitz(ss, rng, group)
-            factored = factor_scalar_times_pin(ss, a, group)
+            a = sample_lipschitz(group, rng)
+            factored = factor_scalar_times_pin(group, a)
             assert factored is not None
             z, g = factored
             assert a == g.scale(z)

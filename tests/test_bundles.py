@@ -180,6 +180,11 @@ class TestExteriorModule:
             twice = exterior_tau(v, exterior_tau(v, omega, s), s)
             assert twice == omega.scale(sc(hv))
 
+    def test_sum_of_different_dimensions_rejected(self):
+        # e_3 (mask 4) is not a form on R^2
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            ExteriorElement(2, {1: ONE}) + ExteriorElement(3, {4: ONE})
+
 
 class TestHermiteanModule:
     def test_d1_square(self):

@@ -14,7 +14,6 @@ import pytest
 
 from spinweave.clifford import Signature
 from spinweave.groups import frame_group, sample_lipschitz
-from spinweave.reps import spin_space
 
 # signature -> (order, element keys, Cayley table, 8 samples with seed 20)
 PINS = {
@@ -34,7 +33,7 @@ def test_frame_group_and_samples_match_pins(kl):
     sig = Signature(*kl)
     group = frame_group(sig)
     rng = random.Random(20)
-    drawn = tuple(sample_lipschitz(spin_space(sig), rng, group).key() for _ in range(8))
+    drawn = tuple(sample_lipschitz(group, rng).key() for _ in range(8))
     assert group.order == order
     assert _digest(tuple(g.key() for g in group.elements)) == elements
     assert _digest(group.cayley) == cayley

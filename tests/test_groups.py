@@ -15,6 +15,7 @@ from spinweave.groups import (
     expand_in_frame,
     factor_kernel_element,
     factor_scalar_times_pin,
+    frame_group,
     generate_frame_group,
     in_kernel_k,
     is_lipschitz,
@@ -27,7 +28,7 @@ from spinweave.groups import (
     verify_extension_diagram,
     verify_spinor_groups,
 )
-from spinweave.reps import EVEN, ODD, grading_of, spin_space
+from spinweave.reps import EVEN, ODD, conjugate_spin_space, grading_of, spin_space
 from spinweave.scalars import I, MINUS_ONE, ONE, sc
 
 CE = CliffordElement
@@ -67,11 +68,6 @@ class TestFrameGroup:
             g.inverse_index(i)  # raises StopIteration if missing
         e = g.identity_index
         assert all(g.cayley[e][j] == j for j in range(g.order))
-
-    def test_safety_bound(self):
-        ss = spin_space(sig(3, 0))
-        with pytest.raises(RuntimeError):
-            generate_frame_group(ss, safety_bound=4)
 
     def test_inverse_index_needs_no_cayley_table(self):
         g = generate_frame_group(spin_space(sig(6, 0)))
@@ -131,6 +127,37 @@ class TestAdjointMatrix:
         ss = spin_space(sig(2, 0))
         with pytest.raises(ValueError):
             adjoint_matrix(ss, M([[1, 0], [1, 1]]))
+
+
+class TestGroupOfAConjugatedSpace:
+    """The frame group carries its spin space, so the checks on a
+    conjugated space run on that space's own group."""
+
+    @staticmethod
+    def _conjugated(s):
+        ss = spin_space(s)
+        shift = M.identity(ss.dim) + (ss.frame[0] * ss.frame[1]).scale(sc(2))
+        return conjugate_spin_space(ss, shift)
+
+    @pytest.mark.parametrize("s", [sig(2, 1), sig(2, 2)], ids=str)
+    def test_checks_run_on_the_conjugated_space(self, s):
+        conj = self._conjugated(s)
+        group = generate_frame_group(conj)
+        assert group.ss is conj
+        assert all(r.ok for r in verify_spinor_groups(group, 1))
+        rng = random.Random(2)
+        for _ in range(10):
+            a = sample_lipschitz(group, rng)
+            assert is_lipschitz(conj, a)
+            factored = factor_scalar_times_pin(group, a)
+            assert factored is not None or s.m % 2
+            if factored is not None:
+                z, g = factored
+                assert g in group and a == g.scale(z)
+
+    @pytest.mark.parametrize("s", [sig(2, 1), sig(2, 2)], ids=str)
+    def test_cached_group_carries_the_canonical_space(self, s):
+        assert frame_group(s).ss is spin_space(s)
 
 
 class TestIsLipschitz:
@@ -206,8 +233,8 @@ class TestKappa:
             ss = spin_space(s)
             group = generate_frame_group(ss)
             for _ in range(25):
-                a = sample_lipschitz(ss, rng, group)
-                b = sample_lipschitz(ss, rng, group)
+                a = sample_lipschitz(group, rng)
+                b = sample_lipschitz(group, rng)
                 assert kappa(ss, a * b) == kappa(ss, a) * kappa(ss, b)
 
     def test_semidirect_rule(self):
@@ -281,19 +308,19 @@ class TestPairModel:
 class TestExtensionDiagram:
     @pytest.mark.parametrize("s", [sig(2, 0), sig(3, 0), sig(1, 1)])
     def test_all_checks_pass(self, s):
-        results = verify_extension_diagram(spin_space(s))
+        results = verify_extension_diagram(generate_frame_group(spin_space(s)))
         assert all(r.ok for r in results)
 
     def test_plain_ad_kernel_odd(self):
         ss = spin_space(sig(3, 0))
-        kernel = plain_ad_kernel(ss)
+        kernel = plain_ad_kernel(generate_frame_group(ss))
         ident = M.identity(ss.dim)
         expected = {ident.key(), (-ident).key(), ss.eta.key(), (-ss.eta).key()}
         assert {k.key() for k in kernel} == expected
 
     def test_plain_ad_kernel_even(self):
         ss = spin_space(sig(2, 0))
-        kernel = plain_ad_kernel(ss)
+        kernel = plain_ad_kernel(generate_frame_group(ss))
         assert len(kernel) == 2
 
 
@@ -315,7 +342,7 @@ class TestVerifySpinorGroups:
                  "adjoint-of-gamma-image-matches-twisted-adjoint"]
 
     def test_even_m_reports_in_order(self):
-        reports = verify_spinor_groups(spin_space(sig(2, 0)), seed=1)
+        reports = verify_spinor_groups(generate_frame_group(spin_space(sig(2, 0))), seed=1)
         assert [r.check_name for r in reports] == [
             "frame-group-order", *self.EXTENSION,
             "identity-witness", "reflection-e1-witness", "reflection-e2-witness",
@@ -323,7 +350,7 @@ class TestVerifySpinorGroups:
         assert all(r.ok for r in reports)
 
     def test_odd_m_adds_kernel_and_kappa(self):
-        reports = verify_spinor_groups(spin_space(sig(1, 2)), seed=1)
+        reports = verify_spinor_groups(generate_frame_group(spin_space(sig(1, 2))), seed=1)
         assert [r.check_name for r in reports][-3:] == [
             "central-inversion-witness", "plain-ad-kernel-size-4", "kappa-homomorphism-sampled",
         ]
@@ -332,7 +359,8 @@ class TestVerifySpinorGroups:
     def test_broken_kappa_is_reported(self, monkeypatch):
         # a constant reflection is not multiplicative: (-1, 2)(-1, 2) = (1, 1)
         monkeypatch.setattr(groups, "kappa", lambda ss, a: KappaImage(-1, sc(2)))
-        reports = verify_spinor_groups(spin_space(sig(3, 0)), seed=1, kappa_pairs=1)
+        reports = verify_spinor_groups(generate_frame_group(spin_space(sig(3, 0))), seed=1,
+                                       kappa_pairs=1)
         assert [r.check_name for r in reports if not r.ok] == ["kappa-homomorphism-sampled"]
 
 class TestGradingCompatibility:
@@ -352,8 +380,8 @@ class TestFactorisations:
         ss = spin_space(sig(2, 0))
         group = generate_frame_group(ss)
         for _ in range(20):
-            a = sample_lipschitz(ss, rng, group)
-            factored = factor_scalar_times_pin(ss, a, group)
+            a = sample_lipschitz(group, rng)
+            factored = factor_scalar_times_pin(group, a)
             assert factored is not None
             z, g = factored
             assert a == g.scale(z)
@@ -365,11 +393,11 @@ class TestFactorisations:
         group = generate_frame_group(ss)
         found = 0
         for _ in range(200):
-            a = sample_lipschitz(ss, rng, group)
+            a = sample_lipschitz(group, rng)
             if not kappa(ss, a).is_identity():
                 continue
             found += 1
-            factored = factor_kernel_element(ss, a, group)
+            factored = factor_kernel_element(group, a)
             assert factored is not None
             k, g = factored
             assert in_kernel_k(ss, k)

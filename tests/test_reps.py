@@ -3,7 +3,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinweave.clifford import CliffordElement, Signature, volume
-from spinweave.groups import KappaImage, build_odd_element, kappa, verify_spinor_groups
+from spinweave.groups import (
+    KappaImage,
+    build_odd_element,
+    generate_frame_group,
+    kappa,
+    scalar_pair,
+    verify_spinor_groups,
+)
 from spinweave.linalg import ExactMatrix
 from spinweave.reps import (
     CARTAN,
@@ -228,6 +235,9 @@ class TestChooseGamma:
         assert conj.gamma in (expected, -expected)
 
 
+_SCALARS = [sc(2), sc(-3), ExactScalar(1, 1), ExactScalar(0, -1) / 2]
+
+
 @st.composite
 def _conjugated_spin_space(draw, parity):
     """A canonical spin space with n <= 4 (every m <= 4) of the given m parity,
@@ -255,10 +265,24 @@ class TestConjugatedFrames:
             assert ss.gamma.anticommutes_with(v)
         assert all(r.ok for r in verify_spin_space(ss))
         # at odd m this samples kappa on odd elements of the conjugated space
-        assert all(r.ok for r in verify_spinor_groups(ss, seed, kappa_pairs=5))
+        group = generate_frame_group(ss)
+        assert all(r.ok for r in verify_spinor_groups(group, seed, kappa_pairs=5))
         if ss.sig.m % 2:
             odd = build_odd_element(ss, 2, 3, ss.frame[0])
             assert kappa(ss, odd) == KappaImage(-1, sc(2) / 3)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), lam=st.sampled_from(_SCALARS), mu=st.sampled_from(_SCALARS))
+    def test_scalar_pair_is_the_projector_form(self, data, lam, mu):
+        ss = data.draw(_conjugated_spin_space(1))
+        # lam P+ + mu P- with P+- = (I +- eta/iota)/2 assembled term by term
+        ident, j = M.identity(ss.dim), ss.eta.scale(ss.iota.inverse())
+        pair = (ident + j).scale(lam / 2) + (ident - j).scale(mu / 2)
+        assert scalar_pair(ss, lam, mu) == pair
+        # even a takes mu P- - lam P+, odd a takes lam P+ + mu P-
+        for a, sign in ((ident, -1), (ss.frame[0], 1)):
+            left = (ident + j).scale(sign * lam / 2) + (ident - j).scale(mu / 2)
+            assert build_odd_element(ss, lam, mu, a) == left * ss.gamma * a
 
 
 class TestSpinSpace:
