@@ -190,7 +190,10 @@ class ExteriorElement(Record, frozen=False, eq=False):
         self.m = m
         self.terms = {}
         if terms:
+            size = 1 << m
             for mask, coeff in terms.items():
+                if not 0 <= mask < size:
+                    raise ValueError("basis form mask outside the exterior algebra")
                 coeff = sc(coeff)
                 if not coeff.is_zero():
                     self.terms[mask] = coeff
@@ -206,10 +209,8 @@ class ExteriorElement(Record, frozen=False, eq=False):
     def __add__(self, other: "ExteriorElement") -> "ExteriorElement":
         if other.m != self.m:
             raise ValueError("dimension mismatch")
-        out = dict(self.terms)
-        for mask, coeff in other.terms.items():
-            out[mask] = out.get(mask, ZERO) + coeff
-        return ExteriorElement(self.m, out)
+        pairs = ((ONE, self.terms.items()), (ONE, other.terms.items()))
+        return ExteriorElement(self.m, dict(_sum_products(pairs)))
 
     def scale(self, factor) -> "ExteriorElement":
         factor = sc(factor)

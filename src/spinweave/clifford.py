@@ -80,7 +80,10 @@ class CliffordElement:
         self.sig = sig
         pruned: Dict[int, ExactScalar] = {}
         if terms:
+            size = 1 << sig.m
             for mask, coeff in terms.items():
+                if not 0 <= mask < size:
+                    raise ValueError("blade mask outside the algebra")
                 coeff = sc(coeff)
                 if not coeff.is_zero():
                     pruned[mask] = coeff
@@ -121,10 +124,8 @@ class CliffordElement:
 
     def __add__(self, other: "CliffordElement") -> "CliffordElement":
         self._check(other)
-        out = dict(self.terms)
-        for mask, coeff in other.terms.items():
-            out[mask] = out.get(mask, ZERO) + coeff
-        return CliffordElement(self.sig, out)
+        pairs = ((ONE, self.terms.items()), (ONE, other.terms.items()))
+        return CliffordElement(self.sig, dict(_sum_products(pairs)))
 
     def __sub__(self, other: "CliffordElement") -> "CliffordElement":
         return self + (-other)

@@ -8,9 +8,10 @@ unit-monomial (one entry from {+-1, +-i} per row), so their products,
 sums and inverses cost time in the number of nonzeros rather than n^3
 or n^2.  The storage is canonical, which lets equality and hashing
 compare the pairs directly.  Product and combination rows with several
-terms are summed on the scalar kernel (``scalars._sum_products``): raw
-integer cells, one canonical ExactScalar per output cell, which equals the
-term-by-term sum because the canonical form is unique.
+terms, ``a + b`` and ``a - b`` among them, are summed on the scalar
+kernel (``scalars._sum_products``): raw integer cells, one canonical
+ExactScalar per output cell, which equals the term-by-term sum because
+the canonical form is unique.
 
 Every exact solve is built on one incremental Gauss-Jordan step,
 ``_add_row``, over a dict from each pivot column to its fully reduced
@@ -26,7 +27,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .scalars import ExactScalar, ONE, ZERO, _sum_products, sc
+from .scalars import ExactScalar, MINUS_ONE, ONE, ZERO, _sum_products, sc
 
 Row = Tuple[Tuple[int, ExactScalar], ...]
 
@@ -167,17 +168,12 @@ class ExactMatrix:
             raise ValueError("dimension mismatch")
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check(other)
-        return _wrap(self.n, tuple(
-            _combine(a, b, False) for a, b in zip(self.sparse_rows, other.sparse_rows)
-        ))
+        return ExactMatrix.combination(self.n, ((ONE, self), (ONE, other)))
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check(other)
-        return _wrap(self.n, tuple(
-            _combine(a, b, True) for a, b in zip(self.sparse_rows, other.sparse_rows)
-        ))
+        return ExactMatrix.combination(self.n, ((ONE, self), (MINUS_ONE, other)))
 
+    # negation and scaling have one term per cell, so they need no sum
     def __neg__(self) -> "ExactMatrix":
         return _wrap(self.n, tuple(tuple((c, -x) for c, x in row) for row in self.sparse_rows))
 
@@ -266,8 +262,10 @@ class ExactMatrix:
     # -- queries ------------------------------------------------------------
 
     def __getitem__(self, pos: Tuple[int, int]) -> ExactScalar:
-        """Entry (r, c), read from the sparse row."""
+        """Entry (r, c), read from the sparse row; IndexError unless 0 <= r, c < n."""
         r, c = pos
+        if not (0 <= r < self.n and 0 <= c < self.n):
+            raise IndexError(f"entry {pos} outside a {self.n} x {self.n} matrix")
         for col, x in self.sparse_rows[r]:
             if col >= c:
                 return x if col == c else ZERO
@@ -358,23 +356,6 @@ def _wrap(n: int, rows: Tuple[Row, ...]) -> ExactMatrix:
 
 def _shift(row: Row, offset: int) -> Row:
     return tuple((c + offset, x) for c, x in row)
-
-
-def _combine(a: Row, b: Row, subtract: bool) -> Row:
-    """The sparse row a + b, or a - b when subtract is set."""
-    if not b:
-        return a
-    if not a:
-        return tuple((c, -x) for c, x in b) if subtract else b
-    acc = dict(a)
-    for c, x in b:
-        cur = acc.get(c)
-        if cur is None:
-            acc[c] = -x if subtract else x
-        else:
-            acc[c] = cur - x if subtract else cur + x
-    # columns are unique, so sorting never compares two values
-    return tuple(sorted(item for item in acc.items() if not item[1].is_zero()))
 
 
 _ZERO_KEY = (0, 1, 0, 1, 0, 1, 0, 1)

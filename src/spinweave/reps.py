@@ -41,13 +41,12 @@ class Representation(Record, frozen=False, eq=False):
 
     __slots__ = ("sig", "kind", "images", "dim", "_blade_cache")
 
-    def __init__(self, sig: Signature, kind: str, images: Tuple[ExactMatrix, ...], dim: int,
-                 _blade_cache: Optional[Dict[int, ExactMatrix]] = None):
+    def __init__(self, sig: Signature, kind: str, images: Tuple[ExactMatrix, ...], dim: int):
         self.sig = sig
         self.kind = kind
         self.images = images
         self.dim = dim
-        self._blade_cache = {} if _blade_cache is None else _blade_cache
+        self._blade_cache: Dict[int, ExactMatrix] = {}
 
     def h_values(self) -> List[int]:
         """Expected generator squares for the stored images."""
@@ -338,19 +337,16 @@ class SpinSpace(Record, frozen=False, eq=False):
                  "_gamma_rep", "_gamma_inv", "_probes")
 
     def __init__(self, sig: Signature, rep: Representation, frame: Tuple[ExactMatrix, ...],
-                 eta: ExactMatrix, iota: ExactScalar, gamma: ExactMatrix,
-                 _gamma_rep: Optional[Representation] = None,
-                 _gamma_inv: Optional[ExactMatrix] = None,
-                 _probes: Optional[Dict[str, tuple]] = None):
+                 eta: ExactMatrix, iota: ExactScalar, gamma: ExactMatrix):
         self.sig = sig
         self.rep = rep
         self.frame = frame
         self.eta = eta
         self.iota = iota
         self.gamma = gamma
-        self._gamma_rep = _gamma_rep
-        self._gamma_inv = _gamma_inv
-        self._probes = {} if _probes is None else _probes
+        self._gamma_rep: Optional[Representation] = None
+        self._gamma_inv: Optional[ExactMatrix] = None
+        self._probes: Dict[str, tuple] = {}
 
     @property
     def dim(self) -> int:
@@ -371,13 +367,13 @@ class SpinSpace(Record, frozen=False, eq=False):
 def spin_space(sig: Signature) -> SpinSpace:
     """Canonical spin space: Dirac for even m, Cartan for odd m."""
     rep = build_rep(sig, DIRAC if sig.m % 2 == 0 else CARTAN)
-    return _spin_space_from(rep, rep.images)
+    return _spin_space_from(rep)
 
 
-def _spin_space_from(rep: Representation, frame: Sequence[ExactMatrix]) -> SpinSpace:
-    eta, iota = _frame_volume(frame)
-    gamma = choose_gamma(frame)
-    ss = SpinSpace(rep.sig, rep, tuple(frame), eta, iota, gamma)
+def _spin_space_from(rep: Representation) -> SpinSpace:
+    eta, iota = _frame_volume(rep.images)
+    gamma = choose_gamma(rep.images)
+    ss = SpinSpace(rep.sig, rep, rep.images, eta, iota, gamma)
     assert (gamma * gamma).scalar_value() == MINUS_ONE
     return ss
 
@@ -386,8 +382,7 @@ def conjugate_spin_space(ss: SpinSpace, a: ExactMatrix) -> SpinSpace:
     """Spin space with frame a v a^-1; used to exercise non-canonical frames."""
     inv = a.inverse()
     frame = tuple(a * v * inv for v in ss.frame)
-    rep = Representation(ss.sig, ss.rep.kind, frame, ss.dim)
-    return _spin_space_from(rep, frame)
+    return _spin_space_from(Representation(ss.sig, ss.rep.kind, frame, ss.dim))
 
 
 def alpha_is_gamma_conjugation(ss: SpinSpace) -> bool:

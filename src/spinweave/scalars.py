@@ -12,11 +12,11 @@ den > 0 and gcd(p, q, r, s, den) = 1, so zero is (0, 0, 0, 0, 1) and
 equal values have equal fields.  The ring operations work on the ints
 and normalise with a single gcd, skipped when the denominator is 1.
 
-Matrix, Clifford and exterior products run on one kernel: ``_accumulate``
-adds the products into raw integer cells and ``_collect`` reduces each
-nonzero cell once.  A cell holds the exact sum over a positive denominator
-and the canonical form is unique, so the result has the same five ints as
-adding canonical ExactScalar products one by one.
+Matrix, Clifford and exterior products and sums run on one kernel:
+``_accumulate`` adds the products into raw integer cells and ``_collect``
+reduces each nonzero cell once.  A cell holds the exact sum over a
+positive denominator and the canonical form is unique, so the result has
+the same five ints as adding canonical ExactScalar products one by one.
 """
 
 from __future__ import annotations

@@ -1,0 +1,140 @@
+"""Mutation gate: every named mutant must make each of its tests fail.
+
+Run from anywhere, with pytest and hypothesis installed:
+
+    python tests/mutants.py
+
+A mutant is one exact source snippet in one file of ``src/spinweave``,
+its replacement, and the pytest ids that must fail once it is applied.
+For each mutant the script copies ``src/`` and ``tests/`` to a temporary
+directory, applies the mutant there, and runs only the listed ids, with
+a fixed Hypothesis seed.  The exit status is 1 if any listed id passes
+or does not run (a collection error counts as not run), or if a snippet
+is missing or appears more than once, so a refactor that moves the code
+must update the list here rather than drop it.  pytest does not collect
+this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import xml.etree.ElementTree as ET
+from pathlib import Path
+from typing import NamedTuple, Set, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to src/spinweave
+    snippet: str
+    replacement: str
+    tests: Tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "combination-drops-coefficients",
+        "linalg.py",
+        "            out.append(_sum_products(touching))\n",
+        "            out.append(_sum_products((ONE, row) for _, row in touching))\n",
+        ("tests/test_matrix_oracle.py::test_ring_operations_match_reference",
+         "tests/test_matrix_oracle.py::test_combination_matches_reference"),
+    ),
+    Mutant(
+        "accumulate-skips-lcm-rescale",
+        "scalars.py",
+        "            big = lcm(cell[4], den)\n            a, b = big // cell[4], big // den\n",
+        "            big, a, b = cell[4], 1, 1\n",
+        ("tests/test_accumulate_oracle.py::test_unequal_denominators_meet_at_their_lcm",),
+    ),
+    Mutant(
+        "accumulate-always-gaussian",
+        "scalars.py",
+        "        if gaussian and not (r2 or s2):\n",
+        "        if True:\n",
+        ("tests/test_accumulate_oracle.py::test_sqrt2_products_leave_the_gaussian_shortcut",),
+    ),
+    Mutant(
+        "clifford-accepts-any-mask",
+        "clifford.py",
+        "                if not 0 <= mask < size:\n"
+        "                    raise ValueError(\"blade mask outside the algebra\")\n",
+        "",
+        ("tests/test_clifford.py::TestBladeMul::test_element_rejects_a_mask_outside_the_algebra",
+         "tests/test_accumulate_oracle.py::test_out_of_range_mask_raises_on_every_product"),
+    ),
+)
+
+
+def _node_id(case: ET.Element) -> str:
+    """The pytest id of a junit testcase, whose classname is the dotted
+    module path and class; a collection error has no classname and keeps
+    its name, which matches no listed id."""
+    parts = case.get("classname", "").split(".")
+    name = case.get("name", "")
+    cut = next((i + 1 for i, part in enumerate(parts) if part.startswith("test_")), None)
+    if cut is None:
+        return name
+    return "/".join(parts[:cut]) + ".py::" + "::".join(parts[cut:] + [name])
+
+
+def _failed_ids(report: Path) -> Tuple[Set[str], Set[str]]:
+    """(ids that ran, ids that failed or errored) from a junit XML report."""
+    ran, failed = set(), set()
+    for case in ET.parse(report).iter("testcase"):
+        node = _node_id(case)
+        ran.add(node)
+        if case.find("failure") is not None or case.find("error") is not None:
+            failed.add(node)
+    return ran, failed
+
+
+def run(mutant: Mutant) -> str:
+    """'killed', or why the mutant counts against the gate."""
+    with tempfile.TemporaryDirectory(prefix="spinweave-mutant-") as tmp:
+        work = Path(tmp)
+        for sub in ("src", "tests"):
+            shutil.copytree(ROOT / sub, work / sub,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        target = work / "src" / "spinweave" / mutant.path
+        source = target.read_text()
+        count = source.count(mutant.snippet)
+        if count != 1:
+            return f"stale: snippet found {count} times in src/spinweave/{mutant.path}"
+        target.write_text(source.replace(mutant.snippet, mutant.replacement))
+        report = work / "report.xml"
+        cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+               "--rootdir", str(work), "--hypothesis-seed=0", f"--junitxml={report}",
+               *mutant.tests]
+        subprocess.run(cmd, cwd=work, env={**os.environ, "PYTHONPATH": str(work / "src")},
+                       stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        if not report.exists():
+            return "survived: pytest wrote no report"
+        ran, failed = _failed_ids(report)
+    missing = [t for t in mutant.tests if t not in ran]
+    if missing:
+        return "did not run: " + ", ".join(missing)
+    passed = [t for t in mutant.tests if t not in failed]
+    if passed:
+        return "survived: " + ", ".join(passed) + " passed"
+    return "killed"
+
+
+def main() -> int:
+    bad = 0
+    for mutant in MUTANTS:
+        verdict = run(mutant)
+        print(f"{mutant.name}: {verdict}", flush=True)
+        bad += verdict != "killed"
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

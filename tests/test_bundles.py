@@ -185,6 +185,24 @@ class TestExteriorModule:
         with pytest.raises(ValueError, match="dimension mismatch"):
             ExteriorElement(2, {1: ONE}) + ExteriorElement(3, {4: ONE})
 
+    def test_mask_outside_the_algebra_rejected(self):
+        # mask 8 is e_4, which is not a form on R^2, and -1 is no subset at all
+        for mask in (8, 4, -1):
+            with pytest.raises(ValueError):
+                ExteriorElement(2, {mask: ONE})
+        with pytest.raises(ValueError):
+            ExteriorElement.basis_form(2, 1 << 2)
+
+    def test_sum_whose_terms_cancel(self):
+        # 1/2 e_1 + 1/3 e_1 - 5/6 e_1 = 0 and i e_1^e_2 - i e_1^e_2 = 0
+        a = ExteriorElement(2, {1: F(1, 2), 3: I, 2: ONE})
+        b = ExteriorElement(2, {1: F(1, 3), 3: -I})
+        c = ExteriorElement(2, {1: F(-5, 6)})
+        assert (a + b).terms == {1: sc(F(5, 6)), 2: ONE}
+        assert (a + b) + c == ExteriorElement.basis_form(2, 2)
+        assert (a + a.scale(sc(-1))).is_zero()
+        assert (a + a.scale(sc(-1))).terms == {}
+
 
 class TestHermiteanModule:
     def test_d1_square(self):

@@ -59,6 +59,16 @@ class TestBladeMul:
         with pytest.raises(ValueError):
             blade_mul(0b100, 0b1, sig(2, 0))
 
+    def test_element_rejects_a_mask_outside_the_algebra(self):
+        # mask 4 is e3 and mask 8 is e4, neither in Cl(2,0); -1 is no blade at all
+        s = sig(2, 0)
+        for terms in ({4: ONE, 1: ONE}, {8: ONE}, {-1: ONE}):
+            with pytest.raises(ValueError, match="blade mask outside the algebra"):
+                CE(s, terms)
+        with pytest.raises(ValueError, match="blade mask outside the algebra"):
+            CE.blade(s, 8)
+        assert str(CE.blade(s, 0b11)) == "e1e2"
+
 
 class TestProduct:
     def test_unit(self):

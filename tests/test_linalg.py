@@ -28,6 +28,15 @@ def test_scale_and_add():
     assert 2 * a == a.scale(2)
 
 
+def test_getitem_reads_in_range_entries_only():
+    a = M([[1, 2], [3, 4]])
+    assert [a[r, c] for r in range(2) for c in range(2)] == [sc(1), sc(2), sc(3), sc(4)]
+    assert M([[0, 0], [0, 5]])[1, 0] == ZERO
+    for pos in ((0, 5), (2, 0), (-1, 0), (0, -1)):
+        with pytest.raises(IndexError):
+            a[pos]
+
+
 def test_inverse_roundtrip():
     a = M([[1, 2], [3, 5]])
     assert a * a.inverse() == M.identity(2)
