@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -485,32 +484,16 @@ def associated_tau_welldefined(ss: SpinSpace) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _signed_permutation_isometries(ss1: SpinSpace, ss2: SpinSpace):
-    """Candidate frame isometries g(e_i) = +-e_pi(i), square-compatible,
-    identity first."""
-    m = ss1.sig.m
-    h1 = [ss1.sig.h(i) for i in range(m)]
-    h2 = [ss2.sig.h(i) for i in range(m)]
-    for perm in permutations(range(m)):
-        if any(h2[perm[i]] != h1[i] for i in range(m)):
-            continue
-        for signs in range(1 << m):
-            yield [
-                ss2.frame[perm[i]].scale(sc(-1 if signs >> i & 1 else 1))
-                for i in range(m)
-            ]
-
-
 def spin_space_morphisms(ss1: SpinSpace, ss2: SpinSpace) -> Optional[ExactMatrix]:
-    """Invertible a with a V1 a^-1 = V2 realising a frame isometry.
+    """Invertible a with a v_i a^-1 = w_i for the frames v of ss1 and w of
+    ss2, or None: a morphism realising the identity isometry.
 
-    Searches the signed permutation isometries, identity leading, and
-    returns the first conjugator found.
+    Two spin spaces of one signature and dimension are isomorphic Clifford
+    modules.  At even m each is the irreducible module.  At odd m each holds
+    both irreducible modules once, because Gamma swaps the eigenspaces of
+    eta.  So the identity isometry is realised whenever any isometry of the
+    frames is, and the intertwiner of the two frames is the morphism.
     """
-    if ss1.dim != ss2.dim or ss1.sig.m != ss2.sig.m:
+    if ss1.dim != ss2.dim or ss1.sig != ss2.sig:
         return None
-    for targets in _signed_permutation_isometries(ss1, ss2):
-        found = invertible_intertwiner(ss1.frame, targets)
-        if found is not None:
-            return found
-    return None
+    return invertible_intertwiner(ss1.frame, ss2.frame)

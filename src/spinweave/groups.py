@@ -183,47 +183,42 @@ class OrthMatrix(Record):
         return self.mat.det()
 
 
-def _frame_matrix(ss: SpinSpace, images: Sequence[ExactMatrix]) -> OrthMatrix:
-    """Orthogonal matrix whose column i holds the frame coordinates of images[i]."""
+def _frame_matrix(ss: SpinSpace, left: ExactMatrix, inv: ExactMatrix) -> OrthMatrix:
+    """Orthogonal matrix whose column i holds the real frame coordinates of
+    left * v_i * inv; ValueError if an image leaves span V or has a
+    non-real coordinate."""
     cols = []
-    for image in images:
-        coords = expand_in_frame(ss, image)
+    for v in ss.frame:
+        coords = expand_in_frame(ss, left * v * inv)
         if coords is None:
             raise ValueError("conjugation does not preserve the vector span")
-        for c in coords:
-            if not c.is_real():
-                raise ValueError("conjugation has non-real frame coefficients")
+        if not all(c.is_real() for c in coords):
+            raise ValueError("conjugation has non-real frame coefficients")
         cols.append(coords)
     return OrthMatrix(ss.sig, ExactMatrix(cols).transpose())
 
 
 def adjoint_matrix(ss: SpinSpace, a: ExactMatrix) -> OrthMatrix:
     """Matrix of Ad(a): v -> a v a^-1 in the frame basis."""
-    inv = a.inverse()
-    return _frame_matrix(ss, [a * v * inv for v in ss.frame])
+    return _frame_matrix(ss, a, a.inverse())
 
 
 def twisted_adjoint_matrix(ss: SpinSpace, a: ExactMatrix) -> OrthMatrix:
     """Matrix of the twisted adjoint v -> alpha(a) v a^-1 in the frame basis."""
-    alpha_a = clifford_alpha(ss, a)
-    inv = a.inverse()
-    return _frame_matrix(ss, [alpha_a * v * inv for v in ss.frame])
+    return _frame_matrix(ss, clifford_alpha(ss, a), a.inverse())
 
 
-def is_lipschitz(ss: SpinSpace, a: ExactMatrix, inv: Optional[ExactMatrix] = None) -> bool:
-    """True iff a is invertible and conjugation by a preserves span V.
-
-    ``inv``, when given, must be a^-1; it spares inverting a again.
+def is_lipschitz(ss: SpinSpace, a: ExactMatrix) -> bool:
+    """True iff a is invertible and conjugation by a maps span V into itself
+    with a real frame matrix M.  M is then orthogonal on a spin space, so the
+    orthogonality check of ``_frame_matrix`` adds no condition: the images
+    w_i = a v_i a^-1 = sum_k M_ki v_k keep the frame's Clifford relations, so
+    2 h_i delta_ij I = w_i w_j + w_j w_i = sum_k M_ki M_kj 2 h_k I: M^T H M = H.
     """
-    if inv is None:
-        try:
-            inv = a.inverse()
-        except ValueError:
-            return False
-    for v in ss.frame:
-        coords = expand_in_frame(ss, a * v * inv)
-        if coords is None or any(not c.is_real() for c in coords):
-            return False
+    try:
+        _frame_matrix(ss, a, a.inverse())
+    except ValueError:
+        return False
     return True
 
 
@@ -275,12 +270,9 @@ def _isotropic_pair(ss: SpinSpace) -> Tuple[Tuple[ExactMatrix, ExactMatrix], tup
 
 def kappa(ss: SpinSpace, a: ExactMatrix) -> KappaImage:
     """Conjugation action of a Lipschitz element on the anticommutant."""
-    try:
-        inv = a.inverse()
-    except ValueError:
-        inv = None
-    if inv is None or not is_lipschitz(ss, a, inv):
+    if not is_lipschitz(ss, a):
         raise ValueError("kappa needs a Lipschitz group element")
+    inv = a.inverse()
     if ss.sig.m % 2 == 0:
         conj = a * ss.gamma * inv
         if conj == ss.gamma:
@@ -325,7 +317,10 @@ def build_odd_element(ss: SpinSpace, lam, mu, a_pin: ExactMatrix) -> ExactMatrix
     lam, mu = sc(lam), sc(mu)
     if lam.is_zero() or mu.is_zero():
         raise ValueError("scale parameters must be nonzero")
-    if clifford_parity(ss, a_pin) == EVEN:
+    parity = clifford_parity(ss, a_pin)
+    if parity == NEITHER:
+        raise ValueError("a_pin must be even or odd")
+    if parity == EVEN:
         lam = -lam
     return scalar_pair(ss, lam, mu) * ss.gamma * a_pin
 
@@ -341,7 +336,10 @@ def embed_pin_pair(ss: SpinSpace, a_pin: ExactMatrix, lam, mu) -> ExactMatrix:
     if ss.sig.m % 2 == 0:
         raise ValueError("the pair model needs odd m")
     pair = scalar_pair(ss, lam, mu)
-    if clifford_parity(ss, a_pin) == EVEN:
+    parity = clifford_parity(ss, a_pin)
+    if parity == NEITHER:
+        raise ValueError("a_pin must be even or odd")
+    if parity == EVEN:
         return pair * a_pin
     return pair * ss.gamma * a_pin
 
@@ -528,7 +526,7 @@ def sample_lipschitz(group: FrameGroup, rng: random.Random) -> ExactMatrix:
     for _ in range(rng.randint(1, 3)):
         choice = rng.randrange(3 if ss.sig.m % 2 else 2)
         if choice == 0:
-            out = out * ExactMatrix.identity(ss.dim).scale(_random_scalar(rng))
+            out = out.scale(_random_scalar(rng))
         elif choice == 1:
             out = out * group.elements[rng.randrange(group.order)]
         else:

@@ -242,23 +242,16 @@ def verify_clifford(rep: Representation) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _centraliser_basis(frame: Sequence[ExactMatrix], sign: int) -> List[ExactMatrix]:
-    """Basis of {w : w v = sign * v w for every frame matrix v}: the
-    intertwiners from the frame to the frame (sign +1) or to its negative."""
-    if not frame:
-        raise ValueError("empty frame")
-    targets = frame if sign > 0 else [-v for v in frame]
-    return _intertwiner_space(frame, targets)
-
-
 def commutant(frame: Sequence[ExactMatrix]) -> List[ExactMatrix]:
-    """Basis of the algebra of matrices commuting with every frame matrix."""
-    return _centraliser_basis(frame, +1)
+    """Basis of the algebra of matrices commuting with every frame matrix:
+    the intertwiners from the frame to itself."""
+    return _intertwiner_space(frame, frame)
 
 
 def anticommutant(frame: Sequence[ExactMatrix]) -> List[ExactMatrix]:
-    """Basis of the space of matrices anticommuting with every frame matrix."""
-    return _centraliser_basis(frame, -1)
+    """Basis of the space of matrices anticommuting with every frame matrix:
+    the intertwiners from the frame to its negative."""
+    return _intertwiner_space(frame, [-v for v in frame])
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +267,9 @@ def _sign_normalised(w: ExactMatrix) -> ExactMatrix:
 
 
 def _span_candidates(basis: Sequence[ExactMatrix]):
-    """Deterministic candidates from a span for ``invertible_intertwiner``:
-    the basis, then b_i + c * b_j for i < j over the coefficients 1, -1, i, -i."""
+    """Deterministic candidates from a span for ``invertible_intertwiner`` and
+    ``choose_gamma``: the basis, then b_i + c * b_j for i < j over the
+    coefficients 1, -1, i, -i."""
     yield from basis
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
@@ -298,8 +292,9 @@ def choose_gamma(frame: Sequence[ExactMatrix]) -> ExactMatrix:
     product of frame vectors), so b = Gamma0 (x + y eta) has the scalar square
     b^2 = -(x^2 - iota^2 y^2) I: b -> b^2 is a nondegenerate quadratic form
     on A(h).  So if the canonical basis vectors b1, b2 are both isotropic,
-    b1 + b2 is not.  Take b the first of b1, b2, b1 + b2 with b^2 = s I,
-    s != 0; let r = -1/s and c = x I + y eta with x = (1 + r)/2 and
+    b1 + b2 is not.  Take b the first span candidate (b1, b2, b1 + b2, ...)
+    with b^2 = s I, s != 0; on a spin space it is one of the first three.
+    Let r = -1/s and c = x I + y eta with x = (1 + r)/2 and
     y = (1 - r)/(2 iota).  b anticommutes with eta, so
     (b c)^2 = b^2 (x - y eta)(x + y eta) = s (x^2 - iota^2 y^2) = s r = -I.
     On a canonical Cartan frame b1 and b2 are isotropic, b = b1 + b2 is the
@@ -313,16 +308,11 @@ def choose_gamma(frame: Sequence[ExactMatrix]) -> ExactMatrix:
     basis = anticommutant(frame)
     if len(basis) != 2:
         raise RuntimeError("no anticommuting square root of -I found (invalid spin space)")
-    b1, b2 = basis
-    # scalar_value() is None off the scalars, and both None and zero are falsy
-    if (b1 * b1).scalar_value():
-        b = b1
-    elif (b2 * b2).scalar_value():
-        b = b2
+    for b in _span_candidates(basis):
+        s = (b * b).scalar_value()
+        if s:  # None off the scalars, zero on an isotropic b
+            break
     else:
-        b = b1 + b2
-    s = (b * b).scalar_value()
-    if not s:
         raise RuntimeError("no anticommuting square root of -I found (invalid spin space)")
     r = MINUS_ONE / s
     c = ExactMatrix.combination(eta.n, [((ONE + r) * HALF, ExactMatrix.identity(eta.n)),
@@ -481,6 +471,8 @@ def _intertwiner_space(
     images1: Sequence[ExactMatrix], images2: Sequence[ExactMatrix]
 ) -> List[ExactMatrix]:
     """Basis of {a : a x = y a for every paired (x, y)}."""
+    if not images1:
+        raise ValueError("empty frame")
     n = images1[0].n
     rows = []
     for x, y in zip(images1, images2):

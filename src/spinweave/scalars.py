@@ -77,6 +77,9 @@ class ExactScalar:
     __slots__ = ("p", "q", "r", "s", "den")
 
     def __init__(self, a: Rat = 0, b: Rat = 0, c: Rat = 0, d: Rat = 0):
+        for x in (a, b, c, d):
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"cannot coerce {type(x).__name__} into Q(i, sqrt2)")
         coords = [Fraction(x) for x in (a, b, c, d)]
         # the lcm of reduced denominators leaves the five ints coprime
         den = lcm(*(x.denominator for x in coords))
@@ -292,6 +295,8 @@ class ExactScalar:
 
     @classmethod
     def from_json(cls, data) -> "ExactScalar":
+        if not (isinstance(data, list) and len(data) == 4 and all(isinstance(s, str) for s in data)):
+            raise ValueError(f"a scalar is a list of four coordinate strings, got {data!r}")
         return cls(*(Fraction(s) for s in data))
 
 

@@ -8,7 +8,8 @@ A mutant is one exact source snippet in one file of ``src/spinweave``,
 its replacement, and the pytest ids that must fail once it is applied.
 For each mutant the script copies ``src/`` and ``tests/`` to a temporary
 directory, applies the mutant there, and runs only the listed ids, with
-a fixed Hypothesis seed.  The exit status is 1 if any listed id passes
+a fixed Hypothesis seed and without shrinking: a failing example fails
+the test before it is shrunk, so shrinking would only cost time.  The exit status is 1 if any listed id passes
 or does not run (a collection error counts as not run), or if a snippet
 is missing or appears more than once, so a refactor that moves the code
 must update the list here rather than drop it.  pytest does not collect
@@ -69,6 +70,56 @@ MUTANTS = (
         ("tests/test_clifford.py::TestBladeMul::test_element_rejects_a_mask_outside_the_algebra",
          "tests/test_accumulate_oracle.py::test_out_of_range_mask_raises_on_every_product"),
     ),
+    Mutant(
+        "add-row-skips-back-elimination",
+        "linalg.py",
+        "    for other in pivots.values():\n"
+        "        if col in other:\n"
+        "            _eliminate(other, col, row)\n",
+        "",
+        ("tests/test_solver_oracle.py::test_rref_matches_oracle",
+         "tests/test_solver_oracle.py::test_rref_ignores_order_duplicates_and_zero_rows",
+         "tests/test_solver_oracle.py::test_inconsistent_augmented_system_pivots_on_the_last_column"),
+    ),
+    Mutant(
+        "alpha-skips-last-generator",
+        "reps.py",
+        "+ [CliffordElement.generator(ss.sig, i) for i in range(ss.sig.m)]",
+        "+ [CliffordElement.generator(ss.sig, i) for i in range(ss.sig.m - 1)]",
+        ("tests/test_reps.py::TestAlphaIsGammaConjugation::test_gamma_wrong_only_on_e7_fails",),
+    ),
+    Mutant(
+        "sampler-keeps-zero-tangent",
+        "bundles.py",
+        "        if not any(ys):\n            continue\n",
+        "",
+        ("tests/test_sampler_oracle.py::test_tangent_pairs_match_the_fraction_oracle[1]",
+         "tests/test_sampler_oracle.py::test_a_redraw_keeps_the_draw_order"),
+    ),
+    Mutant(
+        "frame-group-skips-relation-check",
+        "groups.py",
+        "            raise RuntimeError(f\"frame vector e{j + 1} breaks the Clifford relations\")\n",
+        "            pass\n",
+        ("tests/test_group_oracle.py::test_altered_spin_space_fails_where_the_oracle_does[Cl(2,0)-iv]",
+         "tests/test_group_oracle.py::test_altered_spin_space_fails_where_the_oracle_does[Cl(2,0)-2v]"),
+    ),
+    Mutant(
+        "frame-matrix-accepts-complex-coordinates",
+        "groups.py",
+        "        if not all(c.is_real() for c in coords):\n"
+        "            raise ValueError(\"conjugation has non-real frame coefficients\")\n",
+        "",
+        ("tests/test_groups.py::TestIsLipschitz::test_complex_vector_rejected_by_its_coordinates[Cl(2,0)]",
+         "tests/test_groups.py::TestIsLipschitz::test_complex_vector_rejected_by_its_coordinates[Cl(3,0)]"),
+    ),
+)
+
+
+# registered in the temporary copy, next to its tests/ directory
+NO_SHRINK = (
+    "from hypothesis import Phase, settings\n"
+    "settings.register_profile('mutants', phases=[Phase.explicit, Phase.reuse, Phase.generate])\n"
 )
 
 
@@ -108,9 +159,11 @@ def run(mutant: Mutant) -> str:
         if count != 1:
             return f"stale: snippet found {count} times in src/spinweave/{mutant.path}"
         target.write_text(source.replace(mutant.snippet, mutant.replacement))
+        (work / "conftest.py").write_text(NO_SHRINK)
         report = work / "report.xml"
         cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-               "--rootdir", str(work), "--hypothesis-seed=0", f"--junitxml={report}",
+               "--rootdir", str(work), "--hypothesis-seed=0",
+               "--hypothesis-profile=mutants", f"--junitxml={report}",
                *mutant.tests]
         subprocess.run(cmd, cwd=work, env={**os.environ, "PYTHONPATH": str(work / "src")},
                        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)

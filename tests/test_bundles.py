@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -31,7 +32,8 @@ from spinweave.bundles import (
 )
 from spinweave.clifford import CliffordElement, Signature
 from spinweave.linalg import ExactMatrix
-from spinweave.reps import SpinSpace, conjugate_spin_space, spin_space
+from spinweave import reps
+from spinweave.reps import Representation, SpinSpace, conjugate_spin_space, spin_space
 from spinweave.scalars import ExactScalar, HALF, I, ONE, ZERO, sc
 
 CE = CliffordElement
@@ -369,6 +371,41 @@ class TestSpinSpaceMorphisms:
         ss = spin_space(sig(1, 1))
         found = spin_space_morphisms(ss, ss)
         assert found is not None
+
+    @staticmethod
+    def _variants(ss, rng):
+        """Spin spaces of ss's signature: three random conjugates, every single
+        sign flip of a frame vector, and every adjacent transposition of two
+        frame vectors with the same square."""
+        n, m = ss.dim, ss.sig.m
+        out = []
+        while len(out) < 3:
+            a = M([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+            if a.rank() == n:
+                out.append(conjugate_spin_space(ss, a))
+        frames = [ss.frame[:i] + (-ss.frame[i],) + ss.frame[i + 1:] for i in range(m)]
+        frames += [ss.frame[:i] + (ss.frame[i + 1], ss.frame[i]) + ss.frame[i + 2:]
+                   for i in range(m - 1) if ss.sig.h(i) == ss.sig.h(i + 1)]
+        for frame in frames:
+            out.append(reps._spin_space_from(Representation(ss.sig, ss.rep.kind, frame, n)))
+        return out
+
+    @pytest.mark.parametrize("s", [sig(k, m - k) for m in range(1, 5) for k in range(m + 1)],
+                             ids=str)
+    def test_conjugates_the_frame_onto_every_variant(self, s):
+        ss = spin_space(s)
+        for other in self._variants(ss, random.Random(s.m * 10 + s.k)):
+            found = spin_space_morphisms(ss, other)
+            assert found is not None
+            inv = found.inverse()
+            assert all(found * v * inv == w for v, w in zip(ss.frame, other.frame))
+
+    def test_no_morphism_onto_a_frame_with_a_doubled_vector(self):
+        # 2 v1 squares to 4 I, so no conjugation takes v1 to any +-v_j or to 2 v1
+        ss = spin_space(sig(5, 0))
+        frame = (ss.frame[0].scale(sc(2)),) + ss.frame[1:]
+        doubled = SpinSpace(ss.sig, ss.rep, frame, ss.eta, ss.iota, ss.gamma)
+        assert spin_space_morphisms(ss, doubled) is None
 
 
 class TestExampleChecks:

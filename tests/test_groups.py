@@ -179,6 +179,19 @@ class TestIsLipschitz:
         ss2 = spin_space(sig(0, 2))
         assert not is_lipschitz(ss2, M.identity(2) + ss2.frame[0])  # not normalising
 
+    @pytest.mark.parametrize("s", [sig(2, 0), sig(3, 0)], ids=str)
+    def test_complex_vector_rejected_by_its_coordinates(self, s):
+        # a = v1 + 2i v2 squares to -3, so a v1 a^-1 = -v1 - (2/3) a lies in
+        # span V but has the non-real coordinate -(4/3) i on v2
+        ss = spin_space(s)
+        a = ss.frame[0] + ss.frame[1].scale(sc(2) * I)
+        assert expand_in_frame(ss, a * ss.frame[0] * a.inverse()) is not None
+        assert not is_lipschitz(ss, a)
+        with pytest.raises(ValueError):
+            adjoint_matrix(ss, a)
+        with pytest.raises(ValueError):
+            kappa(ss, a)
+
     def test_frame_expansion(self):
         ss = spin_space(sig(2, 1))
         combo = ss.frame[0].scale(sc(2)) - ss.frame[2].scale(sc(3))
@@ -261,6 +274,11 @@ class TestOddElements:
         with pytest.raises(ValueError):
             build_odd_element(ss, 1, 1, M.identity(2))
 
+    def test_pin_part_of_neither_parity_rejected(self):
+        ss = spin_space(sig(3, 0))
+        with pytest.raises(ValueError, match="even or odd"):
+            build_odd_element(ss, 1, 2, M.identity(ss.dim) + ss.frame[0])
+
     def test_identity_pin_part_swap_block(self):
         ss = spin_space(sig(3, 0))
         odd = build_odd_element(ss, 1, 1, M.identity(ss.dim))
@@ -287,6 +305,11 @@ class TestPairModel:
         for a in odd_pins[:4]:
             x = build_odd_element(ss, 1, 1, a)
             assert x * pair == swapped * x
+
+    def test_pin_part_of_neither_parity_rejected(self):
+        ss = spin_space(sig(3, 0))
+        with pytest.raises(ValueError, match="even or odd"):
+            embed_pin_pair(ss, M.identity(ss.dim) + ss.frame[0], 1, 2)
 
     def test_embed_homomorphism_with_parity_swap(self):
         rng = random.Random(9)

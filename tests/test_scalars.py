@@ -107,6 +107,21 @@ def test_json_roundtrip():
     assert ExactScalar.from_json(x.to_json()) == x
 
 
+@pytest.mark.parametrize("data", [["1", "0", "0"], ["1", "0", "0", "0", "0"], "1234",
+                                  [1, 0, 0, 0], ("1", "0", "0", "0"), None])
+def test_json_rejects_anything_but_four_coordinate_strings(data):
+    # regression: ['1', '0', '0'] read as 1, and '1234' as 1 + 2i + 3*sqrt2 + 4i*sqrt2
+    with pytest.raises(ValueError):
+        ExactScalar.from_json(data)
+
+
+@pytest.mark.parametrize("coords", [(0.1,), ("1/3",), (1, 0.5), (0, 0, 0, "2")])
+def test_constructor_rejects_floats_and_strings(coords):
+    # regression: ExactScalar(0.1) was the binary value of the float, as sc(0.1) is not
+    with pytest.raises(TypeError, match="cannot coerce"):
+        ExactScalar(*coords)
+
+
 @pytest.mark.parametrize("value", [1, -3, 0, Fraction(1, 2), Fraction(-7, 3)])
 def test_hash_agrees_with_eq_on_rationals(value):
     # regression: ONE == 1 held while 1 in {ONE} did not
