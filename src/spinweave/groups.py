@@ -10,7 +10,8 @@ elements, and the odd elements available for odd m.
 from __future__ import annotations
 
 import random
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .clifford import Signature
@@ -170,6 +171,8 @@ class OrthMatrix(Record):
         m = sig.m
         if mat.n != m:
             raise ValueError("orthogonal matrix has wrong dimension")
+        if not all(x.is_real() for row in mat.sparse_rows for _, x in row):
+            raise ValueError("orthogonal matrix has a non-real entry")
         h = [sc(sig.h(i)) for i in range(m)]
         # Gram matrix M^T H M, summed over the nonzeros of each row of M
         pairs = []
@@ -184,16 +187,14 @@ class OrthMatrix(Record):
 
 
 def _frame_matrix(ss: SpinSpace, left: ExactMatrix, inv: ExactMatrix) -> OrthMatrix:
-    """Orthogonal matrix whose column i holds the real frame coordinates of
-    left * v_i * inv; ValueError if an image leaves span V or has a
-    non-real coordinate."""
+    """Orthogonal matrix whose column i holds the frame coordinates of
+    left * v_i * inv; ValueError if an image leaves span V or, through
+    ``OrthMatrix``, has a non-real coordinate."""
     cols = []
     for v in ss.frame:
         coords = expand_in_frame(ss, left * v * inv)
         if coords is None:
             raise ValueError("conjugation does not preserve the vector span")
-        if not all(c.is_real() for c in coords):
-            raise ValueError("conjugation has non-real frame coefficients")
         cols.append(coords)
     return OrthMatrix(ss.sig, ExactMatrix(cols).transpose())
 
@@ -270,9 +271,18 @@ def _isotropic_pair(ss: SpinSpace) -> Tuple[Tuple[ExactMatrix, ExactMatrix], tup
 
 def kappa(ss: SpinSpace, a: ExactMatrix) -> KappaImage:
     """Conjugation action of a Lipschitz element on the anticommutant."""
-    if not is_lipschitz(ss, a):
-        raise ValueError("kappa needs a Lipschitz group element")
-    inv = a.inverse()
+    try:
+        inv = a.inverse()
+        _frame_matrix(ss, a, inv)
+    except ValueError:
+        raise ValueError("kappa needs a Lipschitz group element") from None
+    return _kappa(ss, a, inv)
+
+
+def _kappa(ss: SpinSpace, a: ExactMatrix, inv: ExactMatrix) -> KappaImage:
+    """kappa(a) from conjugation by a, given inv = a^-1, without checking
+    that a is Lipschitz; ValueError if the conjugation does not act on the
+    anticommutant as an element of O1 or O2."""
     if ss.sig.m % 2 == 0:
         conj = a * ss.gamma * inv
         if conj == ss.gamma:
@@ -380,6 +390,22 @@ def _reflection(m: int, i: int) -> ExactMatrix:
     return ExactMatrix.diag([MINUS_ONE if j == i else ONE for j in range(m)])
 
 
+def _gamma_adjoints(ss: SpinSpace) -> Tuple[Optional[OrthMatrix], ...]:
+    """Ad(Gamma v_i) for each frame vector, None where it is not orthogonal
+    on span V; cached on the spin space for the extension diagram and the
+    reflection witnesses."""
+    cached = ss._probes.get("gamma-adjoints")
+    if cached is None:
+        cached = []
+        for v in ss.frame:
+            try:
+                cached.append(adjoint_matrix(ss, ss.gamma * v))
+            except ValueError:
+                cached.append(None)
+        cached = ss._probes["gamma-adjoints"] = tuple(cached)
+    return cached
+
+
 def verify_extension_diagram(group: FrameGroup) -> List[Report]:
     """Frame-group checks for the twisted/untwisted comparison, certified
     on the m frame vectors of the group's spin space.
@@ -412,9 +438,7 @@ def verify_extension_diagram(group: FrameGroup) -> List[Report]:
         bad is None and not off and group.order == 2 << m
         and all(g in group for g in (ident, -ident, *ss.frame))
     )
-    agree = bad is None and all(
-        adjoint_matrix(ss, ss.gamma * u) == t for u, t in zip(ss.frame, twisted)
-    )
+    agree = bad is None and all(g == t for g, t in zip(_gamma_adjoints(ss), twisted))
     return [
         report("twisted-adjoint-lands-in-orthogonal-group", ss.sig, bad is None,
                counterexample=None if bad is None else str(bad)),
@@ -456,7 +480,8 @@ def ad_surjectivity_witnesses(ss: SpinSpace) -> List[Report]:
 
     The identity gets the identity witness, each frame reflection the
     element gamma(e_i), and for odd m the central inversion -id_V gets
-    the product of all m of them.
+    the product of all m of them.  Ad is multiplicative, so that product
+    maps to the product of the Ad(gamma(e_i)), which is read off them.
     """
     m = ss.sig.m
     results = [
@@ -467,19 +492,26 @@ def ad_surjectivity_witnesses(ss: SpinSpace) -> List[Report]:
             witness="I",
         )
     ]
-    for i in range(m):
-        ok = adjoint_matrix(ss, ss.gamma * ss.frame[i]).mat == _reflection(m, i)
+    adjoints = _gamma_adjoints(ss)
+    for i, g in enumerate(adjoints):
+        ok = g is not None and g.mat == _reflection(m, i)
         results.append(report(f"reflection-e{i + 1}-witness", ss.sig, ok,
                               witness=f"gamma(e{i + 1})"))
     if m % 2 == 1:
-        witness = ExactMatrix.identity(ss.dim)
-        for i in range(m):
-            witness = witness * (ss.gamma * ss.frame[i])
-        ok = adjoint_matrix(ss, witness).mat == ExactMatrix.identity(m).scale(MINUS_ONE)
+        ok = None not in adjoints and (
+            reduce(mul, (g.mat for g in adjoints)) == -ExactMatrix.identity(m)
+        )
         results.append(
             report("central-inversion-witness", ss.sig, ok, witness="product of gamma(e_i)")
         )
     return results
+
+
+def _sampled_kinds_are_lipschitz(ss: SpinSpace) -> bool:
+    """Certificate that every factor ``sample_lipschitz`` draws on ss is
+    Lipschitz: each frame vector and Gamma are, and eta commutes with V."""
+    return (all(is_lipschitz(ss, v) for v in ss.frame) and is_lipschitz(ss, ss.gamma)
+            and in_kernel_k(ss, ss.eta))
 
 
 def verify_spinor_groups(group: FrameGroup, seed: int, kappa_pairs: int = 20) -> List[Report]:
@@ -487,7 +519,23 @@ def verify_spinor_groups(group: FrameGroup, seed: int, kappa_pairs: int = 20) ->
     group order 2^(m+1), the extension diagram, the surjectivity witnesses
     and, for odd m, a plain-Ad kernel of size 4 and kappa(ab) =
     kappa(a) kappa(b) on ``kappa_pairs`` Lipschitz pairs drawn from
-    random.Random(seed), all on the group's spin space."""
+    random.Random(seed), all on the group's spin space.
+
+    The sampled elements are not tested for membership one by one.  The
+    Lipschitz group is closed under products: if a and b are invertible
+    and conjugate V into V by real matrices, so does ab, by their product.
+    A sample is a product of factors of three kinds: nonzero scalars c I,
+    which fix V; frame-group elements +-v_A, which ``generate_frame_group``
+    builds as products of -I and frame vectors; and odd elements (lam P+ + mu P-) Gamma a with a in the frame
+    group.  The scalar pair lam P+ + mu P- lies in span{I, eta}, so it
+    commutes with V once eta does; a.inverse() raises on a singular
+    sample, so when the inverse exists every factor is invertible, and a
+    scalar pair that is invertible and commutes with V is Lipschitz.  So
+    one certificate per run -- each frame vector and Gamma Lipschitz, and
+    eta in K(h) -- makes every sample Lipschitz, and kappa is read off
+    its conjugation alone.  A failed certificate, or a ValueError while
+    sampling or reading kappa, fails the check.
+    """
     ss = group.ss
     sig = ss.sig
     reports = [report("frame-group-order", sig, group.order == 2 << sig.m)]
@@ -496,11 +544,23 @@ def verify_spinor_groups(group: FrameGroup, seed: int, kappa_pairs: int = 20) ->
     if sig.m % 2:
         reports.append(report("plain-ad-kernel-size-4", sig, len(plain_ad_kernel(group)) == 4))
         rng = random.Random(seed)
-        pairs = ((sample_lipschitz(group, rng), sample_lipschitz(group, rng))
-                 for _ in range(kappa_pairs))
-        ok = all(kappa(ss, a * b) == kappa(ss, a) * kappa(ss, b) for a, b in pairs)
+        try:
+            ok = _sampled_kinds_are_lipschitz(ss) and all(
+                _kappa_is_multiplicative(ss, sample_lipschitz(group, rng),
+                                         sample_lipschitz(group, rng))
+                for _ in range(kappa_pairs)
+            )
+        except ValueError:
+            ok = False
         reports.append(report("kappa-homomorphism-sampled", sig, ok))
     return reports
+
+
+def _kappa_is_multiplicative(ss: SpinSpace, a: ExactMatrix, b: ExactMatrix) -> bool:
+    """kappa(ab) == kappa(a) kappa(b) for certified Lipschitz a and b, with
+    (ab)^-1 = b^-1 a^-1."""
+    inv_a, inv_b = a.inverse(), b.inverse()
+    return _kappa(ss, a * b, inv_b * inv_a) == _kappa(ss, a, inv_a) * _kappa(ss, b, inv_b)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +580,8 @@ def _random_scalar(rng: random.Random) -> ExactScalar:
 
 def sample_lipschitz(group: FrameGroup, rng: random.Random) -> ExactMatrix:
     """Random guaranteed Lipschitz element of the group's spin space: a
-    short product of scalars, group elements, and (odd m) odd elements."""
+    short product of scalars, group elements, and (odd m) odd elements,
+    the factor kinds that ``verify_spinor_groups`` certifies once."""
     ss = group.ss
     out = ExactMatrix.identity(ss.dim)
     for _ in range(rng.randint(1, 3)):

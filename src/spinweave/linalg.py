@@ -6,7 +6,8 @@ holds the nonzero entries only, in ascending column order.  The
 canonical frame images, volume elements and frame-group elements are
 unit-monomial (one entry from {+-1, +-i} per row), so their products,
 sums and inverses cost time in the number of nonzeros rather than n^3
-or n^2.  The storage is canonical, which lets equality and hashing
+or n^2; a row scaled by 1 is the stored row itself, and one scaled by -1
+is negated without a product.  The storage is canonical, which lets equality and hashing
 compare the pairs directly.  Product and combination rows with several
 terms, ``a + b`` and ``a - b`` among them, are summed on the scalar
 kernel (``scalars._sum_products``): raw integer cells, one canonical
@@ -131,8 +132,7 @@ class ExactMatrix:
         for rows in zip(*rowsets):
             touching = [(c, row) for c, row in zip(coeffs, rows) if row]
             if len(touching) == 1:
-                c, row = touching[0]
-                out.append(tuple((j, c * x) for j, x in row))
+                out.append(_scaled_row(*touching[0]))
                 continue
             out.append(_sum_products(touching))
         return _wrap(n, tuple(out))
@@ -181,9 +181,7 @@ class ExactMatrix:
         factor = sc(factor)
         if factor.is_zero():
             return ExactMatrix.zeros(self.n)
-        return _wrap(self.n, tuple(
-            tuple((c, factor * x) for c, x in row) for row in self.sparse_rows
-        ))
+        return _wrap(self.n, tuple(_scaled_row(factor, row) for row in self.sparse_rows))
 
     def __mul__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -195,7 +193,7 @@ class ExactMatrix:
             if len(arow) == 1:
                 # a product of nonzeros is nonzero, and brows[k] is sorted
                 k, x = arow[0]
-                out.append(tuple((j, x * y) for j, y in brows[k]))
+                out.append(_scaled_row(x, brows[k]))
                 continue
             out.append(_sum_products((x, brows[k]) for k, x in arow))
         return _wrap(self.n, tuple(out))
@@ -352,6 +350,17 @@ def _wrap(n: int, rows: Tuple[Row, ...]) -> ExactMatrix:
     mat.sparse_rows = rows
     mat._dense = mat._hash = None
     return mat
+
+
+def _scaled_row(x: ExactScalar, row: Row) -> Row:
+    """x times a canonical row: the row itself for x = 1, its negation
+    for x = -1, else one product per entry."""
+    if x.den == 1 and not (x.q or x.r or x.s):
+        if x.p == 1:
+            return row
+        if x.p == -1:
+            return tuple((j, -y) for j, y in row)
+    return tuple((j, x * y) for j, y in row)
 
 
 def _shift(row: Row, offset: int) -> Row:

@@ -21,11 +21,20 @@ the same five ints as adding canonical ExactScalar products one by one.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
-from typing import Union
+from numbers import Rational  # int and fractions.Fraction
 
-Rat = Union[int, Fraction]
+
+def _fraction(*args):
+    """fractions.Fraction(*args).  The first call imports fractions (which
+    loads decimal) and rebinds this name to Fraction itself, so a process
+    that never builds a Fraction never loads them, and later calls cost
+    what a direct Fraction call does."""
+    global _fraction
+    from fractions import Fraction
+
+    _fraction = Fraction
+    return Fraction(*args)
 
 
 def _gmul(a, b, c, d):
@@ -64,7 +73,7 @@ class _Coordinate:
             return self
         den = obj.den
         value = getattr(obj, self.field)
-        return Fraction(value) if den == 1 else Fraction(value, den)
+        return _fraction(value) if den == 1 else _fraction(value, den)
 
 
 class ExactScalar:
@@ -76,11 +85,11 @@ class ExactScalar:
 
     __slots__ = ("p", "q", "r", "s", "den")
 
-    def __init__(self, a: Rat = 0, b: Rat = 0, c: Rat = 0, d: Rat = 0):
-        for x in (a, b, c, d):
-            if not isinstance(x, (int, Fraction)):
+    def __init__(self, a: Rational = 0, b: Rational = 0, c: Rational = 0, d: Rational = 0):
+        coords = (a, b, c, d)
+        for x in coords:
+            if not isinstance(x, Rational):
                 raise TypeError(f"cannot coerce {type(x).__name__} into Q(i, sqrt2)")
-        coords = [Fraction(x) for x in (a, b, c, d)]
         # the lcm of reduced denominators leaves the five ints coprime
         den = lcm(*(x.denominator for x in coords))
         self.p, self.q, self.r, self.s = (x.numerator * (den // x.denominator) for x in coords)
@@ -111,7 +120,7 @@ class ExactScalar:
 
     def __add__(self, other) -> "ExactScalar":
         if type(other) is not ExactScalar:
-            if not isinstance(other, (int, Fraction)):
+            if not isinstance(other, Rational):
                 return NotImplemented
             other = sc(other)
         d1, d2 = self.den, other.den
@@ -132,7 +141,7 @@ class ExactScalar:
 
     def __sub__(self, other) -> "ExactScalar":
         if type(other) is not ExactScalar:
-            if not isinstance(other, (int, Fraction)):
+            if not isinstance(other, Rational):
                 return NotImplemented
             other = sc(other)
         d1, d2 = self.den, other.den
@@ -157,7 +166,7 @@ class ExactScalar:
 
     def __mul__(self, other) -> "ExactScalar":
         if type(other) is not ExactScalar:
-            if not isinstance(other, (int, Fraction)):
+            if not isinstance(other, Rational):
                 return NotImplemented
             other = sc(other)
         # write self = (X1 + Y1*sqrt2)/d1, other = (X2 + Y2*sqrt2)/d2 with
@@ -245,7 +254,7 @@ class ExactScalar:
 
     def __eq__(self, other) -> bool:
         if type(other) is not ExactScalar:
-            if not isinstance(other, (int, Fraction)):
+            if not isinstance(other, Rational):
                 return NotImplemented
             other = sc(other)
         return (
@@ -260,7 +269,7 @@ class ExactScalar:
         if self.q or self.r or self.s:
             return hash((self.p, self.q, self.r, self.s, self.den))
         # rational values hash like the equal int / Fraction
-        return hash(self.p) if self.den == 1 else hash(Fraction(self.p, self.den))
+        return hash(self.p) if self.den == 1 else hash(_fraction(self.p, self.den))
 
     def __bool__(self):
         return not self.is_zero()
@@ -297,7 +306,7 @@ class ExactScalar:
     def from_json(cls, data) -> "ExactScalar":
         if not (isinstance(data, list) and len(data) == 4 and all(isinstance(s, str) for s in data)):
             raise ValueError(f"a scalar is a list of four coordinate strings, got {data!r}")
-        return cls(*(Fraction(s) for s in data))
+        return cls(*(_fraction(s) for s in data))
 
 
 _new = object.__new__
@@ -376,7 +385,7 @@ def sc(x) -> ExactScalar:
         return x
     if isinstance(x, int):
         return _make(int(x), 0, 0, 0, 1)
-    if isinstance(x, Fraction):
+    if isinstance(x, Rational):
         return _make(x.numerator, 0, 0, 0, x.denominator)
     raise TypeError(f"cannot coerce {type(x).__name__} into Q(i, sqrt2)")
 
@@ -384,6 +393,6 @@ def sc(x) -> ExactScalar:
 ZERO = ExactScalar(0)
 ONE = ExactScalar(1)
 MINUS_ONE = ExactScalar(-1)
-HALF = ExactScalar(Fraction(1, 2))
+HALF = _make(1, 0, 0, 0, 2)
 I = ExactScalar(0, 1)
 SQRT2 = ExactScalar(0, 0, 1)

@@ -105,13 +105,41 @@ MUTANTS = (
          "tests/test_group_oracle.py::test_altered_spin_space_fails_where_the_oracle_does[Cl(2,0)-2v]"),
     ),
     Mutant(
-        "frame-matrix-accepts-complex-coordinates",
+        "orth-matrix-accepts-complex-entries",
         "groups.py",
-        "        if not all(c.is_real() for c in coords):\n"
-        "            raise ValueError(\"conjugation has non-real frame coefficients\")\n",
+        "        if not all(x.is_real() for row in mat.sparse_rows for _, x in row):\n"
+        "            raise ValueError(\"orthogonal matrix has a non-real entry\")\n",
         "",
-        ("tests/test_groups.py::TestIsLipschitz::test_complex_vector_rejected_by_its_coordinates[Cl(2,0)]",
+        ("tests/test_groups.py::TestIsLipschitz::test_complex_orthogonal_matrix_rejected",
+         "tests/test_groups.py::TestIsLipschitz::test_complex_vector_rejected_by_its_coordinates[Cl(2,0)]",
          "tests/test_groups.py::TestIsLipschitz::test_complex_vector_rejected_by_its_coordinates[Cl(3,0)]"),
+    ),
+    Mutant(
+        "kappa-certificate-skips-gamma",
+        "groups.py",
+        "    return (all(is_lipschitz(ss, v) for v in ss.frame) and is_lipschitz(ss, ss.gamma)\n",
+        "    return (all(is_lipschitz(ss, v) for v in ss.frame)\n",
+        ("tests/test_groups.py::TestVerifySpinorGroups::test_certificate_rejects_a_non_lipschitz_gamma[Cl(3,0)]",
+         "tests/test_groups.py::TestVerifySpinorGroups::test_certificate_rejects_a_non_lipschitz_gamma[Cl(1,2)]"),
+    ),
+    Mutant(
+        # I + Gamma is invertible (Gamma^2 = -I) but conjugates V out of itself
+        "sampler-draws-uncertified-factor",
+        "groups.py",
+        "            out = out.scale(_random_scalar(rng))\n",
+        "            out = (out + out * ss.gamma).scale(_random_scalar(rng))\n",
+        ("tests/test_reps.py::TestConjugatedFrames::test_kappa_core_given_the_inverse_matches_kappa[even-m]",
+         "tests/test_reps.py::TestConjugatedFrames::test_kappa_core_given_the_inverse_matches_kappa[odd-m]",
+         "tests/test_groups.py::TestVerifySpinorGroups::test_odd_m_adds_kernel_and_kappa"),
+    ),
+    Mutant(
+        "unit-row-skips-negation",
+        "linalg.py",
+        "            return tuple((j, -y) for j, y in row)\n",
+        "            return row\n",
+        ("tests/test_matrix_oracle.py::test_unit_factor_rows_reuse_or_negate_the_stored_row",
+         "tests/test_matrix_oracle.py::test_ring_operations_match_reference",
+         "tests/test_matrix_oracle.py::test_combination_matches_reference"),
     ),
 )
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +8,7 @@ from spinweave.clifford import CliffordElement, Signature
 from spinweave.linalg import ExactMatrix
 from spinweave.groups import (
     KappaImage,
+    OrthMatrix,
     adjoint_matrix,
     ad_surjectivity_witnesses,
     build_odd_element,
@@ -28,8 +30,8 @@ from spinweave.groups import (
     verify_extension_diagram,
     verify_spinor_groups,
 )
-from spinweave.reps import EVEN, ODD, conjugate_spin_space, grading_of, spin_space
-from spinweave.scalars import I, MINUS_ONE, ONE, sc
+from spinweave.reps import EVEN, ODD, SpinSpace, conjugate_spin_space, grading_of, spin_space
+from spinweave.scalars import I, MINUS_ONE, ONE, ExactScalar, sc
 
 CE = CliffordElement
 M = ExactMatrix
@@ -191,6 +193,12 @@ class TestIsLipschitz:
             adjoint_matrix(ss, a)
         with pytest.raises(ValueError):
             kappa(ss, a)
+
+    def test_complex_orthogonal_matrix_rejected(self):
+        # M^T M = I over C (25/9 - 16/9 = 1 on the diagonal), but M is not real
+        c, s = ExactScalar(Fraction(5, 3)), ExactScalar(0, Fraction(4, 3))
+        with pytest.raises(ValueError, match="non-real"):
+            OrthMatrix(sig(2, 0), M([[c, s], [-s, c]]))
 
     def test_frame_expansion(self):
         ss = spin_space(sig(2, 1))
@@ -381,10 +389,32 @@ class TestVerifySpinorGroups:
 
     def test_broken_kappa_is_reported(self, monkeypatch):
         # a constant reflection is not multiplicative: (-1, 2)(-1, 2) = (1, 1)
-        monkeypatch.setattr(groups, "kappa", lambda ss, a: KappaImage(-1, sc(2)))
+        monkeypatch.setattr(groups, "_kappa", lambda ss, a, inv: KappaImage(-1, sc(2)))
         reports = verify_spinor_groups(generate_frame_group(spin_space(sig(3, 0))), seed=1,
                                        kappa_pairs=1)
         assert [r.check_name for r in reports if not r.ok] == ["kappa-homomorphism-sampled"]
+
+    @staticmethod
+    def _non_lipschitz_gamma(s):
+        # Gamma (I + 2 v1) conjugates v2 out of span V; the frame and eta are untouched
+        ss = spin_space(s)
+        gamma = ss.gamma * (M.identity(ss.dim) + ss.frame[0].scale(sc(2)))
+        return SpinSpace(ss.sig, ss.rep, ss.frame, ss.eta, ss.iota, gamma)
+
+    @pytest.mark.parametrize("s", [sig(3, 0), sig(1, 2)], ids=str)
+    def test_certificate_rejects_a_non_lipschitz_gamma(self, s):
+        ss = self._non_lipschitz_gamma(s)
+        assert all(is_lipschitz(ss, v) for v in ss.frame) and in_kernel_k(ss, ss.eta)
+        assert not is_lipschitz(ss, ss.gamma)
+        assert not groups._sampled_kinds_are_lipschitz(ss)
+        assert groups._sampled_kinds_are_lipschitz(spin_space(s))
+
+    @pytest.mark.parametrize("s", [sig(3, 0), sig(1, 2)], ids=str)
+    def test_non_lipschitz_gamma_fails_kappa_without_raising(self, s):
+        reports = verify_spinor_groups(generate_frame_group(self._non_lipschitz_gamma(s)),
+                                       seed=1)
+        assert reports[-1].check_name == "kappa-homomorphism-sampled"
+        assert not reports[-1].ok
 
 class TestGradingCompatibility:
     def test_det_matches_grading(self):

@@ -81,6 +81,23 @@ def test_subcommand_loads_no_dataclasses_or_inspect(argv):
     assert doc == {"code": 0, "heavy": []}
 
 
+# Runs main on the remaining arguments, then prints which of fractions and
+# decimal (which fractions imports) the process has loaded.
+NUMERIC = """
+import contextlib, io, json, sys
+import spinweave.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "loaded": [m for m in ("fractions", "decimal") if m in sys.modules]}))
+"""
+
+
+def test_verify_loads_no_fractions_or_decimal():
+    # scalars builds a Fraction only when one is asked for (.a to .d, JSON)
+    doc = json.loads(fresh("-c", NUMERIC, "verify", "--sig", "2,1").splitlines()[-1])
+    assert doc == {"code": 0, "loaded": []}
+
+
 def test_layers_load_no_dataclasses_or_inspect():
     code = ("import sys, spinweave.cli, spinweave.groups, spinweave.bundles, spinweave.charclass;"
             " print([m for m in ('dataclasses', 'inspect') if m in sys.modules])")

@@ -166,6 +166,15 @@ def test_ring_operations_match_reference(ab):
     assert (ma * mb).sparse_rows == ExactMatrix(ref_mul(a, b)).sparse_rows
 
 
+def test_unit_factor_rows_reuse_or_negate_the_stored_row():
+    b = ExactMatrix([[1, 2], [0, 3]])
+    prod = ExactMatrix([[0, 1], [-1, 0]]) * b
+    assert prod.sparse_rows[0] is b.sparse_rows[1]
+    assert dense(prod) == [[0, 3], [-1, -2]]
+    assert ExactMatrix.combination(2, [(1, b)]).sparse_rows[1] is b.sparse_rows[1]
+    assert dense(ExactMatrix.combination(2, [(-1, b)])) == [[-1, -2], [0, -3]]
+
+
 @given(one(), st.sampled_from(GRID))
 def test_scale_matches_reference(a, factor):
     mat = ExactMatrix(a)

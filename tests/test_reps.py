@@ -1,13 +1,17 @@
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from spinweave import groups
 from spinweave.clifford import CliffordElement, Signature, volume
 from spinweave.groups import (
     KappaImage,
     build_odd_element,
     generate_frame_group,
     kappa,
+    sample_lipschitz,
     scalar_pair,
     verify_spinor_groups,
 )
@@ -270,6 +274,20 @@ class TestConjugatedFrames:
         if ss.sig.m % 2:
             odd = build_odd_element(ss, 2, 3, ss.frame[0])
             assert kappa(ss, odd) == KappaImage(-1, sc(2) / 3)
+
+    @pytest.mark.parametrize("parity", [0, 1], ids=["even-m", "odd-m"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 1000))
+    def test_kappa_core_given_the_inverse_matches_kappa(self, parity, data, seed):
+        # verify reads kappa of sampled elements through the unguarded core,
+        # with (ab)^-1 taken as b^-1 a^-1
+        ss = data.draw(_conjugated_spin_space(parity))
+        group = generate_frame_group(ss)
+        rng = random.Random(seed)
+        a, b = sample_lipschitz(group, rng), sample_lipschitz(group, rng)
+        inv_a, inv_b = a.inverse(), b.inverse()
+        assert groups._kappa(ss, a, inv_a) == kappa(ss, a)
+        assert groups._kappa(ss, a * b, inv_b * inv_a) == kappa(ss, a * b)
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data(), lam=st.sampled_from(_SCALARS), mu=st.sampled_from(_SCALARS))
