@@ -5,15 +5,19 @@ sampling verifies it without calculus: rational sphere points come from
 stereographic projection, tangent vectors from exact orthogonal
 projection, and all operator identities are checked entrywise over the
 exact scalar field.
+
+Samples are integer forms x = X / D, y = Y / E (D, E > 0).  The sphere,
+projective and quadric maps are linear in each vector, so the checks run
+on Gaussian-integer numerators N = k tau, k > 0: tau^2 = c I iff
+N^2 = k^2 c I.  Only the public sample records hold Fractions.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .clifford import CliffordElement, Signature, volume
 from .linalg import ExactMatrix, _wrap
@@ -21,12 +25,43 @@ from .reports import Record, Report, report
 from .reps import DIRAC, PAULI, Representation, SpinSpace, build_rep, invertible_intertwiner
 from .scalars import ExactScalar, I, ONE, SQRT2, ZERO, _sum_products, sc
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 CE = CliffordElement
+
+# (X, D, Y, E): the point X / D of a sphere and the tangent vector Y / E there
+Form = Tuple[List[int], int, List[int], int]
 
 
 # ---------------------------------------------------------------------------
 # rational sphere sampling
 # ---------------------------------------------------------------------------
+
+
+def _over_lcm(ratios: Sequence[Tuple[int, int]]) -> Tuple[List[int], int]:
+    """N and B with N_i / B = a_i / b_i for the (a, b) ratios, B the lcm of the b."""
+    den = lcm(*(b for _, b in ratios))
+    return [a * (den // b) for a, b in ratios], den
+
+
+def _integers(values: Sequence) -> Tuple[List[int], int]:
+    """N and B with N_i / B = values_i, for int or Fraction values."""
+    return _over_lcm([v.as_integer_ratio() for v in values])
+
+
+def _check_point(xs: Sequence[int], d: int) -> None:
+    """|x| = 1 for x = X / D, on integers: |X|^2 = D^2."""
+    if sum(a * a for a in xs) != d * d:
+        raise ValueError("sphere point does not have unit norm")
+
+
+def _check_tangent(xs: Sequence[int], ys: Sequence[int]) -> None:
+    """x.y = 0 for x = X / D and y = Y / E, on integers: X.Y = 0."""
+    if len(ys) != len(xs):
+        raise ValueError("tangent vector has wrong length")
+    if sum(a * b for a, b in zip(xs, ys)):
+        raise ValueError("tangent vector is not orthogonal to the point")
 
 
 class RationalSpherePoint(Record):
@@ -35,8 +70,7 @@ class RationalSpherePoint(Record):
     __slots__ = ("coords",)
 
     def __init__(self, coords: Tuple[Fraction, ...]):
-        if sum(c * c for c in coords) != 1:
-            raise ValueError("sphere point does not have unit norm")
+        _check_point(*_integers(coords))
         self._assign(coords)
 
     @property
@@ -53,10 +87,7 @@ class TangentPair(Record):
     __slots__ = ("point", "y")
 
     def __init__(self, point: RationalSpherePoint, y: Tuple[Fraction, ...]):
-        if len(y) != len(point.coords):
-            raise ValueError("tangent vector has wrong length")
-        if sum(a * b for a, b in zip(point.coords, y)) != 0:
-            raise ValueError("tangent vector is not orthogonal to the point")
+        _check_tangent(_integers(point.coords)[0], _integers(y)[0])
         self._assign(point, y)
 
     def antipode(self) -> "TangentPair":
@@ -66,24 +97,36 @@ class TangentPair(Record):
         return sum(c * c for c in self.y)
 
 
-def _over_lcm(ratios: Sequence[Tuple[int, int]]) -> Tuple[List[int], int]:
-    """N and B with N_i / B = a_i / b_i for the (a, b) ratios, B the lcm of the b."""
-    den = lcm(*(b for _, b in ratios))
-    return [a * (den // b) for a, b in ratios], den
+def _form(pair: TangentPair) -> Form:
+    return (*_integers(pair.point.coords), *_integers(pair.y))
 
 
-def _projection(ratios: Sequence[Tuple[int, int]]) -> Tuple[RationalSpherePoint, List[int], int]:
-    """Inverse stereographic projection on integers: the point x = X / D, X and
-    D, where X = (2 B P, B^2 - |P|^2) and D = B^2 + |P|^2 for parameters P / B."""
+def _point(xs: Sequence[int], d: int) -> RationalSpherePoint:
+    from fractions import Fraction
+
+    return RationalSpherePoint(tuple(Fraction(x, d) for x in xs))
+
+
+def _pair(form: Form) -> TangentPair:
+    from fractions import Fraction
+
+    xs, d, ys, e = form
+    return TangentPair(_point(xs, d), tuple(Fraction(y, e) for y in ys))
+
+
+def _projection(ratios: Sequence[Tuple[int, int]]) -> Tuple[List[int], int]:
+    """Inverse stereographic projection on integers: X and D with x = X / D,
+    X = (2 B P, B^2 - |P|^2) and D = B^2 + |P|^2 for parameters P / B."""
     nums, den = _over_lcm(ratios)
     norm = sum(p * p for p in nums)
-    xs, d = [2 * den * p for p in nums] + [den * den - norm], den * den + norm
-    return RationalSpherePoint(tuple(Fraction(x, d) for x in xs)), xs, d
+    return [2 * den * p for p in nums] + [den * den - norm], den * den + norm
 
 
 def stereographic(params: Sequence[Fraction]) -> RationalSpherePoint:
     """Inverse stereographic projection; zero parameters hit the north pole."""
-    return _projection([Fraction(p).as_integer_ratio() for p in params])[0]
+    from fractions import Fraction
+
+    return _point(*_projection([Fraction(p).as_integer_ratio() for p in params]))
 
 
 def _random_ratio(rng: random.Random) -> Tuple[int, int]:
@@ -94,25 +137,33 @@ def sample_sphere_points(m: int, count: int, seed: int) -> List[RationalSpherePo
     if m < 1:
         raise ValueError("sphere dimension must be positive")
     rng = random.Random(seed)
-    return [_projection([_random_ratio(rng) for _ in range(m)])[0] for _ in range(count)]
+    return [_point(*_projection([_random_ratio(rng) for _ in range(m)])) for _ in range(count)]
 
 
-def sample_tangent_pairs(m: int, count: int, seed: int) -> List[TangentPair]:
-    """Seeded tangent pairs: x = X / D from _projection and v = V / C, so the
-    tangent part y = v - (x.v) x is (D^2 V - (X.V) X) / (C D^2)."""
+def _tangent_forms(m: int, count: int, seed: int) -> List[Form]:
+    """Seeded tangent pairs of S^m as checked integer forms (X, D, Y, E):
+    x = X / D from _projection and v = V / C, so the tangent part
+    y = v - (x.v) x is (D^2 V - (X.V) X) / (C D^2); y = 0 is redrawn."""
     if m < 1:
         raise ValueError("sphere dimension must be positive")
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        x, xs, d = _projection([_random_ratio(rng) for _ in range(m)])
+        xs, d = _projection([_random_ratio(rng) for _ in range(m)])
         vs, c = _over_lcm([_random_ratio(rng) for _ in range(m + 1)])
         dot = sum(a * b for a, b in zip(xs, vs))
         ys = [d * d * b - dot * a for a, b in zip(xs, vs)]
         if not any(ys):
             continue
-        out.append(TangentPair(x, tuple(Fraction(y, c * d * d) for y in ys)))
+        _check_point(xs, d)
+        _check_tangent(xs, ys)
+        out.append((xs, d, ys, c * d * d))
     return out
+
+
+def sample_tangent_pairs(m: int, count: int, seed: int) -> List[TangentPair]:
+    """The records of _tangent_forms(m, count, seed)."""
+    return [_pair(form) for form in _tangent_forms(m, count, seed)]
 
 
 # ---------------------------------------------------------------------------
@@ -127,14 +178,22 @@ def sphere_representation(m: int) -> Representation:
     return build_rep(sig, PAULI if m % 2 == 0 else DIRAC)
 
 
+def _sphere_numerator(xs: Sequence[int], ys: Sequence[int], rep: Representation) -> ExactMatrix:
+    """N = theta(i X Y) = D E tau(X / D, Y / E), since x y is bilinear, for a
+    definite signature: X Y = X.Y + sum_{a<b} (X_a Y_b - X_b Y_a) e_a e_b."""
+    terms = {0: I * sum(a * b for a, b in zip(xs, ys))}
+    for a, (xa, ya) in enumerate(zip(xs, ys)):
+        for b in range(a + 1, len(xs)):
+            terms[1 << a | 1 << b] = I * (xa * ys[b] - xs[b] * ya)
+    return rep.image(CE(rep.sig, terms))
+
+
 def sphere_tau(m: int, pair: TangentPair, rep: Representation) -> ExactMatrix:
     """Clifford map of the round sphere: (x, y) -> i * theta(x y) = theta(i x y)."""
     if pair.point.m != m or rep.sig != Signature(m + 1, 0):
         raise ValueError("pair or representation does not match the sphere dimension")
-    sig = rep.sig
-    x = CE.vector(sig, [sc(c) for c in pair.point.coords])
-    y = CE.vector(sig, [sc(c) for c in pair.y])
-    return rep.image((x * y).scale(I))
+    xs, d, ys, e = _form(pair)
+    return _sphere_numerator(xs, ys, rep).scale(ONE / (d * e))
 
 
 def projective_tau(m: int, sign: int, pair: TangentPair, rep: Representation) -> ExactMatrix:
@@ -164,12 +223,14 @@ def projective_example_check(m: int, samples: int, seed: int) -> Report:
 
 
 def _square_check(name: str, m: int, samples: int, seed: int) -> Report:
+    """tau^2 = |y|^2 I at each seeded form, checked as N^2 = D^2 |Y|^2 I for
+    the numerator N = D E tau: (D E)^2 |y|^2 = D^2 |Y|^2, and D E > 0."""
     rep = sphere_representation(m)
     ident = ExactMatrix.identity(rep.dim)
     failures = 0
-    for pair in sample_tangent_pairs(m, samples, seed):
-        t = sphere_tau(m, pair, rep)
-        if t * t != ident.scale(sc(pair.norm_squared())):
+    for xs, d, ys, _ in _tangent_forms(m, samples, seed):
+        n = _sphere_numerator(xs, ys, rep)
+        if n * n != ident.scale(d * d * sum(y * y for y in ys)):
             failures += 1
     return report(f"{name}-clifford-property", f"m={m}", failures == 0,
                   counterexample=f"{failures} failures" if failures else None)
@@ -375,59 +436,80 @@ _SIG3 = Signature(3, 0)
 
 
 @lru_cache(maxsize=None)
-def _theta2() -> Representation:
-    return build_rep(_SIG2, DIRAC)
+def _quadric_reps() -> Tuple[Representation, Representation, CliffordElement]:
+    """theta of Cl(2,0), sigma of Cl(3,0) and the volume element omega of Cl(3,0)."""
+    return build_rep(_SIG2, DIRAC), build_rep(_SIG3, PAULI), volume(_SIG3).eta
 
 
-@lru_cache(maxsize=None)
-def _sigma3() -> Representation:
-    return build_rep(_SIG3, PAULI)
+def _quadric_tau_numerator(fx: Form, fy: Form) -> ExactMatrix:
+    """N_tau = D2 L tau, L = lcm(E1, E2), for the circle form
+    fx = (X1, D1, Y1, E1) and the sphere form fy = (X2, D2, Y2, E2).
 
-
-@lru_cache(maxsize=None)
-def _omega3() -> CliffordElement:
-    return volume(_SIG3).eta
-
-
-def quadric_tau(p: QuadricPoint) -> ExactMatrix:
-    """Clifford action on S1 (x) S2 for the product metric.
-
-    Assembled as theta(xi) (x) sigma(i*y*omega) + 1 (x) sigma(i*y*eta):
-    the i, folded into y before the images, normalises the squares to +g,
-    keeping the map antipodally invariant since both factors are.
+    tau = theta(xi) (x) sigma(i*y*omega) + 1 (x) sigma(i*y*t) for the
+    circle's tangent vector xi, the sphere point y and its tangent vector t:
+    the i, folded into y before the images, normalises the squares to +g.
+    sigma is the S^2 sphere representation, so sigma(i*y*t) is the S^2
+    sphere map.  Each term is bilinear, so D2 L tau is
+    theta(Y1 L/E1) (x) sigma(i X2 omega) + 1 (x) sigma(i X2 Y2 L/E2).
     """
-    theta, sigma = _theta2(), _sigma3()
-    xi = CE.vector(_SIG2, [sc(c) for c in p.x.y])
-    iy = CE.vector(_SIG3, [sc(c) * I for c in p.y.point.coords])
-    t = CE.vector(_SIG3, [sc(c) for c in p.y.y])
-    first = ExactMatrix.kron(theta.image(xi), sigma.image(iy * _omega3()))
-    second = ExactMatrix.kron(ExactMatrix.identity(2), sigma.image(iy * t))
-    return first + second
+    _, _, y1, e1 = fx
+    x2, _, y2, e2 = fy
+    big = lcm(e1, e2)
+    theta, sigma, omega = _quadric_reps()
+    xi = CE.vector(_SIG2, [c * (big // e1) for c in y1])
+    iy = CE.vector(_SIG3, [sc(c) * I for c in x2])
+    first = ExactMatrix.kron(theta.image(xi), sigma.image(iy * omega))
+    second = _sphere_numerator(x2, [c * (big // e2) for c in y2], sigma)
+    return first + ExactMatrix.kron(ExactMatrix.identity(2), second)
 
 
-def quadric_varpi(p: QuadricPoint) -> ExactMatrix:
-    """Involution splitting the quadric module: theta(x) (x) sigma(-i*y*omega).
+def _quadric_varpi_numerator(fx: Form, fy: Form) -> ExactMatrix:
+    """N_varpi = D1 D2 varpi = theta(X1) (x) sigma(-i X2 omega), bilinear in
+    the circle point x = X1 / D1 and the sphere point y = X2 / D2.
 
     The -i factor normalises sigma of the odd vector y out of the even
     image sigma(y*omega); the product of the two odd slots is antipodally
     invariant and anticommutes with the Clifford action.
     """
-    theta, sigma = _theta2(), _sigma3()
-    x = CE.vector(_SIG2, [sc(c) for c in p.x.point.coords])
-    y = CE.vector(_SIG3, [-sc(c) * I for c in p.y.point.coords])
-    return ExactMatrix.kron(theta.image(x), sigma.image(y * _omega3()))
+    theta, sigma, omega = _quadric_reps()
+    x = CE.vector(_SIG2, fx[0])
+    y = CE.vector(_SIG3, [-sc(c) * I for c in fy[0]])
+    return ExactMatrix.kron(theta.image(x), sigma.image(y * omega))
+
+
+def quadric_tau(p: QuadricPoint) -> ExactMatrix:
+    """Clifford action on S1 (x) S2 for the product metric, N_tau / (D2 L)."""
+    fx, fy = _form(p.x), _form(p.y)
+    return _quadric_tau_numerator(fx, fy).scale(ONE / (fy[1] * lcm(fx[3], fy[3])))
+
+
+def quadric_varpi(p: QuadricPoint) -> ExactMatrix:
+    """Involution splitting the quadric module, N_varpi / (D1 D2)."""
+    fx, fy = _form(p.x), _form(p.y)
+    return _quadric_varpi_numerator(fx, fy).scale(ONE / (fx[1] * fy[1]))
+
+
+def _quadric_forms(count: int, seed: int) -> List[Tuple[Form, Form]]:
+    """Seeded (circle form, sphere form) samples of the quadric."""
+    return list(zip(_tangent_forms(1, count, seed), _tangent_forms(2, count, seed + 1)))
 
 
 def sample_quadric_points(count: int, seed: int) -> List[QuadricPoint]:
-    xs = sample_tangent_pairs(1, count, seed)
-    ys = sample_tangent_pairs(2, count, seed + 1)
-    return [QuadricPoint(x, y) for x, y in zip(xs, ys)]
+    """The records of the samples ``quadric_example_check(count, seed)`` checks."""
+    return [QuadricPoint(_pair(fx), _pair(fy)) for fx, fy in _quadric_forms(count, seed)]
 
 
-def quadric_example_check(samples: Sequence[QuadricPoint]) -> Report:
-    """Exact pointwise checks: involution, anticommutation, Clifford
-    property for the product metric, antipodal invariance, projector swap.
-    The counterexample is the first failure.
+def quadric_example_check(samples: int, seed: int) -> Report:
+    """Exact pointwise checks at ``samples`` seeded points: involution,
+    anticommutation, Clifford property for the product metric, antipodal
+    invariance, projector swap.  The counterexample is the first failure.
+
+    The first three run on the numerators N_varpi = D1 D2 varpi and
+    N_tau = D2 L tau, L = lcm(E1, E2), whose scales are positive integers:
+    varpi^2 = I iff N_varpi^2 = (D1 D2)^2 I; tau varpi = -varpi tau iff
+    N_tau N_varpi = -N_varpi N_tau, both sides being D1 D2^2 L times the
+    original; and tau^2 = g I with g = |Y1|^2/E1^2 + |Y2|^2/E2^2 iff
+    N_tau^2 = (D2 L)^2 g I, an integer multiple of I.
 
     The last two hold by construction and are not recomputed.  The
     antipode negates x, y and both tangent vectors.  Each term of tau and
@@ -439,14 +521,18 @@ def quadric_example_check(samples: Sequence[QuadricPoint]) -> Report:
     """
     failures = []
     ident = ExactMatrix.identity(4)
-    for idx, p in enumerate(samples):
-        tau = quadric_tau(p)
-        varpi = quadric_varpi(p)
-        if varpi * varpi != ident:
+    for idx, (fx, fy) in enumerate(_quadric_forms(samples, seed)):
+        (_, d1, y1, e1), (_, d2, y2, e2) = fx, fy
+        tau = _quadric_tau_numerator(fx, fy)
+        varpi = _quadric_varpi_numerator(fx, fy)
+        if varpi * varpi != ident.scale((d1 * d2) ** 2):
             failures.append(f"sample {idx}: varpi is not involutive")
         if not varpi.anticommutes_with(tau):
             failures.append(f"sample {idx}: varpi does not anticommute with tau")
-        g = sc(p.x.norm_squared() + p.y.norm_squared())
+        scale = lcm(e1, e2)
+        # (D2 L)^2 g with L = lcm(E1, E2) and g = |Y1|^2 / E1^2 + |Y2|^2 / E2^2
+        g = d2 * d2 * (sum(c * c for c in y1) * (scale // e1) ** 2
+                       + sum(c * c for c in y2) * (scale // e2) ** 2)
         if tau * tau != ident.scale(g):
             failures.append(f"sample {idx}: Clifford property fails")
     return report("quadric-pointwise-checks", None, not failures,

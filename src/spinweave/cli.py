@@ -262,7 +262,6 @@ def _run_example(name: str, m: int, samples: int, seed: int) -> List[Report]:
         hermitean_example_check,
         projective_example_check,
         quadric_example_check,
-        sample_quadric_points,
         sphere_example_check,
     )
     from .clifford import Signature
@@ -271,7 +270,7 @@ def _run_example(name: str, m: int, samples: int, seed: int) -> List[Report]:
     examples = {
         "sphere": lambda: sphere_example_check(m, samples, seed),
         "projective": lambda: projective_example_check(m, samples, seed),
-        "quadric": lambda: quadric_example_check(sample_quadric_points(samples, seed)),
+        "quadric": lambda: quadric_example_check(samples, seed),
         "exterior": lambda: exterior_example_check(Signature(m, 0)),
         "hermitean": lambda: hermitean_example_check(m // 2, samples, seed),
         "associated": lambda: associated_tau_welldefined(spin_space(Signature(m, 0))),

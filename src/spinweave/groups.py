@@ -390,19 +390,21 @@ def _reflection(m: int, i: int) -> ExactMatrix:
     return ExactMatrix.diag([MINUS_ONE if j == i else ONE for j in range(m)])
 
 
-def _gamma_adjoints(ss: SpinSpace) -> Tuple[Optional[OrthMatrix], ...]:
-    """Ad(Gamma v_i) for each frame vector, None where it is not orthogonal
-    on span V; cached on the spin space for the extension diagram and the
-    reflection witnesses."""
-    cached = ss._probes.get("gamma-adjoints")
+def _adjoints(ss: SpinSpace, gamma: bool) -> Tuple[Optional[OrthMatrix], ...]:
+    """Ad(Gamma v_i) if gamma, else Ad(v_i), for each frame vector, None where
+    it is not Lipschitz; cached on the spin space.  Ad(Gamma v_i) serves the
+    extension diagram and the reflection witnesses, Ad(v_i) the plain-Ad
+    kernel and the kappa certificate."""
+    key = "gamma-adjoints" if gamma else "frame-adjoints"
+    cached = ss._probes.get(key)
     if cached is None:
         cached = []
         for v in ss.frame:
             try:
-                cached.append(adjoint_matrix(ss, ss.gamma * v))
+                cached.append(adjoint_matrix(ss, ss.gamma * v if gamma else v))
             except ValueError:
                 cached.append(None)
-        cached = ss._probes["gamma-adjoints"] = tuple(cached)
+        cached = ss._probes[key] = tuple(cached)
     return cached
 
 
@@ -438,7 +440,7 @@ def verify_extension_diagram(group: FrameGroup) -> List[Report]:
         bad is None and not off and group.order == 2 << m
         and all(g in group for g in (ident, -ident, *ss.frame))
     )
-    agree = bad is None and all(g == t for g, t in zip(_gamma_adjoints(ss), twisted))
+    agree = bad is None and all(g == t for g, t in zip(_adjoints(ss, gamma=True), twisted))
     return [
         report("twisted-adjoint-lands-in-orthogonal-group", ss.sig, bad is None,
                counterexample=None if bad is None else str(bad)),
@@ -465,10 +467,8 @@ def plain_ad_kernel(group: FrameGroup) -> List[ExactMatrix]:
     ident = ExactMatrix.identity(ss.dim)
     central = [ident, -ident] + ([ss.eta, -ss.eta] if m % 2 else [])
     members = {group.index_of(g) for g in central}
-    try:
-        ok = all(adjoint_matrix(ss, v).mat == -_reflection(m, i) for i, v in enumerate(ss.frame))
-    except ValueError:
-        ok = False
+    ok = all(g is not None and g.mat == -_reflection(m, i)
+             for i, g in enumerate(_adjoints(ss, gamma=False)))
     if ok and group.order == 2 << m and None not in members and len(members) == len(central):
         if all(in_kernel_k(ss, g) for g in central):
             return [group.elements[i] for i in sorted(members)]
@@ -492,7 +492,7 @@ def ad_surjectivity_witnesses(ss: SpinSpace) -> List[Report]:
             witness="I",
         )
     ]
-    adjoints = _gamma_adjoints(ss)
+    adjoints = _adjoints(ss, gamma=True)
     for i, g in enumerate(adjoints):
         ok = g is not None and g.mat == _reflection(m, i)
         results.append(report(f"reflection-e{i + 1}-witness", ss.sig, ok,
@@ -510,7 +510,7 @@ def ad_surjectivity_witnesses(ss: SpinSpace) -> List[Report]:
 def _sampled_kinds_are_lipschitz(ss: SpinSpace) -> bool:
     """Certificate that every factor ``sample_lipschitz`` draws on ss is
     Lipschitz: each frame vector and Gamma are, and eta commutes with V."""
-    return (all(is_lipschitz(ss, v) for v in ss.frame) and is_lipschitz(ss, ss.gamma)
+    return (None not in _adjoints(ss, gamma=False) and is_lipschitz(ss, ss.gamma)
             and in_kernel_k(ss, ss.eta))
 
 

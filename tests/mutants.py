@@ -94,7 +94,29 @@ MUTANTS = (
         "        if not any(ys):\n            continue\n",
         "",
         ("tests/test_sampler_oracle.py::test_tangent_pairs_match_the_fraction_oracle[1]",
-         "tests/test_sampler_oracle.py::test_a_redraw_keeps_the_draw_order"),
+         "tests/test_sampler_oracle.py::test_a_redraw_keeps_the_draw_order",
+         "tests/test_sampler_oracle.py::test_tangent_forms_are_the_records_over_integers[1]"),
+    ),
+    Mutant(
+        # N = D E tau squares to D^2 |Y|^2 I, not to |Y|^2 I
+        "sphere-check-drops-d-squared",
+        "bundles.py",
+        "        if n * n != ident.scale(d * d * sum(y * y for y in ys)):\n",
+        "        if n * n != ident.scale(sum(y * y for y in ys)):\n",
+        ("tests/test_bundles.py::TestExampleChecks::test_records_carry_the_cli_name_and_signature",
+         "tests/test_cli.py::TestExamples::test_sphere",
+         "tests/test_cli.py::TestExamples::test_projective"),
+    ),
+    Mutant(
+        # N_tau scaled by D2 E1 E2 against g scaled by (D2 lcm(E1, E2))^2
+        "quadric-tau-scale-uses-denominator-product",
+        "bundles.py",
+        "    big = lcm(e1, e2)\n",
+        "    big = e1 * e2\n",
+        ("tests/test_sampler_oracle.py::test_quadric_maps_are_numerators_over_their_scales",
+         "tests/test_bundles.py::TestExampleChecks::test_records_carry_the_cli_name_and_signature",
+         "tests/test_bundles.py::TestQuadric::test_sampled_checks",
+         "tests/test_cli.py::TestExamples::test_quadric"),
     ),
     Mutant(
         "frame-group-skips-relation-check",
@@ -117,8 +139,8 @@ MUTANTS = (
     Mutant(
         "kappa-certificate-skips-gamma",
         "groups.py",
-        "    return (all(is_lipschitz(ss, v) for v in ss.frame) and is_lipschitz(ss, ss.gamma)\n",
-        "    return (all(is_lipschitz(ss, v) for v in ss.frame)\n",
+        "    return (None not in _adjoints(ss, gamma=False) and is_lipschitz(ss, ss.gamma)\n",
+        "    return (None not in _adjoints(ss, gamma=False)\n",
         ("tests/test_groups.py::TestVerifySpinorGroups::test_certificate_rejects_a_non_lipschitz_gamma[Cl(3,0)]",
          "tests/test_groups.py::TestVerifySpinorGroups::test_certificate_rejects_a_non_lipschitz_gamma[Cl(1,2)]"),
     ),

@@ -16,7 +16,6 @@ from spinweave.bundles import (
     exterior_tau,
     projective_example_check,
     quadric_example_check,
-    sample_quadric_points,
     sphere_example_check,
 )
 from spinweave.charclass import (
@@ -268,7 +267,7 @@ def test_criterion_8_bundle_examples():
             report = check(m, 100, seed=m)
             assert report.ok, (report.check_name, report.counterexample)
 
-    report = quadric_example_check(sample_quadric_points(50, seed=3))
+    report = quadric_example_check(50, seed=3)
     assert report.ok, report.counterexample
 
     for sig in signatures(6):

@@ -258,7 +258,7 @@ class TestQuadric:
 
     def test_sampled_checks(self):
         points = sample_quadric_points(12, seed=20)
-        report = quadric_example_check(points)
+        report = quadric_example_check(12, seed=20)
         assert report.ok, report.counterexample
         # the projector swap, which quadric_example_check certifies by the
         # anticommutation it checks
@@ -417,7 +417,7 @@ class TestExampleChecks:
             projective_example_check(2, 3, seed=1),
             exterior_example_check(sig(3, 0)),
             hermitean_example_check(2, 3, seed=1),
-            quadric_example_check(sample_quadric_points(2, seed=1)),
+            quadric_example_check(2, seed=1),
         ]
         assert [(r.check_name, r.signature, r.status, r.counterexample) for r in records] == [
             ("sphere-clifford-property", "m=2", "pass", None),
@@ -432,7 +432,7 @@ class TestExampleChecks:
         assert report.ok and report.signature == "Cl(1,2)"
 
     def test_sphere_counts_failing_samples(self, monkeypatch):
-        monkeypatch.setattr(bundles, "sphere_tau", lambda m, pair, rep: M.zeros(rep.dim))
+        monkeypatch.setattr(bundles, "_sphere_numerator", lambda xs, ys, rep: M.zeros(rep.dim))
         report = sphere_example_check(2, 3, seed=1)
         assert report.status == "fail" and report.counterexample == "3 failures"
         # the projective maps are +-sphere_tau: one failure per pair, not two
@@ -440,10 +440,12 @@ class TestExampleChecks:
         assert report.status == "fail" and report.counterexample == "3 failures"
 
     @pytest.mark.parametrize("name, broken, first", [
-        ("quadric_varpi", lambda p: M.identity(4), "sample 0: varpi does not anticommute with tau"),
-        ("quadric_tau", lambda p: M.zeros(4), "sample 0: Clifford property fails"),
+        # varpi = I: the numerator D1 D2 varpi is D1 D2 I
+        ("_quadric_varpi_numerator", lambda fx, fy: M.identity(4).scale(fx[1] * fy[1]),
+         "sample 0: varpi does not anticommute with tau"),
+        ("_quadric_tau_numerator", lambda fx, fy: M.zeros(4), "sample 0: Clifford property fails"),
     ], ids=["varpi-identity", "tau-zero"])
     def test_quadric_names_the_first_failure(self, monkeypatch, name, broken, first):
         monkeypatch.setattr(bundles, name, broken)
-        report = quadric_example_check(sample_quadric_points(2, seed=1))
+        report = quadric_example_check(2, seed=1)
         assert report.status == "fail" and report.counterexample == first

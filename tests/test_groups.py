@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -415,6 +419,33 @@ class TestVerifySpinorGroups:
                                        seed=1)
         assert reports[-1].check_name == "kappa-homomorphism-sampled"
         assert not reports[-1].ok
+
+    def test_odd_m_builds_each_frame_adjoint_once(self):
+        # verify --sig 5,0: 5 twisted adjoints, 5 Ad(Gamma v_i), the identity
+        # witness, 5 Ad(v_i) shared by the plain-Ad kernel and the kappa
+        # certificate, and Gamma's own: 17, where building Ad(v_i) twice made 22
+        code = """
+import contextlib, io
+from spinweave import cli, groups
+calls = []
+inner = groups._frame_matrix
+def counted(*args):
+    calls.append(1)
+    return inner(*args)
+groups._frame_matrix = counted
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["verify", "--sig", "5,0"])
+print(code, len(calls))
+"""
+        src = str(Path(groups.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        env.pop("SPINWEAVE_SEED", None)
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "17"]
+
 
 class TestGradingCompatibility:
     def test_det_matches_grading(self):

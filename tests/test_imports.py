@@ -98,6 +98,21 @@ def test_verify_loads_no_fractions_or_decimal():
     assert doc == {"code": 0, "loaded": []}
 
 
+@pytest.mark.parametrize("argv", [
+    ("sphere", "--m", "3", "--samples", "3"),
+    ("projective", "--m", "3", "--samples", "3"),
+    ("quadric", "--samples", "3"),
+    ("exterior", "--m", "3"),
+    ("hermitean", "--m", "4", "--samples", "3"),
+    ("associated", "--m", "3"),
+], ids=lambda argv: argv[0])
+def test_examples_load_no_fractions_or_decimal(argv):
+    # bundles builds Fractions only for the public sample records, which no
+    # check reads: the checks run on integer forms
+    doc = json.loads(fresh("-c", NUMERIC, "examples", *argv).splitlines()[-1])
+    assert doc == {"code": 0, "loaded": []}
+
+
 def test_layers_load_no_dataclasses_or_inspect():
     code = ("import sys, spinweave.cli, spinweave.groups, spinweave.bundles, spinweave.charclass;"
             " print([m for m in ('dataclasses', 'inspect') if m in sys.modules])")
