@@ -23,7 +23,7 @@ from .clifford import CliffordElement, Signature, volume
 from .linalg import ExactMatrix, _wrap
 from .reports import Record, Report, report
 from .reps import DIRAC, PAULI, Representation, SpinSpace, build_rep, invertible_intertwiner
-from .scalars import ExactScalar, I, ONE, SQRT2, ZERO, _sum_products, sc
+from .scalars import HALF, ExactScalar, I, ONE, SQRT2, ZERO, _sum_products, sc
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -362,26 +362,27 @@ def exterior_example_check(h: Signature) -> Report:
 
 
 def _hermitean_slots(n: Sequence, d: int) -> Slots:
-    """Slots of n + conj(n): sqrt2 * (conjugate contraction + wedge)."""
+    """Slots of (n + conj(n)) / sqrt2: conjugate contraction plus wedge, on
+    Gaussian values."""
     if len(n) != d:
         raise ValueError("dimension mismatch")
     coeffs = [sc(c) for c in n]
     for c in coeffs:
         if not c.is_gaussian():
             raise ValueError("eigenspace coordinates must be complex rationals")
-    return [(i, SQRT2 * c.conjugate(), SQRT2 * c) for i, c in enumerate(coeffs) if not c.is_zero()]
+    return [(i, c.conjugate(), c) for i, c in enumerate(coeffs) if not c.is_zero()]
 
 
 def hermitean_tau(n: Sequence, omega: ExteriorElement) -> ExteriorElement:
     """Clifford action of n + conj(n) on the exterior algebra of the
     i-eigenspace model: sqrt2 * (conjugate contraction + wedge)."""
-    return _act(omega.m, _hermitean_slots(n, omega.m), omega)
+    return _act(omega.m, _hermitean_slots(n, omega.m), omega).scale(SQRT2)
 
 
 def hermitean_operator(n: Sequence) -> ExactMatrix:
     """hermitean_tau(n, .) as a matrix on the 2^d basis forms, d = len(n):
     row A holds tau(n) omega_A."""
-    return _operator(len(n), _hermitean_slots(n, len(n)))
+    return _operator(len(n), _hermitean_slots(n, len(n))).scale(SQRT2)
 
 
 def hermitean_h_value(n: Sequence) -> ExactScalar:
@@ -396,8 +397,11 @@ def hermitean_h_value(n: Sequence) -> ExactScalar:
 def hermitean_example_check(d: int, samples: int, seed: int) -> Report:
     """tau(n)^2 = 2|n|^2 on every basis form, at seeded nonzero n in Q(i)^d.
 
-    As in exterior_example_check, T * T == 2|n|^2 * I for the operator
-    T = tau(n) is the statement on every basis form, row by row.
+    As in exterior_example_check, T * T == h * I for the operator T = tau(n)
+    and h = 2|n|^2 is the statement on every basis form, row by row.
+    T = sqrt2 * S for the operator S on the Gaussian slots, so T * T = 2 S * S,
+    and T * T == h * I holds exactly when S * S == |n|^2 * I: the check
+    squares S, whose entries are Gaussian rationals.
     """
     rng = random.Random(seed)
     ident = ExactMatrix.identity(1 << d)
@@ -406,9 +410,8 @@ def hermitean_example_check(d: int, samples: int, seed: int) -> Report:
         n = [ExactScalar(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(d)]
         if all(c.is_zero() for c in n):
             continue
-        hv = hermitean_h_value(n)
-        t = hermitean_operator(n)
-        if t * t != ident.scale(hv):
+        s = _operator(d, _hermitean_slots(n, d))
+        if s * s != ident.scale(hermitean_h_value(n) * HALF):
             ok = False
     return report("hermitean-clifford-property", f"d={d}", ok)
 

@@ -337,6 +337,8 @@ class ExactMatrix:
 
     @classmethod
     def from_json(cls, data) -> "ExactMatrix":
+        if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
+            raise ValueError(f"a matrix is a list of rows of scalars, got {data!r}")
         return cls([[ExactScalar.from_json(x) for x in row] for row in data])
 
 

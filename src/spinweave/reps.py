@@ -10,8 +10,8 @@ Cl(1,0) and alternates two exact steps, keeping every entry in Q(i):
 
 Mixed signatures multiply the last l generator images by i.  Cartan
 representations are assembled block-diagonally from the Pauli one, and
-Weyl halves are cut out of the Dirac representation by the normalised
-volume involution.
+Weyl halves are read off the blocks of the Dirac representation, on which
+the normalised volume involution is [[0, -cI], [cI, 0]].
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .clifford import CliffordElement, Signature, volume
-from .linalg import ExactMatrix, nullspace_sparse, vector_to_matrix
+from .linalg import ExactMatrix, _wrap, nullspace_sparse, vector_to_matrix
 from .reports import (
     CARTAN, DIRAC, KINDS, PAULI, PAULI_TWISTED, WEYL_MINUS, WEYL_PLUS, Record, Report, report,
 )
@@ -169,55 +169,41 @@ def build_rep(sig: Signature, kind: str) -> Representation:
         images = _mixed_images(sig, _dirac_positive(m))
         return Representation(sig, kind, images, images[0].n)
 
-    # Weyl halves of the Dirac representation
-    dirac = build_rep(sig, DIRAC)
-    eta, iota = _frame_volume(dirac.images)
-    j = eta.scale(iota)  # involution whose eigenspaces are the half-spinor spaces
-    want = ONE if kind == WEYL_PLUS else MINUS_ONE
-    basis = _eigenspace_basis(j, want)
-    even_gens = [dirac.images[i] * dirac.images[m - 1] for i in range(m - 1)]
-    images = tuple(_restrict(g, basis) for g in even_gens)
-    return Representation(sig, kind, images, len(basis))
+    images = _weyl_images(build_rep(sig, DIRAC).images, ONE if kind == WEYL_PLUS else MINUS_ONE)
+    return Representation(sig, kind, images, images[0].n)
 
 
-def _eigenspace_basis(j: ExactMatrix, eigenvalue: ExactScalar) -> List[List[ExactScalar]]:
-    rows = []
-    for r, entries in enumerate(j.sparse_rows):
-        row = dict(entries)
-        diagonal = row.get(r, ZERO) - eigenvalue
-        if diagonal.is_zero():
-            row.pop(r, None)
-        else:
-            row[r] = diagonal
-        if row:
-            rows.append(row)
-    return nullspace_sparse(rows, j.n)
+def _weyl_images(dirac: Sequence[ExactMatrix], eigenvalue: ExactScalar) -> Tuple[ExactMatrix, ...]:
+    """Images of the even generators v_i v_m on the eigenvalue-eigenspace of
+    the volume involution j = iota * eta of a Dirac frame of the ladder.
 
-
-def _restrict(op: ExactMatrix, basis: List[List[ExactScalar]]) -> ExactMatrix:
-    """Matrix of an operator on an invariant subspace in its canonical kernel basis.
-
-    ``basis`` is the canonical RREF kernel basis from ``nullspace_sparse``.
-    Vector k is 1 at its free column f_k and 0 at the other free columns;
-    its other nonzeros sit at pivot columns left of f_k, so f_k is its last
-    nonzero.  A vector w = sum_k c_k b_k of the span therefore has
-    w[f_k] = c_k: its coordinates are its entries at f_1..f_d, read without
-    elimination.  The read gives numbers for any w, so each image is checked
-    exactly against the combination of its coordinates; a mismatch means
-    the image left the subspace, and ValueError is raised.
+    The first Dirac image is a multiple of the swap block and the others are
+    diag(s, -s), so j = [[0, -cI], [cI, 0]] with c = j[n, 0], and c^2 = -1
+    as j^2 = I.  j (x, y) = lambda (x, y) means x = -c lambda y, so the
+    canonical kernel basis of j - lambda I (pivots in the upper half, free
+    columns in the lower) is (-c lambda e_k, e_k), and a vector of the
+    eigenspace has its lower half as coordinates.  An even generator
+    g = [[g11, g12], [g21, g22]] commutes with j, so it maps (-c lambda e_k,
+    e_k) into the eigenspace, and its restriction is the lower half of that
+    image: -c lambda g21 + g22, one sum per lower row and no solve.  The
+    block form of j is checked exactly, and a frame without it raises.
     """
-    vectors = [[(c, x) for c, x in enumerate(vec) if not x.is_zero()] for vec in basis]
-    free = [vec[-1][0] for vec in vectors]
-    op_cols = op.transpose().sparse_rows
-    cols = []
-    for vec in vectors:
-        image = _sum_products((x, op_cols[c]) for c, x in vec)
-        entries = dict(image)
-        coords = [entries.get(f, ZERO) for f in free]
-        if _sum_products(zip(coords, vectors)) != image:
-            raise ValueError("subspace is not invariant under the operator")
-        cols.append(coords)
-    return ExactMatrix(cols).transpose()
+    n = dirac[0].n // 2
+    eta, iota = _frame_volume(dirac)
+    j = eta.scale(iota)
+    c = j[n, 0]
+    z, ident = ExactMatrix.zeros(n), ExactMatrix.identity(n)
+    if j != ExactMatrix.block2(z, ident.scale(-c), ident.scale(c), z):
+        raise ValueError("Dirac volume involution is not [[0, -cI], [cI, 0]]")
+    lower = -c * eigenvalue
+    images = []
+    for v in dirac[:-1]:
+        rows = (v * dirac[-1]).sparse_rows[n:]
+        images.append(_wrap(n, tuple(_sum_products((
+            (lower, [e for e in row if e[0] < n]),
+            (ONE, [(col - n, x) for col, x in row if col >= n]),
+        )) for row in rows)))
+    return tuple(images)
 
 
 def verify_clifford(rep: Representation) -> Report:

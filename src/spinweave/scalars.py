@@ -306,7 +306,13 @@ class ExactScalar:
     def from_json(cls, data) -> "ExactScalar":
         if not (isinstance(data, list) and len(data) == 4 and all(isinstance(s, str) for s in data)):
             raise ValueError(f"a scalar is a list of four coordinate strings, got {data!r}")
-        return cls(*(_fraction(s) for s in data))
+        coords = []
+        for k, s in enumerate(data):
+            try:
+                coords.append(_fraction(s))
+            except ZeroDivisionError:
+                raise ValueError(f"scalar coordinate {k} ({s!r}) has a zero denominator") from None
+        return cls(*coords)
 
 
 _new = object.__new__

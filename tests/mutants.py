@@ -119,6 +119,41 @@ MUTANTS = (
          "tests/test_cli.py::TestExamples::test_quadric"),
     ),
     Mutant(
+        # the lambda = -1 half read with the lambda = +1 basis coefficient
+        "weyl-read-drops-half-sign",
+        "reps.py",
+        "    lower = -c * eigenvalue\n",
+        "    lower = -c\n",
+        ("tests/test_restrict_oracle.py::test_weyl_images_equal_the_oracle[Cl(2,0)-weyl-]",
+         "tests/test_restrict_oracle.py::test_weyl_images_equal_the_oracle[Cl(0,10)-weyl-]",
+         "tests/test_golden_stdout.py::test_build_stdout_is_unchanged[argv2-json]",
+         "tests/test_golden_stdout.py::test_build_stdout_is_unchanged[argv12-json]",
+         "tests/test_golden_stdout.py::test_build_stdout_is_unchanged[argv20-json]"),
+    ),
+    Mutant(
+        "weyl-skips-volume-block-check",
+        "reps.py",
+        "    if j != ExactMatrix.block2(z, ident.scale(-c), ident.scale(c), z):\n"
+        "        raise ValueError(\"Dirac volume involution is not [[0, -cI], [cI, 0]]\")\n",
+        "",
+        ("tests/test_restrict_oracle.py::test_weyl_read_rejects_a_volume_off_the_block_form[Cl(2,0)-eigenvalue0]",
+         "tests/test_restrict_oracle.py::test_weyl_read_rejects_a_volume_off_the_block_form[Cl(3,3)-eigenvalue1]"),
+    ),
+    Mutant(
+        # a singular span candidate returned as the intertwiner
+        "morphism-returns-first-candidate",
+        "reps.py",
+        "        try:\n"
+        "            cand.inverse()\n"
+        "            return cand\n"
+        "        except ValueError:\n"
+        "            pass\n",
+        "        return cand\n",
+        ("tests/test_reps.py::TestIntertwiner::test_self_intertwiner_odd",
+         "tests/test_bundles.py::TestSpinSpaceMorphisms::test_identity_odd",
+         "tests/test_bundles.py::TestSpinSpaceMorphisms::test_conjugates_the_frame_onto_every_variant[Cl(3,0)]"),
+    ),
+    Mutant(
         "frame-group-skips-relation-check",
         "groups.py",
         "            raise RuntimeError(f\"frame vector e{j + 1} breaks the Clifford relations\")\n",

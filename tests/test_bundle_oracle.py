@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinweave import bundles
 from spinweave.bundles import (
     ExteriorElement,
     exterior_example_check,
@@ -169,6 +170,17 @@ def test_hermitean_operator_rows_are_reference_images(n):
     assert op.sparse_rows == rows_of(lambda form: ref_hermitean_tau(n, form), d)
     form = {mask: sc(mask + 1) for mask in range(1 << d)}
     assert hermitean_tau(n, ExteriorElement(d, form)).terms == ref_hermitean_tau(n, form)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", [1, 2, 7, 2024])
+def test_hermitean_operator_is_sqrt2_times_the_gaussian_operator(d, seed):
+    # hermitean_example_check squares the Gaussian operator S, and T = sqrt2 * S
+    rng = random.Random(seed)
+    n = [ExactScalar(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(d)]
+    gaussian = bundles._operator(d, bundles._hermitean_slots(n, d))
+    assert all(x.is_gaussian() for row in gaussian.sparse_rows for _, x in row)
+    assert hermitean_operator(n) == gaussian.scale(SQRT2)
 
 
 def test_operators_keep_the_input_checks():

@@ -144,6 +144,13 @@ def test_json_roundtrip():
     assert M.from_json(a.to_json()) == a
 
 
+@pytest.mark.parametrize("data", [5, None])
+def test_json_rejects_a_matrix_that_is_not_a_list_of_rows(data):
+    # regression: from_json(5) and from_json(None) raised TypeError
+    with pytest.raises(ValueError, match="a matrix is a list of rows"):
+        M.from_json(data)
+
+
 def _old_key(coords):
     # the (numerator, denominator) tuple of each reduced Fraction coordinate
     return tuple(

@@ -1,25 +1,29 @@
-"""Differential tests of the Weyl restriction and of gamma_map.
+"""Differential tests of the Weyl halves and of gamma_map.
 
-The restriction oracle is the solve ``reps._restrict`` used before it read
-coordinates at the free columns of the kernel basis: each image is
-expanded in the basis by row-reducing the augmented system [V | image]
-(with the pivot-scan reduction of test_solver_oracle.py), and a target
-outside the span gives None.  The gamma oracle is the blade recursion
-``gamma_map`` kept before it became the image of the Gamma * v_i
-representation: a blade is (Gamma v_i) times the blade without its
-lowest generator, cached per spin space.  It is checked on every blade
-of the canonical spaces with m <= 5 and of three altered ones: Gamma = I,
-a frame that is not the inclusion images, and a conjugated frame.
+The Weyl oracle is the eigenspace solve and restriction ``build_rep`` made
+before it read the halves off the Dirac blocks: the canonical kernel
+basis of j - lambda I for the volume involution j (``nullspace_sparse``),
+and each even generator expanded in that basis by row-reducing the
+augmented system [V | image] (with the pivot-scan reduction of
+test_solver_oracle.py); a target outside the span gives None, and an
+operator that leaves the span raises.  The gamma oracle is the blade
+recursion ``gamma_map`` kept before it became the image of the
+Gamma * v_i representation: a blade is (Gamma v_i) times the blade
+without its lowest generator, cached per spin space.  It is checked on
+every blade of the canonical spaces with m <= 5 and of three altered
+ones: Gamma = I, a frame that is not the inclusion images, and a
+conjugated frame.
 """
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spinweave import linalg, reps
 from spinweave.clifford import CliffordElement, Signature
 from spinweave.linalg import ExactMatrix, nullspace_sparse
 from spinweave.reps import (
-    DIRAC, WEYL_MINUS, WEYL_PLUS, SpinSpace, _eigenspace_basis, _frame_volume, _restrict,
+    DIRAC, WEYL_MINUS, WEYL_PLUS, SpinSpace, _frame_volume, _weyl_images,
     build_rep, conjugate_spin_space, gamma_map, spin_space,
 )
 from spinweave.scalars import MINUS_ONE, ONE, ZERO, sc
@@ -30,7 +34,7 @@ from test_solver_oracle import oracle_rref
 CE = CliffordElement
 
 
-# -- restriction oracle -------------------------------------------------------------
+# -- Weyl oracle ----------------------------------------------------------------------
 
 
 def oracle_expand_in_basis(vectors, target):
@@ -71,39 +75,84 @@ def oracle_restrict(op, basis):
     return ExactMatrix(cols).transpose()
 
 
-def oracle_weyl_images(sig, kind):
-    dirac = build_rep(sig, DIRAC)
-    eta, iota = _frame_volume(dirac.images)
-    basis = _eigenspace_basis(eta.scale(iota), ONE if kind == WEYL_PLUS else MINUS_ONE)
-    m = sig.m
-    return tuple(oracle_restrict(dirac.images[i] * dirac.images[m - 1], basis)
-                 for i in range(m - 1))
+def oracle_eigenspace_basis(frame, eigenvalue):
+    """Canonical kernel basis of j - eigenvalue * I, j = iota * eta."""
+    eta, iota = _frame_volume(frame)
+    shifted = eta.scale(iota) - ExactMatrix.identity(eta.n).scale(eigenvalue)
+    return nullspace_sparse([dict(row) for row in shifted.sparse_rows if row], eta.n)
 
 
-EVEN_SIGNATURES = [Signature(k, m - k) for m in (2, 4, 6, 8) for k in range(m + 1)]
+def oracle_weyl_images(frame, eigenvalue):
+    basis = oracle_eigenspace_basis(frame, eigenvalue)
+    return tuple(oracle_restrict(v * frame[-1], basis) for v in frame[:-1])
+
+
+EVEN_SIGNATURES = [Signature(k, m - k) for m in (2, 4, 6, 8, 10) for k in range(m + 1)]
+HALVES = {WEYL_PLUS: ONE, WEYL_MINUS: MINUS_ONE}
 
 
 @pytest.mark.parametrize("kind", [WEYL_PLUS, WEYL_MINUS])
 @pytest.mark.parametrize("sig", EVEN_SIGNATURES, ids=str)
 def test_weyl_images_equal_the_oracle(sig, kind):
     rep = build_rep(sig, kind)
-    assert rep.images == oracle_weyl_images(sig, kind)
+    assert rep.images == oracle_weyl_images(build_rep(sig, DIRAC).images, HALVES[kind])
     assert rep.dim == 2 ** (sig.m // 2 - 1)
 
 
 @pytest.mark.parametrize("want", [ONE, MINUS_ONE])
 @pytest.mark.parametrize("sig", EVEN_SIGNATURES, ids=str)
 def test_odd_image_on_a_half_raises_like_the_oracle(sig, want):
-    # a Dirac generator image anticommutes with the volume, so it swaps
-    # the two eigenspaces and leaves neither invariant
+    # the oracle's own invariance check, which the equality above relies on:
+    # a Dirac generator image anticommutes with the volume, so it swaps the
+    # two eigenspaces, leaves neither invariant, and the restriction raises
     dirac = build_rep(sig, DIRAC)
-    eta, iota = _frame_volume(dirac.images)
-    basis = _eigenspace_basis(eta.scale(iota), want)
+    basis = oracle_eigenspace_basis(dirac.images, want)
     for v in dirac.images:
-        with pytest.raises(ValueError):
-            oracle_restrict(v, basis)
         with pytest.raises(ValueError, match="not invariant"):
-            _restrict(v, basis)
+            oracle_restrict(v, basis)
+
+
+def _conjugated_dirac(sig, shift):
+    frame = build_rep(sig, DIRAC).images
+    a = ExactMatrix.identity(frame[0].n) + shift(frame).scale(sc(2))
+    inv = a.inverse()
+    return tuple(a * v * inv for v in frame)
+
+
+GUARD_SIGNATURES = [Signature(2, 0), Signature(1, 1), Signature(0, 4), Signature(3, 3)]
+
+
+@pytest.mark.parametrize("eigenvalue", [ONE, MINUS_ONE])
+@pytest.mark.parametrize("sig", GUARD_SIGNATURES, ids=str)
+def test_weyl_read_rejects_a_volume_off_the_block_form(sig, eigenvalue):
+    # I + 2 v1 mixes the halves: it does not commute with the volume, so the
+    # conjugated involution is not [[0, -cI], [cI, 0]]
+    frame = _conjugated_dirac(sig, lambda f: f[0])
+    with pytest.raises(ValueError, match=r"not \[\[0, -cI\], \[cI, 0\]\]"):
+        _weyl_images(frame, eigenvalue)
+
+
+@pytest.mark.parametrize("eigenvalue", [ONE, MINUS_ONE])
+@pytest.mark.parametrize("sig", GUARD_SIGNATURES, ids=str)
+def test_weyl_read_of_an_even_conjugate_equals_the_oracle(sig, eigenvalue):
+    # I + 2 v1 v2 is even, so it commutes with the volume and leaves j in
+    # block form: the read is still the restriction, of the conjugated frame
+    frame = _conjugated_dirac(sig, lambda f: f[0] * f[1])
+    assert _weyl_images(frame, eigenvalue) == oracle_weyl_images(frame, eigenvalue)
+
+
+def _no_solve(*args):
+    raise AssertionError("the Weyl read made a linear solve")
+
+
+@pytest.mark.parametrize("kind", [WEYL_PLUS, WEYL_MINUS])
+@pytest.mark.parametrize("sig", EVEN_SIGNATURES, ids=str)
+def test_weyl_build_makes_no_solve(monkeypatch, sig, kind):
+    expected = build_rep(sig, kind).images
+    for module, name in ((reps, "nullspace_sparse"), (linalg, "nullspace_sparse"),
+                         (linalg, "rref_sparse")):
+        monkeypatch.setattr(module, name, _no_solve)
+    assert build_rep(sig, kind).images == expected
 
 
 def _dense(draw, rows, cols):
@@ -129,8 +178,9 @@ def _kernel_basis(draw):
 
 @given(_kernel_basis(), st.data())
 def test_invariant_operator_restricts_to_its_matrix(case, data):
-    # with B the basis as columns and L a left inverse of B,
-    # op = B R L + N (I - B L) acts on the span as R, whatever N does off it
+    # the oracle recovers R on any invariant operator: with B the basis as
+    # columns and L a left inverse of B, op = B R L + N (I - B L) acts on the
+    # span as R, whatever N does off it
     n, basis = case
     d = len(basis)
     b = [[vec[r] for vec in basis] for r in range(n)]
@@ -142,7 +192,7 @@ def test_invariant_operator_restricts_to_its_matrix(case, data):
     noise = _dense(data.draw, n, n)
     off_span = ref_sub(ref_identity(n), _matmul(b, left))
     op = ExactMatrix(ref_add(_matmul(_matmul(b, r), left), _matmul(noise, off_span)))
-    assert _restrict(op, basis) == ExactMatrix(r) == oracle_restrict(op, basis)
+    assert oracle_restrict(op, basis) == ExactMatrix(r)
 
 
 def oracle_inverse(a):
@@ -152,19 +202,6 @@ def oracle_inverse(a):
                                   2 * n)
     assert pivots[:n] == list(range(n))
     return [[row.get(n + c, ZERO) for c in range(n)] for row in reduced[:n]]
-
-
-@given(_kernel_basis(), st.data())
-def test_any_operator_agrees_with_the_oracle(case, data):
-    n, basis = case
-    op = ExactMatrix(_dense(data.draw, n, n))
-    try:
-        expected = oracle_restrict(op, basis)
-    except ValueError:
-        with pytest.raises(ValueError, match="not invariant"):
-            _restrict(op, basis)
-    else:
-        assert _restrict(op, basis) == expected
 
 
 # -- gamma_map oracle ---------------------------------------------------------------

@@ -115,6 +115,12 @@ def test_json_rejects_anything_but_four_coordinate_strings(data):
         ExactScalar.from_json(data)
 
 
+def test_json_names_a_coordinate_with_a_zero_denominator():
+    # regression: ["1/0", "0", "0", "0"] raised ZeroDivisionError from Fraction
+    with pytest.raises(ValueError, match=r"coordinate 0 \('1/0'\) has a zero denominator"):
+        ExactScalar.from_json(["1/0", "0", "0", "0"])
+
+
 @pytest.mark.parametrize("coords", [(0.1,), ("1/3",), (1, 0.5), (0, 0, 0, "2")])
 def test_constructor_rejects_floats_and_strings(coords):
     # regression: ExactScalar(0.1) was the binary value of the float, as sc(0.1) is not
