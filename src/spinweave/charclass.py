@@ -13,6 +13,7 @@ lpin (with a rank-2 witness bundle for odd dimension).
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -42,26 +43,29 @@ def f2_is_zero(x: F2Vector) -> bool:
 
 def f2_in_span(x: F2Vector, generators: Sequence[F2Vector]) -> bool:
     """Membership of x in the F2 span of the generators (bitmask elimination)."""
+    m = _mask(x)
+    for b in _echelon(tuple(generators)):
+        m = min(m, m ^ b)
+    return m == 0
 
-    def to_mask(v):
-        m = 0
-        for i, b in enumerate(v):
-            if b:
-                m |= 1 << i
-        return m
 
+def _mask(v: F2Vector) -> int:
+    return sum(1 << i for i, b in enumerate(v) if b)
+
+
+@lru_cache(maxsize=256)
+def _echelon(generators: Tuple[F2Vector, ...]) -> Tuple[int, ...]:
+    """Reduced bitmask basis of the span, highest leading bit first; a
+    catalog record's liftable2 is reduced once, not once per span test."""
     basis: List[int] = []
     for g in generators:
-        m = to_mask(g)
+        m = _mask(g)
         for b in basis:
             m = min(m, m ^ b)
         if m:
             basis.append(m)
             basis.sort(reverse=True)
-    m = to_mask(x)
-    for b in basis:
-        m = min(m, m ^ b)
-    return m == 0
+    return tuple(basis)
 
 
 class CohoClass(Record):

@@ -1,18 +1,22 @@
-"""Command-line entry point.
+"""Exact Clifford algebra, spinor group and obstruction checks.
 
 Subcommands: build (emit a representation as JSON), verify (structural
 sweeps over a signature range), obstructions (catalog table of the six
 structure checks), examples (sampled bundle-example verification).
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage errors.
+--out writes the output to a file instead of stdout; --format defaults
+to json; --seed falls back to the --config file, SPINWEAVE_SEED, then 1;
+--config names a JSON object of defaults for seed, samples, max_m and
+format, which flags override.  Exit codes: 0 all checks pass, 1 a check
+failed, 2 usage errors (a bad flag prints "error: argument FLAG: reason").
 Identical flags and seed produce byte-identical reports.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+import types
 from typing import TYPE_CHECKING, List, Optional
 
 from .reports import (
@@ -41,11 +45,8 @@ def _parse_signature(text: str) -> Signature:
     try:
         k, l = (int(part) for part in text.split(","))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad signature {text!r}: expected k,l") from exc
-    try:
-        return Signature(k, l)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+        raise ValueError(f"bad signature {text!r}: expected k,l") from exc
+    return Signature(k, l)
 
 
 def _resolve_seed(args) -> Optional[str]:
@@ -150,11 +151,6 @@ def _emit_reports(args, reports: List[Report]) -> int:
     return _emit(args, text, 0 if all(r.ok for r in reports) else 1)
 
 
-# ---------------------------------------------------------------------------
-# build
-# ---------------------------------------------------------------------------
-
-
 def __getattr__(name):
     # ``build`` calls ``cli.build_rep``, bound to reps.build_rep on first use
     # so that importing the CLI loads no algebra layer; tests replace it.
@@ -180,11 +176,6 @@ def cmd_build(args) -> int:
     ]
     header = f"{rep.kind} representation of {rep.sig}, dim {rep.dim}\n"
     return _emit(args, header + render_table(rows), 0)
-
-
-# ---------------------------------------------------------------------------
-# verify
-# ---------------------------------------------------------------------------
 
 
 def _signatures_for(args) -> List[Signature]:
@@ -219,11 +210,6 @@ def cmd_verify(args) -> int:
     return _emit_reports(args, reports)
 
 
-# ---------------------------------------------------------------------------
-# obstructions
-# ---------------------------------------------------------------------------
-
-
 def cmd_obstructions(args) -> int:
     from . import charclass
 
@@ -250,33 +236,19 @@ def cmd_obstructions(args) -> int:
     return _emit(args, render_table(rows), 0)
 
 
-# ---------------------------------------------------------------------------
-# examples
-# ---------------------------------------------------------------------------
-
-
 def _run_example(name: str, m: int, samples: int, seed: int) -> List[Report]:
-    from .bundles import (
-        associated_tau_welldefined,
-        exterior_example_check,
-        hermitean_example_check,
-        projective_example_check,
-        quadric_example_check,
-        sphere_example_check,
-    )
+    from . import bundles
     from .clifford import Signature
     from .reps import spin_space
 
     examples = {
-        "sphere": lambda: sphere_example_check(m, samples, seed),
-        "projective": lambda: projective_example_check(m, samples, seed),
-        "quadric": lambda: quadric_example_check(samples, seed),
-        "exterior": lambda: exterior_example_check(Signature(m, 0)),
-        "hermitean": lambda: hermitean_example_check(m // 2, samples, seed),
-        "associated": lambda: associated_tau_welldefined(spin_space(Signature(m, 0))),
+        "sphere": lambda: bundles.sphere_example_check(m, samples, seed),
+        "projective": lambda: bundles.projective_example_check(m, samples, seed),
+        "quadric": lambda: bundles.quadric_example_check(samples, seed),
+        "exterior": lambda: bundles.exterior_example_check(Signature(m, 0)),
+        "hermitean": lambda: bundles.hermitean_example_check(m // 2, samples, seed),
+        "associated": lambda: bundles.associated_tau_welldefined(spin_space(Signature(m, 0))),
     }
-    if name not in examples:
-        raise ValueError(f"unknown example {name!r}")
     return [examples[name]()]
 
 
@@ -289,51 +261,84 @@ def cmd_examples(args) -> int:
     return _emit_reports(args, reports)
 
 
-# ---------------------------------------------------------------------------
-# parser
-# ---------------------------------------------------------------------------
+# The grammar: subcommand -> (handler, {flag: (converter or tuple of choices,
+# default)}).  A flag sets the attribute named after it (--max-m -> max_m);
+# "name" is the one positional, and a default of ... means required.
+_COMMON = {"--out": (str, None), "--format": (("json", "table"), None),
+           "--seed": (int, None), "--config": (str, None)}
+_COMMANDS = {
+    "build": (cmd_build, {"--sig": (_parse_signature, ...), "--kind": (KINDS, ...)}),
+    "verify": (cmd_verify, {"--sig": (_parse_signature, None), "--max-m": (int, None)}),
+    "obstructions": (cmd_obstructions, {"--catalog": (str, None), "--manifold": (str, None)}),
+    "examples": (cmd_examples, {
+        "name": (("sphere", "projective", "quadric", "exterior", "hermitean", "associated"), ...),
+        "--m": (int, 2), "--samples": (int, None)}),
+}
 
 
-def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="spinweave",
-        description="Exact Clifford algebra, spinor group, and obstruction checks",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _usage(command: Optional[str]) -> str:
+    """The usage line of a subcommand, built from its table; None: of all four."""
+    if command is None:
+        return "\n       ".join(map(_usage, _COMMANDS))
+    words = ["spinweave", command]
+    for flag, (conv, default) in {**_COMMANDS[command][1], **_COMMON}.items():
+        meta = ("{" + ",".join(conv) + "}" if isinstance(conv, tuple)
+                else "K,L" if conv is _parse_signature else flag[2:].upper())
+        word = f"{flag} {meta}" if flag[0] == "-" else meta
+        words.append(word if default is ... else f"[{word}]")
+    return " ".join(words)
 
-    def common(p):
-        p.add_argument("--out", help="write output to this path instead of stdout")
-        p.add_argument("--format", choices=("json", "table"), default=None)
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed (fallback: config file, SPINWEAVE_SEED, then 1)")
-        p.add_argument("--config", default=None,
-                       help="JSON config file supplying defaults for seed/samples/max_m/format")
 
-    b = sub.add_parser("build", help="emit a spinor representation")
-    b.add_argument("--sig", type=_parse_signature, required=True, metavar="K,L")
-    b.add_argument("--kind", choices=KINDS, required=True)
-    common(b)
-    b.set_defaults(func=cmd_build)
+def _parse_args(argv: Optional[List[str]] = None) -> types.SimpleNamespace:
+    """Read argv as argparse would, but never abbreviate a flag.
 
-    v = sub.add_parser("verify", help="run structural verification sweeps")
-    v.add_argument("--sig", type=_parse_signature, default=None, metavar="K,L")
-    v.add_argument("--max-m", type=int, default=None, dest="max_m")
-    common(v)
-    v.set_defaults(func=cmd_verify)
+    A flag takes ``--flag VALUE``, or ``--flag=VALUE``, with a value that
+    starts with "-" only as a negative integer; a repeated flag keeps its last.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
 
-    o = sub.add_parser("obstructions", help="decide structures over a catalog")
-    o.add_argument("--catalog", help="path to a catalog JSON file (default: builtin)")
-    o.add_argument("--manifold", help="restrict to a single catalog entry")
-    common(o)
-    o.set_defaults(func=cmd_obstructions)
+    def stop(code: int, text: str) -> None:
+        (sys.stderr if code else sys.stdout).write(f"usage: {_usage(command)}\n{text}")
+        raise SystemExit(code)
 
-    e = sub.add_parser("examples", help="verify a bundle example at sampled points")
-    e.add_argument("name", choices=("sphere", "projective", "quadric", "exterior", "hermitean", "associated"))
-    e.add_argument("--m", type=int, default=2)
-    e.add_argument("--samples", type=int, default=None)
-    common(e)
-    e.set_defaults(func=cmd_examples)
-    return parser
+    def fail(flag: str, reason: str) -> None:
+        stop(2, f"error: argument {flag}: {reason}\n")
+
+    for token in argv[:1] if command is None else argv[1:]:
+        if token in ("-h", "--help"):
+            stop(0, f"\n{__doc__ or ''}")
+    if command is None:
+        fail("command", f"invalid choice: {argv[0]!r}" if argv else "required")
+    func, flags = _COMMANDS[command]
+    flags = {**flags, **_COMMON}
+    values = {flag: default for flag, (_, default) in flags.items()}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=") if token[:1] == "-" else ("name", "", token)
+        if flag not in flags or (flag == "name" and values[flag] is not ...):
+            fail(flag if token[:1] == "-" else token, "unrecognized argument")
+        if not eq and flag != "name":
+            value = next(tokens, None)
+            if value is None or (value[:1] == "-" and not value[1:].isdigit()):
+                fail(flag, "expected one argument")
+        conv = flags[flag][0]
+        try:
+            if isinstance(conv, tuple) and value not in conv:
+                raise ValueError(f"invalid choice: {value!r}")
+            values[flag] = value if isinstance(conv, tuple) else conv(value)
+        except ValueError as exc:
+            fail(flag, str(exc))
+    for flag, value in values.items():
+        if value is ...:
+            fail(flag, "required")
+    return types.SimpleNamespace(command=command, func=func, **{
+        flag.lstrip("-").replace("-", "_"): value for flag, value in values.items()})
+
+
+def make_parser() -> types.SimpleNamespace:
+    """The CLI's parser, whose parse_args is _parse_args; building it costs nothing."""
+    return types.SimpleNamespace(parse_args=_parse_args)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -342,12 +347,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if error is not None:
         print(f"error: bad config file: {error}", file=sys.stderr)
         return 2
-    if getattr(args, "format", None) is None:
-        args.format = "json"
-    if getattr(args, "max_m", "absent") is None:
-        args.max_m = 4
-    if getattr(args, "samples", "absent") is None:
-        args.samples = 25
+    for key, value in (("format", "json"), ("max_m", 4), ("samples", 25)):
+        if getattr(args, key, value) is None:  # unset by flag and config
+            setattr(args, key, value)
     error = _check_limits(args) or _resolve_seed(args)
     if error is not None:
         print(f"error: {error}", file=sys.stderr)

@@ -6,8 +6,9 @@ Run from anywhere, with pytest and hypothesis installed:
 
 A mutant is one exact source snippet in one file of ``src/spinweave``,
 its replacement, and the pytest ids that must fail once it is applied.
-For each mutant the script copies ``src/`` and ``tests/`` to a temporary
-directory, applies the mutant there, and runs only the listed ids, with
+For each mutant the script copies ``src/`` and ``tests/`` (with
+``README.md`` and ``perfbench/``, whose CLI lines the parser oracle reads)
+to a temporary directory, applies the mutant there, and runs only the listed ids, with
 a fixed Hypothesis seed and without shrinking: a failing example fails
 the test before it is shrunk, so shrinking would only cost time.  The exit status is 1 if any listed id passes
 or does not run (a collection error counts as not run), or if a snippet
@@ -198,6 +199,22 @@ MUTANTS = (
          "tests/test_matrix_oracle.py::test_ring_operations_match_reference",
          "tests/test_matrix_oracle.py::test_combination_matches_reference"),
     ),
+    Mutant(
+        "quadric-skips-anticommutation",
+        "bundles.py",
+        "        if not varpi.anticommutes_with(tau):\n",
+        "        if False:\n",
+        ("tests/test_bundles.py::TestExampleChecks::test_quadric_names_the_first_failure[varpi-identity]",),
+    ),
+    Mutant(
+        "parser-skips-choice-check",
+        "cli.py",
+        "            if isinstance(conv, tuple) and value not in conv:\n",
+        "            if False:\n",
+        ("tests/test_cli_usage.py::test_usage_error_exits_2_naming_the_offender[argv8---format]",
+         "tests/test_cli_usage.py::test_usage_error_exits_2_naming_the_offender[argv10---kind]",
+         "tests/test_parser_oracle.py::test_malformed_lines_exit_2_in_both[verify --format yaml]"),
+    ),
 )
 
 
@@ -235,9 +252,10 @@ def run(mutant: Mutant) -> str:
     """'killed', or why the mutant counts against the gate."""
     with tempfile.TemporaryDirectory(prefix="spinweave-mutant-") as tmp:
         work = Path(tmp)
-        for sub in ("src", "tests"):
+        for sub in ("src", "tests", "perfbench"):
             shutil.copytree(ROOT / sub, work / sub,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        shutil.copy(ROOT / "README.md", work / "README.md")
         target = work / "src" / "spinweave" / mutant.path
         source = target.read_text()
         count = source.count(mutant.snippet)

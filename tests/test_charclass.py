@@ -261,6 +261,32 @@ def _ring_and_liftable(draw):
     return ring, tuple(liftable)
 
 
+@st.composite
+def _span_case(draw):
+    b2 = draw(st.integers(0, 8))
+    gens = draw(st.lists(_bits(b2), max_size=4))
+    # duplicates and sums of drawn generators make dependent sets
+    for _ in range(draw(st.integers(0, 3)) if gens else 0):
+        picked = draw(st.lists(st.sampled_from(gens), min_size=1, max_size=3))
+        gens.append(tuple(sum(col) % 2 for col in zip(*picked)))
+    return draw(_bits(b2)), draw(st.permutations(gens))
+
+
+class TestSpanByEnumeration:
+    @given(_span_case())
+    def test_membership_matches_every_subset_sum(self, case):
+        x, gens = case
+        n = len(x)
+        span = {tuple(sum(g[i] for j, g in enumerate(gens) if (subset >> j) & 1) % 2
+                      for i in range(n))
+                for subset in range(1 << len(gens))}
+        assert f2_in_span(x, gens) == (x in span)
+        # the reduced basis is cached per generator tuple: lists, tuples and
+        # repeated tests see the same span
+        assert f2_in_span(x, tuple(gens)) == (x in span)
+        assert all(f2_in_span(y, gens) for y in span)
+
+
 class TestSquaresByLinearity:
     @given(_ring_and_liftable())
     def test_basis_rows_decide_every_square(self, case):

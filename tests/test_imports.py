@@ -113,6 +113,30 @@ def test_examples_load_no_fractions_or_decimal(argv):
     assert doc == {"code": 0, "loaded": []}
 
 
+# Runs main on the remaining arguments after building the parser, then prints
+# which of argparse and the modules behind its messages the process has loaded.
+PARSER_MODULES = """
+import contextlib, io, json, sys
+import spinweave.cli as cli
+cli.make_parser()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "loaded": [m for m in ("argparse", "gettext", "locale")
+                                           if m in sys.modules]}))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--sig", "3,0"),
+    ("examples", "sphere", "--m", "3", "--samples", "2"),
+    ("obstructions", "--format", "table"),
+    ("build", "--sig", "2,0", "--kind", "dirac"),
+], ids=lambda argv: argv[0])
+def test_parser_and_subcommands_load_no_argparse_gettext_or_locale(argv):
+    doc = json.loads(fresh("-c", PARSER_MODULES, *argv).splitlines()[-1])
+    assert doc == {"code": 0, "loaded": []}
+
+
 def test_layers_load_no_dataclasses_or_inspect():
     code = ("import sys, spinweave.cli, spinweave.groups, spinweave.bundles, spinweave.charclass;"
             " print([m for m in ('dataclasses', 'inspect') if m in sys.modules])")
