@@ -34,9 +34,7 @@ CE = CliffordElement
 Form = Tuple[List[int], int, List[int], int]
 
 
-# ---------------------------------------------------------------------------
-# rational sphere sampling
-# ---------------------------------------------------------------------------
+# -- rational sphere sampling -------------------------------------------------
 
 
 def _over_lcm(ratios: Sequence[Tuple[int, int]]) -> Tuple[List[int], int]:
@@ -166,9 +164,7 @@ def sample_tangent_pairs(m: int, count: int, seed: int) -> List[TangentPair]:
     return [_pair(form) for form in _tangent_forms(m, count, seed)]
 
 
-# ---------------------------------------------------------------------------
-# sphere and projective-space Clifford maps
-# ---------------------------------------------------------------------------
+# -- sphere and projective-space Clifford maps --------------------------------
 
 
 def sphere_representation(m: int) -> Representation:
@@ -236,9 +232,7 @@ def _square_check(name: str, m: int, samples: int, seed: int) -> Report:
                   counterexample=f"{failures} failures" if failures else None)
 
 
-# ---------------------------------------------------------------------------
-# exterior-algebra module
-# ---------------------------------------------------------------------------
+# -- exterior-algebra module --------------------------------------------------
 
 
 class ExteriorElement(Record, frozen=False, eq=False):
@@ -290,11 +284,10 @@ Slots = List[Tuple[int, ExactScalar, ExactScalar]]
 def _basis_form_image(mask: int, slots: Slots) -> List[Tuple[int, ExactScalar]]:
     """tau(omega_mask) as (mask, value) pairs, one per slot.
 
-    ``slots`` lists (i, contract, wedge) for every covector i with a
-    nonzero coefficient.  Covector i contracts omega_mask when slot i is
-    filled and wedges into it when slot i is empty; either way the image
-    is omega_(mask ^ 2^i), with the sign (-1)^(filled slots before i).
-    The masks are distinct, so no two pairs share a basis form.
+    ``slots`` lists (i, contract, wedge) for every covector i with a nonzero coefficient.  Covector
+    i contracts omega_mask when slot i is filled and wedges into it when slot i is empty; either
+    way the image is omega_(mask ^ 2^i), with the sign (-1)^(filled slots before i).  The masks are
+    distinct, so no two pairs share a basis form.
     """
     out = []
     for i, contract, wedge in slots:
@@ -345,11 +338,10 @@ def exterior_operator(v: Sequence, h: Signature) -> ExactMatrix:
 def exterior_example_check(h: Signature) -> Report:
     """tau(e_i)^2 = h_i on every basis form, for every frame vector e_i.
 
-    Row A of T = tau(e_i) holds tau(omega_A), so by linearity row A of
-    T * T holds tau(tau(omega_A)), and row A of h_i * I holds
-    h_i * omega_A.  The one matrix equality T * T == h_i * I is therefore
-    the statement on every basis form.  The record names the definite
-    Cl(m,0) m=<m>, as the CLI prints it.
+    Row A of T = tau(e_i) holds tau(omega_A), so by linearity row A of T * T holds
+    tau(tau(omega_A)), and row A of h_i * I holds h_i * omega_A.  The one matrix equality T * T ==
+    h_i * I is therefore the statement on every basis form.  The record names the definite Cl(m,0)
+    m=<m>, as the CLI prints it.
     """
     ident = ExactMatrix.identity(1 << h.m)
     scaled = {1: ident, -1: -ident}  # h_i * I
@@ -362,8 +354,7 @@ def exterior_example_check(h: Signature) -> Report:
 
 
 def _hermitean_slots(n: Sequence, d: int) -> Slots:
-    """Slots of (n + conj(n)) / sqrt2: conjugate contraction plus wedge, on
-    Gaussian values."""
+    """Slots of (n + conj(n)) / sqrt2: conjugate contraction plus wedge, on Gaussian values."""
     if len(n) != d:
         raise ValueError("dimension mismatch")
     coeffs = [sc(c) for c in n]
@@ -397,10 +388,9 @@ def hermitean_h_value(n: Sequence) -> ExactScalar:
 def hermitean_example_check(d: int, samples: int, seed: int) -> Report:
     """tau(n)^2 = 2|n|^2 on every basis form, at seeded nonzero n in Q(i)^d.
 
-    As in exterior_example_check, T * T == h * I for the operator T = tau(n)
-    and h = 2|n|^2 is the statement on every basis form, row by row.
-    T = sqrt2 * S for the operator S on the Gaussian slots, so T * T = 2 S * S,
-    and T * T == h * I holds exactly when S * S == |n|^2 * I: the check
+    As in exterior_example_check, T * T == h * I for the operator T = tau(n) and h = 2|n|^2 is the
+    statement on every basis form, row by row.  T = sqrt2 * S for the operator S on the Gaussian
+    slots, so T * T = 2 S * S, and T * T == h * I holds exactly when S * S == |n|^2 * I: the check
     squares S, whose entries are Gaussian rationals.
     """
     rng = random.Random(seed)
@@ -416,9 +406,7 @@ def hermitean_example_check(d: int, samples: int, seed: int) -> Report:
     return report("hermitean-clifford-property", f"d={d}", ok)
 
 
-# ---------------------------------------------------------------------------
-# the projective quadric (S^1 x S^2)/Z2
-# ---------------------------------------------------------------------------
+# -- the projective quadric (S^1 x S^2)/Z2 ------------------------------------
 
 
 class QuadricPoint(Record):
@@ -448,12 +436,11 @@ def _quadric_tau_numerator(fx: Form, fy: Form) -> ExactMatrix:
     """N_tau = D2 L tau, L = lcm(E1, E2), for the circle form
     fx = (X1, D1, Y1, E1) and the sphere form fy = (X2, D2, Y2, E2).
 
-    tau = theta(xi) (x) sigma(i*y*omega) + 1 (x) sigma(i*y*t) for the
-    circle's tangent vector xi, the sphere point y and its tangent vector t:
-    the i, folded into y before the images, normalises the squares to +g.
-    sigma is the S^2 sphere representation, so sigma(i*y*t) is the S^2
-    sphere map.  Each term is bilinear, so D2 L tau is
-    theta(Y1 L/E1) (x) sigma(i X2 omega) + 1 (x) sigma(i X2 Y2 L/E2).
+    tau = theta(xi) (x) sigma(i*y*omega) + 1 (x) sigma(i*y*t) for the circle's tangent vector xi,
+    the sphere point y and its tangent vector t: the i, folded into y before the images, normalises
+    the squares to +g. sigma is the S^2 sphere representation, so sigma(i*y*t) is the S^2 sphere
+    map.  Each term is bilinear, so D2 L tau is theta(Y1 L/E1) (x) sigma(i X2 omega) + 1 (x)
+    sigma(i X2 Y2 L/E2).
     """
     _, _, y1, e1 = fx
     x2, _, y2, e2 = fy
@@ -514,13 +501,11 @@ def quadric_example_check(samples: int, seed: int) -> Report:
     original; and tau^2 = g I with g = |Y1|^2/E1^2 + |Y2|^2/E2^2 iff
     N_tau^2 = (D2 L)^2 g I, an integer multiple of I.
 
-    The last two hold by construction and are not recomputed.  The
-    antipode negates x, y and both tangent vectors.  Each term of tau and
-    varpi is a Clifford product, or a Kronecker product of images, of two
-    of them, so its coefficients (-a)(-b) = ab are the same canonical
-    scalars.  tau (I + varpi)/2 = (I - varpi)/2 tau expands to
-    tau varpi = -varpi tau, the anticommutation checked on the same sample
-    before it, so it could only ever add a later failure.
+    The last two hold by construction and are not recomputed.  The antipode negates x, y and both
+    tangent vectors.  Each term of tau and varpi is a Clifford product, or a Kronecker product of
+    images, of two of them, so its coefficients (-a)(-b) = ab are the same canonical scalars.  tau
+    (I + varpi)/2 = (I - varpi)/2 tau expands to tau varpi = -varpi tau, the anticommutation
+    checked on the same sample before it, so it could only ever add a later failure.
     """
     failures = []
     ident = ExactMatrix.identity(4)
@@ -542,9 +527,7 @@ def quadric_example_check(samples: int, seed: int) -> Report:
                   counterexample=failures[0] if failures else None)
 
 
-# ---------------------------------------------------------------------------
-# associated-bundle well-definedness
-# ---------------------------------------------------------------------------
+# -- associated-bundle well-definedness ---------------------------------------
 
 
 def associated_tau_welldefined(ss: SpinSpace) -> Report:
@@ -552,14 +535,12 @@ def associated_tau_welldefined(ss: SpinSpace) -> Report:
     defined: Gamma * Ad~(a^-1)(v) * a^-1 = a^-1 * Gamma * v for every
     frame-group element a and frame vector v, certified on the frame.
 
-    The identity says that Gamma^-1 a Gamma is the grade involution alpha(a)
-    on the frame group {+-v_A}.  Both sides are multiplicative, and
-    alpha(+-v_A) = (-1)^|A| (+-v_A), so they agree on the whole group iff
-    they agree on the frame: iff Gamma v_i = -v_i Gamma for i = 1..m, with
-    Gamma invertible.  The negative control follows: without Gamma the
-    identity would need Gamma^-1 v_1 Gamma = v_1, yet it is -v_1.  The
-    counterexample names the first frame vector Gamma does not anticommute
-    with.
+    The identity says that Gamma^-1 a Gamma is the grade involution alpha(a) on the frame group
+    {+-v_A}.  Both sides are multiplicative, and alpha(+-v_A) = (-1)^|A| (+-v_A), so they agree on
+    the whole group iff they agree on the frame: iff Gamma v_i = -v_i Gamma for i = 1..m, with
+    Gamma invertible.  The negative control follows: without Gamma the identity would need Gamma^-1
+    v_1 Gamma = v_1, yet it is -v_1.  The counterexample names the first frame vector Gamma does
+    not anticommute with.
     """
     failure = next((f"vector e{i + 1}" for i, v in enumerate(ss.frame)
                     if not ss.gamma.anticommutes_with(v)), None)
@@ -568,20 +549,17 @@ def associated_tau_welldefined(ss: SpinSpace) -> Report:
     return report("associated-welldefined", ss.sig, failure is None, counterexample=failure)
 
 
-# ---------------------------------------------------------------------------
-# spin-space morphisms
-# ---------------------------------------------------------------------------
+# -- spin-space morphisms -----------------------------------------------------
 
 
 def spin_space_morphisms(ss1: SpinSpace, ss2: SpinSpace) -> Optional[ExactMatrix]:
     """Invertible a with a v_i a^-1 = w_i for the frames v of ss1 and w of
     ss2, or None: a morphism realising the identity isometry.
 
-    Two spin spaces of one signature and dimension are isomorphic Clifford
-    modules.  At even m each is the irreducible module.  At odd m each holds
-    both irreducible modules once, because Gamma swaps the eigenspaces of
-    eta.  So the identity isometry is realised whenever any isometry of the
-    frames is, and the intertwiner of the two frames is the morphism.
+    Two spin spaces of one signature and dimension are isomorphic Clifford modules.  At even m each
+    is the irreducible module.  At odd m each holds both irreducible modules once, because Gamma
+    swaps the eigenspaces of eta.  So the identity isometry is realised whenever any isometry of
+    the frames is, and the intertwiner of the two frames is the morphism.
     """
     if ss1.dim != ss2.dim or ss1.sig != ss2.sig:
         return None

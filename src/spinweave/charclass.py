@@ -12,12 +12,11 @@ lpin (with a rank-2 witness bundle for odd dimension).
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .reports import Record
+from .reports import Record, to_json_text
 
 F2Vector = Tuple[int, ...]
 
@@ -172,9 +171,7 @@ class ManifoldData(Record):
         return f2_in_span(x.coords, self.liftable2)
 
 
-# ---------------------------------------------------------------------------
-# structure checks
-# ---------------------------------------------------------------------------
+# -- structure checks ---------------------------------------------------------
 
 
 def is_orientable(m: ManifoldData) -> bool:
@@ -204,16 +201,13 @@ def check_pin_c(m: ManifoldData) -> bool:
 def check_lpin(m: ManifoldData) -> Tuple[bool, Optional[str]]:
     """Existence of an lpin structure, with the witness bundle for odd dim.
 
-    Even dimension reduces to pin^c.  Odd dimension searches the declared
-    rank-2 bundles in declaration order, then the trivial rank-2 bundle,
-    for E with w2(TM) + w2(E) liftable.
+    Even dimension reduces to pin^c.  Odd dimension searches the declared rank-2 bundles in
+    declaration order, then the trivial rank-2 bundle, for E with w2(TM) + w2(E) liftable.
     """
     if m.dim % 2 == 0:
         return check_pin_c(m), None
     candidates = [b for b in m.bundles if b.rank == 2]
-    candidates.append(
-        BundleData(TRIVIAL_RANK2, 2, m.ring.zero1(), m.ring.zero2(), oriented=True)
-    )
+    candidates.append(BundleData(TRIVIAL_RANK2, 2, m.ring.zero1(), m.ring.zero2(), oriented=True))
     for bundle in candidates:
         if m.is_liftable(m.tangent.w2 + bundle.w2):
             return True, bundle.name
@@ -236,9 +230,7 @@ def structure_summary(m: ManifoldData) -> Dict[str, object]:
     }
 
 
-# ---------------------------------------------------------------------------
-# catalog builders
-# ---------------------------------------------------------------------------
+# -- catalog builders ---------------------------------------------------------
 
 
 def sphere_data(m: int) -> ManifoldData:
@@ -302,9 +294,7 @@ def product_with_parallelizable(m: ManifoldData, factor: str) -> ManifoldData:
         raise ValueError("factor must be 'line' or 'circle'")
     suffix = "xR" if factor == "line" else "xS1"
     tangent = BundleData(m.tangent.name, m.dim + 1, m.tangent.w1, m.tangent.w2)
-    return ManifoldData(
-        m.name + suffix, m.dim + 1, m.ring, tangent, m.liftable2, m.bundles
-    )
+    return ManifoldData(m.name + suffix, m.dim + 1, m.ring, tangent, m.liftable2, m.bundles)
 
 
 def codim2_submanifold_demo() -> ManifoldData:
@@ -325,9 +315,7 @@ def torus_data(n: int) -> ManifoldData:
     if n < 1:
         raise ValueError("torus dimension must be positive")
     basis1 = tuple(f"t{i + 1}" for i in range(n))
-    basis2 = tuple(
-        f"t{i + 1}t{j + 1}" for i in range(n) for j in range(i + 1, n)
-    )
+    basis2 = tuple(f"t{i + 1}t{j + 1}" for i in range(n) for j in range(i + 1, n))
     n2 = len(basis2)
     sq = tuple(f2_zero(n2) for _ in range(n))
     cup = {}
@@ -340,9 +328,7 @@ def torus_data(n: int) -> ManifoldData:
             idx += 1
     ring = CohoRing(basis1, basis2, sq, cup)
     tangent = BundleData("T", n, ring.zero1(), ring.zero2())
-    liftable = tuple(
-        tuple(1 if k == i else 0 for k in range(n2)) for i in range(n2)
-    )
+    liftable = tuple(tuple(1 if k == i else 0 for k in range(n2)) for i in range(n2))
     return ManifoldData(f"t{n}", n, ring, tangent, liftable)
 
 
@@ -364,9 +350,7 @@ def builtin_catalog() -> List[ManifoldData]:
     return catalog
 
 
-# ---------------------------------------------------------------------------
-# catalog file format (JSON)
-# ---------------------------------------------------------------------------
+# -- catalog file format (JSON) -----------------------------------------------
 
 
 def manifold_to_json(m: ManifoldData) -> dict:
@@ -498,11 +482,13 @@ def manifold_from_json(data: dict) -> ManifoldData:
 
 def dump_catalog(manifolds: Sequence[ManifoldData]) -> str:
     doc = {"schema": 1, "manifolds": [manifold_to_json(m) for m in manifolds]}
-    return json.dumps(doc, indent=2, sort_keys=False)
+    return to_json_text(doc)
 
 
 def load_catalog(text: str) -> List[ManifoldData]:
     """Parse and validate a catalog file; raises ValueError naming the bad record."""
+    import json
+
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("schema") != 1:
         raise ValueError("unsupported catalog schema")

@@ -13,7 +13,6 @@ Identical flags and seed produce byte-identical reports.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import types
@@ -53,28 +52,40 @@ def _resolve_seed(args) -> Optional[str]:
     """Fill an unset seed from SPINWEAVE_SEED, else DEFAULT_SEED; name a bad env value."""
     if args.seed is not None:
         return None
-    env = os.environ.get("SPINWEAVE_SEED")
-    if env is None:
-        args.seed = DEFAULT_SEED
-        return None
+    env = os.environ.get("SPINWEAVE_SEED", str(DEFAULT_SEED))
     try:
-        seed = int(env)
+        args.seed = int(env)
     except ValueError:
-        seed = 0
-    if seed < 1:
-        return f"SPINWEAVE_SEED must be a positive integer, got {env!r}"
-    args.seed = seed
-    return None
+        args.seed = 0
+    return f"SPINWEAVE_SEED must be a positive integer, got {env!r}" if args.seed < 1 else None
 
 
+# key -> (flag, lower, upper or None), for flags and config keys alike.  Below the
+# bound a value "must be positive" (lower 1), "must not be negative" (lower 0), or
+# what _BELOW says for its flags.
+_BOUNDS = {"seed": ("--seed", 1, None), "samples": ("--samples", 1, MAX_SAMPLES),
+           "max_m": ("--max-m", 0, MAX_M), "m": ("--m", 1, MAX_M)}
+_BELOW = {"--seed": "be a positive integer", "--m": "be at least 1"}
 _CONFIG_KEYS = ("seed", "samples", "max_m", "format")
-_CONFIG_LIMITS = {"max_m": MAX_M, "samples": MAX_SAMPLES}
+
+
+def _outside(key: str, value: int, name: str) -> Optional[str]:
+    """Why the value of key, called name in the message, is out of bounds, or None."""
+    _, lower, upper = _BOUNDS[key]
+    if value < lower:
+        below = _BELOW.get(name, "be positive" if lower else "not be negative")
+        return f"{name} must {below}, got {value}"
+    if upper is not None and value > upper:
+        return f"{name} must be at most {upper}, got {value}"
+    return None
 
 
 def _apply_config(args) -> Optional[str]:
     """Fill unset options from a JSON config file; flags always win."""
     if not getattr(args, "config", None):
         return None
+    import json
+
     try:
         with open(args.config) as fh:
             config = json.load(fh)
@@ -91,12 +102,8 @@ def _apply_config(args) -> Optional[str]:
                 return f"key 'format' must be \"json\" or \"table\", got {value!r}"
         elif type(value) is not int:
             return f"key {key!r} must be an integer, got {value!r}"
-        elif key in ("seed", "samples") and value < 1:
-            return f"key {key!r} must be positive, got {value}"
-        elif key == "max_m" and value < 0:
-            return f"key 'max_m' must not be negative, got {value}"
-        elif key in _CONFIG_LIMITS and value > _CONFIG_LIMITS[key]:
-            return f"key {key!r} must be at most {_CONFIG_LIMITS[key]}, got {value}"
+        elif error := _outside(key, value, f"key {key!r}"):
+            return error
         if getattr(args, key, None) is None:
             setattr(args, key, value)
     return None
@@ -104,28 +111,17 @@ def _apply_config(args) -> Optional[str]:
 
 def _check_limits(args) -> Optional[str]:
     """Name the flag whose value is outside the documented limits, if any."""
-    if args.seed is not None and args.seed < 1:
-        return f"--seed must be a positive integer, got {args.seed}"
-    if getattr(args, "samples", 1) < 1:
-        return f"--samples must be positive, got {args.samples}"
+    for key, (flag, _, _) in _BOUNDS.items():
+        value = getattr(args, key, None)
+        if value is not None and (error := _outside(key, value, flag)):
+            return error
     sig = getattr(args, "sig", None)
     if sig is not None and sig.m > MAX_M:
         return f"--sig {sig.k},{sig.l} has m = {sig.m}; the limit is m <= {MAX_M}"
-    if getattr(args, "max_m", 0) < 0:
-        return f"--max-m must not be negative, got {args.max_m}"
-    for flag, key, limit in (("--max-m", "max_m", MAX_M), ("--m", "m", MAX_M),
-                             ("--samples", "samples", MAX_SAMPLES)):
-        value = getattr(args, key, None)
-        if value is not None and value > limit:
-            return f"{flag} must be at most {limit}, got {value}"
-    m = getattr(args, "m", None)
-    if m is not None:
-        if m < 1:
-            return f"--m must be at least 1, got {m}"
-        if args.name == "hermitean" and m % 2:
-            return f"--m must be even for hermitean (the module lives on R^(2d)), got {m}"
-        if args.name == "quadric" and m != 2:
-            return f"--m must be 2 for quadric (the example has no dimension parameter), got {m}"
+    if args.command == "examples" and args.name == "hermitean" and args.m % 2:
+        return f"--m must be even for hermitean (the module lives on R^(2d)), got {args.m}"
+    if args.command == "examples" and args.name == "quadric" and args.m != 2:
+        return f"--m must be 2 for quadric (the example has no dimension parameter), got {args.m}"
     return None
 
 

@@ -249,10 +249,9 @@ def volume(sig: Signature) -> VolumeElement:
 def iso_im(x: CliffordElement, target: Optional[Signature] = None) -> CliffordElement:
     """Dimension-shift isomorphism into the even subalgebra one step up.
 
-    Maps Cl(0,m) into the even part of the target algebra (default
-    Cl(0,m+1)) by sending each generator e_j to e_j e_{m+1}.  Also
-    accepts the positive-definite target Cl(m+1,0); either way the
-    generator images square to -1, so the map is an algebra morphism.
+    Maps Cl(0,m) into the even part of the target algebra (default Cl(0,m+1)) by sending each
+    generator e_j to e_j e_{m+1}.  Also accepts the positive-definite target Cl(m+1,0); either way
+    the generator images square to -1, so the map is an algebra morphism.
     """
     sig = x.sig
     if sig.k != 0:
@@ -262,9 +261,7 @@ def iso_im(x: CliffordElement, target: Optional[Signature] = None) -> CliffordEl
         target = Signature(0, m + 1)
     if target.m != m + 1 or target not in (Signature(0, m + 1), Signature(m + 1, 0)):
         raise ValueError(f"target {target} is not a definite signature one dimension up")
-    images = [
-        CliffordElement(target, {(1 << j) | (1 << m): ONE}) for j in range(m)
-    ]
+    images = [CliffordElement(target, {(1 << j) | (1 << m): ONE}) for j in range(m)]
     out = CliffordElement.zero(target)
     for mask, coeff in x.terms.items():
         term = CliffordElement.scalar(target, coeff)

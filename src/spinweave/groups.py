@@ -22,12 +22,10 @@ from .scalars import ExactScalar, MINUS_ONE, ONE, ZERO, _sum_products, sc
 
 
 class FrameGroup:
-    """Finite subgroup of Pin generated by {+-frame} of the spin space
-    ``ss``; includes +-I.
+    """Finite subgroup of Pin generated by {+-frame} of the spin space ``ss``; includes +-I.
 
-    The Cayley table is materialised on first use; element order is
-    canonical (sorted by ``ExactMatrix.key``).  Lookups hash the sparse
-    rows, not the key.
+    The Cayley table is materialised on first use; element order is canonical (sorted by
+    ``ExactMatrix.key``).  Lookups hash the sparse rows, not the key.
     """
 
     def __init__(self, ss: SpinSpace, elements: Tuple[ExactMatrix, ...]):
@@ -66,13 +64,12 @@ class FrameGroup:
 def generate_frame_group(ss: SpinSpace) -> FrameGroup:
     """The signed frame products {+-v_A}, enumerated by blade mask A.
 
-    v_A = v_(A - i) * v_i with i the highest bit of A: 2^m - 1 products.  The
-    Clifford relations v_i v_j + v_j v_i = 2 h_ij delta_ij I give v_A v_B =
-    +-v_(A xor B), so {+-v_A} is the group the signed frame generates.  They
-    are checked on the frame (v_i^2, and v_j v_i for i < j: m(m+1)/2
-    products); a frame that breaks them raises.  Deduplication hashes the
-    sparse rows, so a degenerate frame (v_A = +-v_B for some A != B) gives
-    fewer than 2^(m+1) elements, sorted by ``key()`` once, at the end.
+    v_A = v_(A - i) * v_i with i the highest bit of A: 2^m - 1 products.  The Clifford relations
+    v_i v_j + v_j v_i = 2 h_ij delta_ij I give v_A v_B = +-v_(A xor B), so {+-v_A} is the group the
+    signed frame generates.  They are checked on the frame (v_i^2, and v_j v_i for i < j: m(m+1)/2
+    products); a frame that breaks them raises.  Deduplication hashes the sparse rows, so a
+    degenerate frame (v_A = +-v_B for some A != B) gives fewer than 2^(m+1) elements, sorted by
+    ``key()`` once, at the end.
     """
     m = ss.sig.m
     ident = ExactMatrix.identity(ss.dim)
@@ -95,9 +92,7 @@ def frame_group(sig: Signature) -> FrameGroup:
     return generate_frame_group(spin_space(sig))
 
 
-# ---------------------------------------------------------------------------
-# adjoint actions
-# ---------------------------------------------------------------------------
+# -- adjoint actions ----------------------------------------------------------
 
 
 def clifford_alpha(ss: SpinSpace, a: ExactMatrix) -> ExactMatrix:
@@ -114,10 +109,9 @@ def _probe(mats: Sequence[ExactMatrix]) -> Tuple[List[Tuple[int, int]], ExactMat
     """Probe positions and the transposed inverse sample matrix, whose row
     i holds the weight of probe entry i in each coefficient.
 
-    Greedily picks len(mats) entry positions, in row-major order among
-    the nonzeros, at which the matrices are linearly independent: a
-    position is kept when its row of values adds a pivot.  Expansion
-    then solves a small system and verifies the candidate exactly.
+    Greedily picks len(mats) entry positions, in row-major order among the nonzeros, at which the
+    matrices are linearly independent: a position is kept when its row of values adds a pivot.
+    Expansion then solves a small system and verifies the candidate exactly.
     """
     k = len(mats)
     positions: List[Tuple[int, int]] = []
@@ -187,9 +181,8 @@ class OrthMatrix(Record):
 
 
 def _frame_matrix(ss: SpinSpace, left: ExactMatrix, inv: ExactMatrix) -> OrthMatrix:
-    """Orthogonal matrix whose column i holds the frame coordinates of
-    left * v_i * inv; ValueError if an image leaves span V or, through
-    ``OrthMatrix``, has a non-real coordinate."""
+    """Orthogonal matrix whose column i holds the frame coordinates of left * v_i * inv; ValueError
+    if an image leaves span V or, through ``OrthMatrix``, has a non-real coordinate."""
     cols = []
     for v in ss.frame:
         coords = expand_in_frame(ss, left * v * inv)
@@ -223,9 +216,7 @@ def is_lipschitz(ss: SpinSpace, a: ExactMatrix) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# kappa: conjugation action on the anticommutant
-# ---------------------------------------------------------------------------
+# -- kappa: conjugation action on the anticommutant ---------------------------
 
 
 class KappaImage(Record):
@@ -255,10 +246,9 @@ def _isotropic_pair(ss: SpinSpace) -> Tuple[Tuple[ExactMatrix, ExactMatrix], tup
     """Ordered isotropic basis of A(h) normalised from (Gamma, Gamma*eta),
     with its expansion probe; cached on the spin space.
 
-    With j = eta/iota the pair is Gamma (I + j) and Gamma (j - I); Gamma
-    anticommutes with j and j^2 = I, so each squares to -(I - j^2) = 0.
-    kappa reads off as the reflection scale on this pair, making the odd
-    elements map to (-1, lambda/mu) exactly.  On the canonical Cartan frame
+    With j = eta/iota the pair is Gamma (I + j) and Gamma (j - I); Gamma anticommutes with j and
+    j^2 = I, so each squares to -(I - j^2) = 0. kappa reads off as the reflection scale on this
+    pair, making the odd elements map to (-1, lambda/mu) exactly.  On the canonical Cartan frame
     the pair is the two corner blocks.
     """
     cached = ss._probes.get("isotropic")
@@ -280,9 +270,8 @@ def kappa(ss: SpinSpace, a: ExactMatrix) -> KappaImage:
 
 
 def _kappa(ss: SpinSpace, a: ExactMatrix, inv: ExactMatrix) -> KappaImage:
-    """kappa(a) from conjugation by a, given inv = a^-1, without checking
-    that a is Lipschitz; ValueError if the conjugation does not act on the
-    anticommutant as an element of O1 or O2."""
+    """kappa(a) from conjugation by a, given inv = a^-1, without checking that a is Lipschitz;
+    ValueError if the conjugation does not act on the anticommutant as an element of O1 or O2."""
     if ss.sig.m % 2 == 0:
         conj = a * ss.gamma * inv
         if conj == ss.gamma:
@@ -307,20 +296,17 @@ def _kappa(ss: SpinSpace, a: ExactMatrix, inv: ExactMatrix) -> KappaImage:
     raise ValueError("conjugation is not diagonal or antidiagonal on the isotropic pair")
 
 
-# ---------------------------------------------------------------------------
-# odd elements and the Pin x (C* x C*) model
-# ---------------------------------------------------------------------------
+# -- odd elements and the Pin x (C* x C*) model -------------------------------
 
 
 def build_odd_element(ss: SpinSpace, lam, mu, a_pin: ExactMatrix) -> ExactMatrix:
     """Odd Lipschitz element (lam P+ + mu P-) Gamma a for odd a and
     (mu P- - lam P+) Gamma a for even a, with P+- = (I +- eta/iota)/2.
 
-    The scalar pair commutes with the frame (eta is central at odd m), and
-    Gamma and a normalise span V, so the element is Lipschitz; through Gamma
-    it anticommutes with eta.  The sign on P+ for even a makes it the block
-    [[0, lam*s(a)], [mu*s(a), 0]] on the canonical Cartan frame, with s(a)
-    the Pauli image of a.
+    The scalar pair commutes with the frame (eta is central at odd m), and Gamma and a normalise
+    span V, so the element is Lipschitz; through Gamma it anticommutes with eta.  The sign on P+
+    for even a makes it the block [[0, lam*s(a)], [mu*s(a), 0]] on the canonical Cartan frame, with
+    s(a) the Pauli image of a.
     """
     if ss.sig.m % 2 == 0:
         raise ValueError("odd block elements need odd m")
@@ -380,9 +366,7 @@ def in_kernel_k(ss: SpinSpace, a: ExactMatrix) -> bool:
     return all(a.commutes_with(v) for v in ss.frame)
 
 
-# ---------------------------------------------------------------------------
-# structure verification
-# ---------------------------------------------------------------------------
+# -- structure verification ---------------------------------------------------
 
 
 def _reflection(m: int, i: int) -> ExactMatrix:
@@ -391,10 +375,9 @@ def _reflection(m: int, i: int) -> ExactMatrix:
 
 
 def _adjoints(ss: SpinSpace, gamma: bool) -> Tuple[Optional[OrthMatrix], ...]:
-    """Ad(Gamma v_i) if gamma, else Ad(v_i), for each frame vector, None where
-    it is not Lipschitz; cached on the spin space.  Ad(Gamma v_i) serves the
-    extension diagram and the reflection witnesses, Ad(v_i) the plain-Ad
-    kernel and the kappa certificate."""
+    """Ad(Gamma v_i) if gamma, else Ad(v_i), for each frame vector, None where it is not Lipschitz;
+    cached on the spin space.  Ad(Gamma v_i) serves the extension diagram and the reflection
+    witnesses, Ad(v_i) the plain-Ad kernel and the kappa certificate."""
     key = "gamma-adjoints" if gamma else "frame-adjoints"
     cached = ss._probes.get(key)
     if cached is None:
@@ -455,12 +438,11 @@ def plain_ad_kernel(group: FrameGroup) -> List[ExactMatrix]:
     """Kernel of the plain adjoint action on the frame group, certified on
     the m frame vectors; [] when the certificate fails.
 
-    Ad(v_i) is checked to be -r_i, so Ad(+-v_A) = (-1)^|A| r_A: the image is
-    generated by the -r_i, whose product is (-1)^(m+1) I, and has order
-    2^(m-1) for odd m and 2^m for even m.  With |G| = 2^(m+1) the kernel has
-    order 4 or 2.  +-I, and for odd m +-eta, are checked to be that many
-    distinct group elements commuting with the frame, so they are the
-    kernel; they are returned in group order.
+    Ad(v_i) is checked to be -r_i, so Ad(+-v_A) = (-1)^|A| r_A: the image is generated by the -r_i,
+    whose product is (-1)^(m+1) I, and has order 2^(m-1) for odd m and 2^m for even m.  With |G| =
+    2^(m+1) the kernel has order 4 or 2.  +-I, and for odd m +-eta, are checked to be that many
+    distinct group elements commuting with the frame, so they are the kernel; they are returned in
+    group order.
     """
     ss = group.ss
     m = ss.sig.m
@@ -478,32 +460,23 @@ def plain_ad_kernel(group: FrameGroup) -> List[ExactMatrix]:
 def ad_surjectivity_witnesses(ss: SpinSpace) -> List[Report]:
     """Exhibit gamma-image witnesses hitting the generating reflections.
 
-    The identity gets the identity witness, each frame reflection the
-    element gamma(e_i), and for odd m the central inversion -id_V gets
-    the product of all m of them.  Ad is multiplicative, so that product
-    maps to the product of the Ad(gamma(e_i)), which is read off them.
+    The identity gets the identity witness, each frame reflection the element gamma(e_i), and for
+    odd m the central inversion -id_V gets the product of all m of them.  Ad is multiplicative, so
+    that product maps to the product of the Ad(gamma(e_i)), which is read off them.
     """
     m = ss.sig.m
-    results = [
-        report(
-            "identity-witness",
-            ss.sig,
-            adjoint_matrix(ss, ExactMatrix.identity(ss.dim)).mat.is_identity(),
-            witness="I",
-        )
-    ]
+    identity = adjoint_matrix(ss, ExactMatrix.identity(ss.dim)).mat.is_identity()
+    results = [report("identity-witness", ss.sig, identity, witness="I")]
     adjoints = _adjoints(ss, gamma=True)
     for i, g in enumerate(adjoints):
         ok = g is not None and g.mat == _reflection(m, i)
         results.append(report(f"reflection-e{i + 1}-witness", ss.sig, ok,
                               witness=f"gamma(e{i + 1})"))
     if m % 2 == 1:
-        ok = None not in adjoints and (
-            reduce(mul, (g.mat for g in adjoints)) == -ExactMatrix.identity(m)
-        )
-        results.append(
-            report("central-inversion-witness", ss.sig, ok, witness="product of gamma(e_i)")
-        )
+        ok = None not in adjoints and (reduce(mul, (g.mat for g in adjoints))
+                                       == -ExactMatrix.identity(m))
+        results.append(report("central-inversion-witness", ss.sig, ok,
+                              witness="product of gamma(e_i)"))
     return results
 
 
@@ -515,26 +488,22 @@ def _sampled_kinds_are_lipschitz(ss: SpinSpace) -> bool:
 
 
 def verify_spinor_groups(group: FrameGroup, seed: int, kappa_pairs: int = 20) -> List[Report]:
-    """The group checks of ``verify``, in the order it prints them: frame
-    group order 2^(m+1), the extension diagram, the surjectivity witnesses
-    and, for odd m, a plain-Ad kernel of size 4 and kappa(ab) =
-    kappa(a) kappa(b) on ``kappa_pairs`` Lipschitz pairs drawn from
+    """The group checks of ``verify``, in the order it prints them: frame group order 2^(m+1), the
+    extension diagram, the surjectivity witnesses and, for odd m, a plain-Ad kernel of size 4 and
+    kappa(ab) = kappa(a) kappa(b) on ``kappa_pairs`` Lipschitz pairs drawn from
     random.Random(seed), all on the group's spin space.
 
-    The sampled elements are not tested for membership one by one.  The
-    Lipschitz group is closed under products: if a and b are invertible
-    and conjugate V into V by real matrices, so does ab, by their product.
-    A sample is a product of factors of three kinds: nonzero scalars c I,
-    which fix V; frame-group elements +-v_A, which ``generate_frame_group``
-    builds as products of -I and frame vectors; and odd elements (lam P+ + mu P-) Gamma a with a in the frame
-    group.  The scalar pair lam P+ + mu P- lies in span{I, eta}, so it
-    commutes with V once eta does; a.inverse() raises on a singular
-    sample, so when the inverse exists every factor is invertible, and a
-    scalar pair that is invertible and commutes with V is Lipschitz.  So
-    one certificate per run -- each frame vector and Gamma Lipschitz, and
-    eta in K(h) -- makes every sample Lipschitz, and kappa is read off
-    its conjugation alone.  A failed certificate, or a ValueError while
-    sampling or reading kappa, fails the check.
+    The sampled elements are not tested for membership one by one.  The Lipschitz group is closed
+    under products: if a and b are invertible and conjugate V into V by real matrices, so does ab,
+    by their product.  A sample is a product of factors of three kinds: nonzero scalars c I, which
+    fix V; frame-group elements +-v_A, which ``generate_frame_group`` builds as products of -I and
+    frame vectors; and odd elements (lam P+ + mu P-) Gamma a with a in the frame group.  The scalar
+    pair lam P+ + mu P- lies in span{I, eta}, so it commutes with V once eta does; a.inverse()
+    raises on a singular sample, so when the inverse exists every factor is invertible, and a
+    scalar pair that is invertible and commutes with V is Lipschitz.  So one certificate per run --
+    each frame vector and Gamma Lipschitz, and eta in K(h) -- makes every sample Lipschitz, and
+    kappa is read off its conjugation alone.  A failed certificate, or a ValueError while sampling
+    or reading kappa, fails the check.
     """
     ss = group.ss
     sig = ss.sig
@@ -563,9 +532,7 @@ def _kappa_is_multiplicative(ss: SpinSpace, a: ExactMatrix, b: ExactMatrix) -> b
     return _kappa(ss, a * b, inv_b * inv_a) == _kappa(ss, a, inv_a) * _kappa(ss, b, inv_b)
 
 
-# ---------------------------------------------------------------------------
-# seeded sampling of Lipschitz elements
-# ---------------------------------------------------------------------------
+# -- seeded sampling of Lipschitz elements ------------------------------------
 
 _SCALAR_GRID = (
     sc(1), sc(-1), sc(2), sc(-2), sc(3),
@@ -612,8 +579,7 @@ def factor_kernel_element(
 ) -> Optional[Tuple[ExactMatrix, ExactMatrix]]:
     """Factor a kappa-kernel element as (K(h) element) * (gamma-image of Pin).
 
-    Searches even frame-group elements g (for which gamma(g) = g) for one
-    with a * g^-1 in K(h).
+    Searches even frame-group elements g (for which gamma(g) = g) for one with a * g^-1 in K(h).
     """
     ss = group.ss
     for g in group.elements:

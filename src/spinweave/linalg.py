@@ -16,11 +16,11 @@ the canonical form is unique.
 
 Every exact solve is built on one incremental Gauss-Jordan step,
 ``_add_row``, over a dict from each pivot column to its fully reduced
-sparse row.  ``rref_sparse`` feeds it a whole system; its canonical
-RREF serves ``nullspace_sparse`` and ``rank`` and makes every solver in
-the library deterministic.  ``inverse`` reduces [A | I], ``det``
-multiplies the leading values of A's rows, and ``groups._probe`` keeps
-the entry rows that add a pivot.
+sparse row, which makes every solver in the library deterministic.
+``rank`` counts the rows that add a pivot, ``inverse`` reduces [A | I],
+``det`` multiplies the leading values of A's rows, ``groups._probe``
+keeps the entry rows that add a pivot, and the intertwiners of frames
+that are not unit-monomial reduce their projections from the right.
 """
 
 from __future__ import annotations
@@ -28,35 +28,21 @@ from __future__ import annotations
 from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .scalars import ExactScalar, MINUS_ONE, ONE, ZERO, _sum_products, sc
+from .scalars import ExactScalar, MINUS_ONE, ONE, ZERO, _View, _sum_products, sc
 
 Row = Tuple[Tuple[int, ExactScalar], ...]
 
 
-class _DenseRows:
-    """Read-only dense view ``mat.rows``: a tuple of n-tuples, built once.
-
-    Zero entries are the shared ZERO; nonzero entries are the stored
-    objects themselves.  A descriptor rather than a property, for the
-    same reason as the scalar coordinates: perfbench/tracer.py times
-    every property as layer work, but reads ``rows`` from its own hooks.
-    """
-
-    __slots__ = ()
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        if obj._dense is None:
-            n = obj.n
-            dense = []
-            for row in obj.sparse_rows:
-                full = [ZERO] * n
-                for c, x in row:
-                    full[c] = x
-                dense.append(tuple(full))
-            obj._dense = tuple(dense)
-        return obj._dense
+def _dense_rows(mat: "ExactMatrix") -> Tuple[tuple, ...]:
+    """The dense view ``mat.rows``: a tuple of n-tuples, built once.  Zero
+    entries are the shared ZERO; nonzero entries are the stored objects."""
+    if mat._dense is None:
+        dense = [[ZERO] * mat.n for _ in range(mat.n)]
+        for r, row in enumerate(mat.sparse_rows):
+            for c, x in row:
+                dense[r][c] = x
+        mat._dense = tuple(map(tuple, dense))
+    return mat._dense
 
 
 class ExactMatrix:
@@ -68,7 +54,7 @@ class ExactMatrix:
 
     __slots__ = ("n", "sparse_rows", "_dense", "_hash")
 
-    rows = _DenseRows()
+    rows = _View(_dense_rows)
 
     def __init__(self, rows: Sequence[Sequence]):
         n = len(rows)
@@ -255,7 +241,8 @@ class ExactMatrix:
         return -det if inversions % 2 else det
 
     def rank(self) -> int:
-        return len(rref_sparse(self.sparse_rows, self.n)[1])
+        pivots: Dict[int, SparseRow] = {}
+        return sum(_add_row(pivots, row) is not None for row in self.sparse_rows)
 
     # -- queries ------------------------------------------------------------
 
@@ -288,6 +275,9 @@ class ExactMatrix:
             if row != ((i, c),):
                 return None
         return c
+
+    def trace(self) -> ExactScalar:
+        return sum((self[r, r] for r in range(self.n)), ZERO)
 
     def first_nonzero(self) -> Optional[ExactScalar]:
         for row in self.sparse_rows:
@@ -425,47 +415,3 @@ def _add_row(pivots: Dict[int, SparseRow], row: Iterable) -> Optional[Tuple[int,
             _eliminate(other, col, row)
     pivots[col] = row
     return col, lead
-
-
-def rref_sparse(rows: Iterable, ncols: int) -> Tuple[List[SparseRow], List[int]]:
-    """Reduced row echelon form of a sparse system in ncols unknowns;
-    returns (rows, pivot cols), both in increasing pivot order.
-
-    The output is the canonical RREF, so callers can rely on it for
-    deterministic bases regardless of input row order.
-    """
-    pivots: Dict[int, SparseRow] = {}
-    for row in rows:
-        _add_row(pivots, row)
-    cols = sorted(pivots)
-    return [pivots[col] for col in cols], cols
-
-
-def nullspace_sparse(rows: List[SparseRow], ncols: int) -> List[List[ExactScalar]]:
-    """Canonical basis of the solution space of a homogeneous sparse system.
-
-    One basis vector per free column, in increasing column order, with a
-    1 in its free coordinate.
-    """
-    reduced, pivots = rref_sparse(rows, ncols)
-    pivot_of = dict(zip(pivots, reduced))
-    basis = []
-    for free in range(ncols):
-        if free in pivot_of:
-            continue
-        vec = [ZERO] * ncols
-        vec[free] = ONE
-        for col, row in pivot_of.items():
-            coeff = row.get(free)
-            if coeff is not None:
-                vec[col] = -coeff
-        basis.append(vec)
-    return basis
-
-
-def matrix_to_vector(mat: ExactMatrix) -> List[ExactScalar]:
-    return [x for row in mat.rows for x in row]
-
-
-def vector_to_matrix(vec: Sequence[ExactScalar], n: int) -> ExactMatrix:
-    return ExactMatrix([[vec[i * n + j] for j in range(n)] for i in range(n)])

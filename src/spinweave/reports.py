@@ -11,7 +11,6 @@ inputs, byte-identical output.
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING, Any, List, Optional
 
 if TYPE_CHECKING:
@@ -35,10 +34,9 @@ KINDS = (PAULI, PAULI_TWISTED, DIRAC, CARTAN, WEYL_PLUS, WEYL_MINUS)
 class Record:
     """Base of every record class in the package, in place of ``@dataclass``.
 
-    A subclass names its fields in ``__slots__`` and writes its own
-    ``__init__``, validation included.  Slots whose names start with ``_``
-    are caches, which repr and equality leave out.  ``_key`` is the tuple of
-    the other slots, the fields; the base supplies from it what
+    A subclass names its fields in ``__slots__`` and writes its own ``__init__``, validation
+    included.  Slots whose names start with ``_`` are caches, which repr and equality leave out.
+    ``_key`` is the tuple of the other slots, the fields; the base supplies from it what
     ``dataclass`` would generate:
 
     * ``frozen=True`` (default): ``__init__`` sets the fields with
@@ -50,9 +48,8 @@ class Record:
     * ``eq=False``: equality and hash are those of ``object`` (identity),
       unless the class defines its own.
 
-    Importing ``dataclasses`` (which loads ``inspect``, ``ast``, ``dis`` and
-    ``tokenize``) and generating the classes cost each CLI process that
-    loads a layer about 10 ms of wall time.
+    Importing ``dataclasses`` (which loads ``inspect``, ``ast``, ``dis`` and ``tokenize``) and
+    generating the classes cost each CLI process that loads a layer about 10 ms of wall time.
     """
 
     __slots__ = ("_key",)
@@ -137,8 +134,41 @@ def envelope(reports: List[Report]) -> dict:
     return {"schema": SCHEMA, "reports": [r.to_json() for r in reports]}
 
 
+def _quote(text: str) -> str:
+    """json's quoting: printable ASCII without quotes or backslashes as it is,
+    anything else by ``_json.encode_basestring_ascii``, loaded on first use."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    from _json import encode_basestring_ascii
+
+    return encode_basestring_ascii(text)
+
+
 def to_json_text(doc: Any) -> str:
-    return json.dumps(doc, indent=2, sort_keys=False)
+    """The text of ``json.dumps(doc, indent=2)`` for dicts, lists, strings, ints, bools and None,
+    written without loading ``json`` (strings are escaped by the function json uses); anything else
+    raises TypeError."""
+    return _json_text(doc, "\n")
+
+
+def _json_text(doc: Any, indent: str) -> str:
+    """``to_json_text`` of doc at the line break and indentation of its enclosing level."""
+    if isinstance(doc, str):
+        return _quote(doc)
+    if doc is None or doc is True or doc is False:
+        return "null" if doc is None else "true" if doc else "false"
+    if isinstance(doc, int):
+        return int.__repr__(doc)
+    if not isinstance(doc, (dict, list)):
+        raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
+    if not doc:
+        return "{}" if isinstance(doc, dict) else "[]"
+    inner = indent + "  "
+    if isinstance(doc, list):
+        return "[" + inner + ("," + inner).join(_json_text(x, inner) for x in doc) + indent + "]"
+    items = (_quote(k if isinstance(k, str) else _json_text(k, "")) + ": " + _json_text(v, inner)
+             for k, v in doc.items())
+    return "{" + inner + ("," + inner).join(items) + indent + "}"
 
 
 def serialize_representation(rep: Representation) -> dict:

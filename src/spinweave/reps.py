@@ -20,11 +20,11 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .clifford import CliffordElement, Signature, volume
-from .linalg import ExactMatrix, _wrap, nullspace_sparse, vector_to_matrix
+from .linalg import ExactMatrix, _add_row, _wrap
 from .reports import (
     CARTAN, DIRAC, KINDS, PAULI, PAULI_TWISTED, WEYL_MINUS, WEYL_PLUS, Record, Report, report,
 )
-from .scalars import HALF, ExactScalar, I, MINUS_ONE, ONE, ZERO, _sum_products
+from .scalars import HALF, ExactScalar, I, MINUS_ONE, ONE, ZERO, _reduce, _sum_products
 
 EVEN = "even"
 ODD = "odd"
@@ -34,9 +34,8 @@ NEITHER = "neither"
 class Representation(Record, frozen=False, eq=False):
     """Images of an orthonormal frame under a spinor representation.
 
-    For the Weyl kinds the stored images are those of the even-subalgebra
-    generators e_i e_m (which square to -h_i h_m); vector images cannot
-    exist on a half-spinor space.
+    For the Weyl kinds the stored images are those of the even-subalgebra generators e_i e_m (which
+    square to -h_i h_m); vector images cannot exist on a half-spinor space.
     """
 
     __slots__ = ("sig", "kind", "images", "dim", "_blade_cache")
@@ -177,16 +176,14 @@ def _weyl_images(dirac: Sequence[ExactMatrix], eigenvalue: ExactScalar) -> Tuple
     """Images of the even generators v_i v_m on the eigenvalue-eigenspace of
     the volume involution j = iota * eta of a Dirac frame of the ladder.
 
-    The first Dirac image is a multiple of the swap block and the others are
-    diag(s, -s), so j = [[0, -cI], [cI, 0]] with c = j[n, 0], and c^2 = -1
-    as j^2 = I.  j (x, y) = lambda (x, y) means x = -c lambda y, so the
-    canonical kernel basis of j - lambda I (pivots in the upper half, free
-    columns in the lower) is (-c lambda e_k, e_k), and a vector of the
-    eigenspace has its lower half as coordinates.  An even generator
-    g = [[g11, g12], [g21, g22]] commutes with j, so it maps (-c lambda e_k,
-    e_k) into the eigenspace, and its restriction is the lower half of that
-    image: -c lambda g21 + g22, one sum per lower row and no solve.  The
-    block form of j is checked exactly, and a frame without it raises.
+    The first Dirac image is a multiple of the swap block and the others are diag(s, -s), so j =
+    [[0, -cI], [cI, 0]] with c = j[n, 0], and c^2 = -1 as j^2 = I.  j (x, y) = lambda (x, y) means
+    x = -c lambda y, so the canonical kernel basis of j - lambda I (pivots in the upper half, free
+    columns in the lower) is (-c lambda e_k, e_k), and a vector of the eigenspace has its lower
+    half as coordinates.  An even generator g = [[g11, g12], [g21, g22]] commutes with j, so it
+    maps (-c lambda e_k, e_k) into the eigenspace, and its restriction is the lower half of that
+    image: -c lambda g21 + g22, one sum per lower row and no solve.  The block form of j is checked
+    exactly, and a frame without it raises.
     """
     n = dirac[0].n // 2
     eta, iota = _frame_volume(dirac)
@@ -223,39 +220,197 @@ def verify_clifford(rep: Representation) -> Report:
                   counterexample=str(failures[:3]) if failures else None)
 
 
-# ---------------------------------------------------------------------------
-# commutant / anticommutant
-# ---------------------------------------------------------------------------
+# -- commutant, anticommutant and intertwiners: the Reynolds projection ------
 
 
 def commutant(frame: Sequence[ExactMatrix]) -> List[ExactMatrix]:
     """Basis of the algebra of matrices commuting with every frame matrix:
     the intertwiners from the frame to itself."""
-    return _intertwiner_space(frame, frame)
+    return _intertwiner_space(frame, frame)[0]
 
 
 def anticommutant(frame: Sequence[ExactMatrix]) -> List[ExactMatrix]:
     """Basis of the space of matrices anticommuting with every frame matrix:
     the intertwiners from the frame to its negative."""
-    return _intertwiner_space(frame, [-v for v in frame])
+    return _intertwiner_space(frame, frame, flip=True)[0]
 
 
-# ---------------------------------------------------------------------------
-# gamma element and spin spaces
-# ---------------------------------------------------------------------------
+_UNIT = (ONE, I, MINUS_ONE, -I)
+_PHASE = {(1, 0, 0, 0, 1): 0, (0, 1, 0, 0, 1): 1, (-1, 0, 0, 0, 1): 2, (0, -1, 0, 0, 1): 3}
 
 
-def _sign_normalised(w: ExactMatrix) -> ExactMatrix:
-    lead = w.first_nonzero()
-    if lead is None:
-        raise ValueError("zero candidate")
-    return w if lead.leads_positive() else -w
+class _UnitMonomial(tuple):
+    """A matrix with one entry from {+-1, +-i} per row and column as the pair
+    (sigma, psi) with M e_c = i^psi[c] e_sigma[c]: O(n) integer work a product."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, v: ExactMatrix) -> Optional["_UnitMonomial"]:
+        sigma, psi = [None] * v.n, [0] * v.n
+        for r, row in enumerate(v.sparse_rows):
+            c, x = row[0] if len(row) == 1 else (0, ZERO)
+            k = _PHASE.get((x.p, x.q, x.r, x.s, x.den))
+            if k is None or sigma[c] is not None:
+                return None
+            sigma[c], psi[c] = r, k
+        return cls((tuple(sigma), tuple(psi)))
+
+    def __mul__(self, other: "_UnitMonomial") -> "_UnitMonomial":
+        (xs, xp), (ys, yp) = self, other  # other e_c = i^yp[c] e_ys[c], moved on by self
+        return _UnitMonomial((tuple(map(xs.__getitem__, ys)),
+                              tuple([(k + xp[j]) & 3 for j, k in zip(ys, yp)])))
+
+    def scalar_value(self) -> Optional[ExactScalar]:
+        sigma, psi = self
+        return _UNIT[psi[0]] if sigma == tuple(range(len(sigma))) and len(set(psi)) == 1 else None
+
+    def trace(self) -> ExactScalar:
+        fixed = [k for c, (r, k) in enumerate(zip(*self)) if r == c]
+        return ExactScalar(fixed.count(0) - fixed.count(2), fixed.count(1) - fixed.count(3))
+
+
+@lru_cache(maxsize=16)
+def _blade_table(frame: Tuple[ExactMatrix, ...], unit: bool = True) -> tuple:
+    """(unit, blades, squares, traces) of a frame: its blades v_A = v_low v_(A - low), low the
+    lowest bit of A, as ``_UnitMonomial`` pairs if unit and the frame is unit-monomial (every
+    canonical frame), else as matrices; the c_i = v_i^2; and the traces tr v_A.  A frame that
+    breaks the Clifford relations raises ValueError: a zero or non-scalar square, or v_j v_i !=
+    -v_i v_j for some i < j, that is (v_i v_j)^2 = -v_i v_j v_j v_i != -c_i c_j."""
+    n = frame[0].n
+    gens = [_UnitMonomial.of(v) for v in frame] if unit else [None]
+    unit = None not in gens
+    gens, blades = ((gens, [_UnitMonomial((tuple(range(n)), (0,) * n))]) if unit
+                    else (frame, [ExactMatrix.identity(n)]))
+    for mask in range(1, 1 << len(frame)):
+        low = mask & -mask
+        blades.append(gens[low.bit_length() - 1] * blades[mask ^ low])
+    squares = tuple((v * v).scalar_value() for v in gens)
+    for j, c in enumerate(squares):
+        pairs = (blades[1 << i | 1 << j] for i in range(j))
+        if not c or any((b * b).scalar_value() != -squares[i] * c for i, b in enumerate(pairs)):
+            raise ValueError(f"frame vector e{j + 1} breaks the Clifford relations")
+    return unit, blades, squares, [b.trace() for b in blades]
+
+
+def _matrix(n: int, entries) -> ExactMatrix:
+    """The n x n matrix of (row-major position, value) entries in position order."""
+    rows = [[] for _ in range(n)]
+    for pos, x in entries:
+        rows[pos // n].append((pos % n, x))
+    return _wrap(n, tuple(map(tuple, rows)))
+
+
+def _orbit_basis(w_blades, v_blades, signs, count, n: int) -> List[ExactMatrix]:
+    """P(E_rc) once per orbit of positions until count, on integer phases: w_A E_rc v_A^-1 is the
+    unit i^(psi_w(r) - psi_v(c)) at (sigma_w(r), sigma_v(c)).  The blades are a group up to sign,
+    so P(w_B E_rc v_B^-1) = eps_B P(E_rc) covers the orbit of (r, c).  Orbits are disjoint, so the
+    nonzero P(E_rc) are independent; each is scaled to 1 at its last nonzero position."""
+    seen, found = bytearray(n * n), []
+    for start in range(n * n if count else 0):
+        if seen[start]:
+            continue
+        r, c = divmod(start, n)
+        acc: Dict[int, List[int]] = {}
+        for (ws, wp), (vs, vp), sign in zip(w_blades, v_blades, signs):
+            acc.setdefault(ws[r] * n + vs[c], [0, 0, 0, 0])[(wp[r] - vp[c] + 2 * sign) & 3] += 1
+        for pos in acc:
+            seen[pos] = 1
+        entries = [(pos, a - x, b - y)
+                   for pos, (a, b, x, y) in sorted(acc.items()) if a != x or b != y]
+        found += [entries] if entries else []
+        if len(found) == count:
+            break
+    return [_matrix(n, ((pos, _reduce(x * p + y * q, y * p - x * q, 0, 0, p * p + q * q))
+                        for pos, x, y in entries))  # (x + y i) / (p + q i)
+            for entries in sorted(found, key=lambda e: e[-1][0]) for _, p, q in entries[-1:]]
+
+
+def _reduced_basis(w_blades, v_blades, signs, count, n: int) -> List[ExactMatrix]:
+    """P(E_rc) on matrix blades in row-major order until the rank reaches count,
+    each reduced by ``_add_row`` on reversed positions, so a row is 1 at its last
+    nonzero position and 0 at the others'.  Per blade, one inverse, and per unit
+    the nonzeros of column r of w_A times those of row c of v_A^-1: n^2 if dense."""
+    last, pivots = n * n - 1, {}
+    w_cols = [(-w if sign else w).transpose().sparse_rows for w, sign in zip(w_blades, signs)]
+    v_rows = [v.inverse().sparse_rows for v in v_blades]
+    for start in range(n * n if count else 0):
+        r, c = divmod(start, n)
+        _add_row(pivots, _sum_products(
+            (x, [(last - r2 * n - c2, y) for c2, y in v_row[c]])
+            for w_col, v_row in zip(w_cols, v_rows) for r2, x in w_col[r]))
+        if len(pivots) == count:
+            break
+    return [_matrix(n, sorted((last - j, x) for j, x in pivots[col].items()))
+            for col in sorted(pivots, reverse=True)]
+
+
+def _intertwiner_space(source: Sequence[ExactMatrix], target: Sequence[ExactMatrix],
+                       flip: bool = False) -> Tuple[List[ExactMatrix], ExactScalar]:
+    """Canonical basis of {X : X v_i = (-1)^flip w_i X} for the source frame v
+    and the target frame w, and its dimension by the character count.
+
+    The space is the image of the Reynolds projection (Serre 2.6)
+    P(X) = 2^-m sum_A eps_A w_A X v_A^-1, eps_A = (-1)^|A| if flip, else 1: w_i w_A and v_i v_A
+    are the same multiple of w_{A xor i} and v_{A xor i}, and eps flips with |A|, so P maps into
+    the space and fixes it.  So the P(E_rc) span it, and its dimension is the trace of P,
+    2^-m sum_A eps_A tr(w_A) tr(v_A^-1) with v_A^-1 = v_A / v_A^2 (Serre 2.3), on a degenerate
+    frame too, where the mask products meet each group element equally often.  Frames with
+    different squares give X c_i = X v_i^2 = w_i^2 X = c'_i X, so X = 0.  Each basis vector is 1 at
+    its last nonzero position f and 0 at the others' f (the free columns of the reduced echelon
+    form of the space's linear system), in increasing f.
+    """
+    if not source or len(source) != len(target) or source[0].n != target[0].n:
+        raise ValueError("the frames must be nonempty and of one length and size")
+    tables = [_blade_table(tuple(frame)) for frame in (source, target)]
+    if tables[0][0] != tables[1][0]:  # one frame is not unit-monomial: matrix blades for both
+        tables = [_blade_table(tuple(frame), False) for frame in (source, target)]
+    (unit, v_blades, squares, v_traces), (_, w_blades, w_squares, w_traces) = tables
+    if squares != w_squares:
+        return [], ZERO
+    signs = [flip and bin(mask).count("1") & 1 for mask in range(len(v_blades))]
+    count = sum(((-tw if sign else tw) * tv / (v * v).scalar_value()
+                 for sign, tw, tv, v in zip(signs, w_traces, v_traces, v_blades) if tw and tv),
+                ZERO) / len(v_blades)
+    return (_orbit_basis if unit else _reduced_basis)(w_blades, v_blades, signs, count,
+                                                       source[0].n), count
+
+
+class Intertwiner(Record):
+    __slots__ = ("matrix", "invertible")
+
+    def __init__(self, matrix: ExactMatrix, invertible: bool):
+        self._assign(matrix, invertible)
+
+
+def invertible_intertwiner(
+    images1: Sequence[ExactMatrix], images2: Sequence[ExactMatrix]
+) -> Optional[ExactMatrix]:
+    """First invertible a with a x = y a for every paired (x, y), taken
+    from the span candidates of the canonical intertwiner basis, or None."""
+    for cand in _span_candidates(_intertwiner_space(images1, images2)[0]):
+        try:
+            cand.inverse()
+            return cand
+        except ValueError:
+            pass
+    return None
+
+
+def find_intertwiner(r1: Representation, r2: Representation) -> Optional[Intertwiner]:
+    """Invertible a with a r1(e_i) = r2(e_i) a, if one exists."""
+    if r1.dim != r2.dim or len(r1.images) != len(r2.images):
+        return None
+    cand = invertible_intertwiner(r1.images, r2.images)
+    return None if cand is None else Intertwiner(cand, True)
+
+
+# -- gamma element and spin spaces --------------------------------------------
 
 
 def _span_candidates(basis: Sequence[ExactMatrix]):
-    """Deterministic candidates from a span for ``invertible_intertwiner`` and
-    ``choose_gamma``: the basis, then b_i + c * b_j for i < j over the
-    coefficients 1, -1, i, -i."""
+    """Deterministic candidates from a span for ``invertible_intertwiner`` and ``choose_gamma``:
+    the basis, then b_i + c * b_j for i < j over the coefficients 1, -1, i, -i."""
     yield from basis
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
@@ -264,14 +419,12 @@ def _span_candidates(basis: Sequence[ExactMatrix]):
 
 
 def choose_gamma(frame: Sequence[ExactMatrix]) -> ExactMatrix:
-    """Deterministic element of the anticommutant A(h) with square -I, in
-    closed form on any frame; eta = v_1...v_m is the frame volume, with
-    eta^2 = iota^2 I.
+    """Deterministic element of the anticommutant A(h) with square -I, in closed form on any frame;
+    eta = v_1...v_m is the frame volume, with eta^2 = iota^2 I.
 
-    Even m: v_i passes the m - 1 other vectors of eta, each anticommuting with
-    it, so eta anticommutes with every v_i, and ((i/iota) eta)^2 = -I.  A(h)
-    is the line through eta, so Gamma is (i/iota) eta with its sign fixed by
-    the leading-sign rule.  No solve is needed.
+    Even m: v_i passes the m - 1 other vectors of eta, each anticommuting with it, so eta
+    anticommutes with every v_i, and ((i/iota) eta)^2 = -I.  A(h) is the line through eta, so Gamma
+    is (i/iota) eta with its sign fixed by the leading-sign rule.  No solve is needed.
 
     Odd m: eta commutes with every v_i, and A(h) = Gamma0 span{I, eta} for any
     Gamma0 in A(h) with square -I.  Gamma0 anticommutes with eta (an odd
@@ -290,7 +443,8 @@ def choose_gamma(frame: Sequence[ExactMatrix]) -> ExactMatrix:
     """
     eta, iota = _frame_volume(frame)
     if len(frame) % 2 == 0:
-        return _sign_normalised(eta.scale(I / iota))
+        gamma = eta.scale(I / iota)  # nonzero, as eta^2 = iota^2 I
+        return gamma if gamma.first_nonzero().leads_positive() else -gamma
     basis = anticommutant(frame)
     if len(basis) != 2:
         raise RuntimeError("no anticommuting square root of -I found (invalid spin space)")
@@ -377,13 +531,14 @@ def alpha_is_gamma_conjugation(ss: SpinSpace) -> bool:
 
 
 def verify_spin_space(ss: SpinSpace) -> List[Report]:
-    """The spin-space checks of ``verify``, in the order it prints them:
-    dim K(h) and dim A(h) are 2 for odd m and 1 for even m, eta^2 = iota^2,
-    gamma^2 = -I, and alpha is conjugation by gamma."""
+    """The spin-space checks of ``verify``, in the order it prints them: dim K(h) and dim A(h) are
+    2 for odd m and 1 for even m, as the length of the projection basis and as the character count,
+    eta^2 = iota^2, gamma^2 = -I, and alpha is conjugation by gamma."""
     expected = 2 if ss.sig.m % 2 else 1
+    spaces = [_intertwiner_space(ss.frame, ss.frame, flip) for flip in (False, True)]
     return [
-        report("commutant-dimension", ss.sig, len(commutant(ss.frame)) == expected),
-        report("anticommutant-dimension", ss.sig, len(anticommutant(ss.frame)) == expected),
+        *(report(f"{name}-dimension", ss.sig, len(basis) == count == expected)
+          for name, (basis, count) in zip(("commutant", "anticommutant"), spaces)),
         report("volume-square", ss.sig, (ss.eta * ss.eta).scalar_value() == ss.iota * ss.iota),
         report("gamma-square", ss.sig, (ss.gamma * ss.gamma).scalar_value() == MINUS_ONE),
         report("alpha-is-gamma-conjugation", ss.sig, alpha_is_gamma_conjugation(ss)),
@@ -427,72 +582,13 @@ def cartan_projectors(ss: SpinSpace) -> Tuple[ExactMatrix, ExactMatrix]:
 def decompose_even_restriction(ss: SpinSpace) -> Tuple[ExactMatrix, ExactMatrix]:
     """Projectors (I +- iota*eta)/2 built from the inclusion volume.
 
-    For even m these cut out the half-spinor (Weyl) subspaces; for odd m
-    they are invariant under the whole inclusion image and are swapped
-    by the odd gamma-form images.
+    For even m these cut out the half-spinor (Weyl) subspaces; for odd m they are invariant under
+    the whole inclusion image and are swapped by the odd gamma-form images.
     """
     return _projector_pair(ss.eta.scale(ss.iota))
 
 
 def _projector_pair(j: ExactMatrix) -> Tuple[ExactMatrix, ExactMatrix]:
     """(I + j)/2 and (I - j)/2 for an involution j."""
-    half = ExactScalar(1) / 2
     ident = ExactMatrix.identity(j.n)
-    return (ident + j).scale(half), (ident - j).scale(half)
-
-
-# ---------------------------------------------------------------------------
-# intertwiners
-# ---------------------------------------------------------------------------
-
-
-class Intertwiner(Record):
-    __slots__ = ("matrix", "invertible")
-
-    def __init__(self, matrix: ExactMatrix, invertible: bool):
-        self._assign(matrix, invertible)
-
-
-def _intertwiner_space(
-    images1: Sequence[ExactMatrix], images2: Sequence[ExactMatrix]
-) -> List[ExactMatrix]:
-    """Basis of {a : a x = y a for every paired (x, y)}."""
-    if not images1:
-        raise ValueError("empty frame")
-    n = images1[0].n
-    rows = []
-    for x, y in zip(images1, images2):
-        x_cols = x.transpose().sparse_rows
-        for r in range(n):
-            for c in range(n):
-                # (a x - y a)[r,c] = sum_s a[r,s] x[s,c] - y[r,s] a[s,c] = 0
-                row: Dict[int, ExactScalar] = {r * n + s: xsc for s, xsc in x_cols[c]}
-                for s, yrs in y.sparse_rows[r]:
-                    key = s * n + c
-                    row[key] = row.get(key, ZERO) - yrs
-                row = {k: v for k, v in row.items() if not v.is_zero()}
-                if row:
-                    rows.append(row)
-    return [vector_to_matrix(vec, n) for vec in nullspace_sparse(rows, n * n)]
-
-
-def invertible_intertwiner(
-    images1: Sequence[ExactMatrix], images2: Sequence[ExactMatrix]
-) -> Optional[ExactMatrix]:
-    """First invertible a with a x = y a for every paired (x, y), taken
-    from the span candidates of the canonical intertwiner basis, or None."""
-    for cand in _span_candidates(_intertwiner_space(images1, images2)):
-        try:
-            cand.inverse()
-            return cand
-        except ValueError:
-            pass
-    return None
-
-
-def find_intertwiner(r1: Representation, r2: Representation) -> Optional[Intertwiner]:
-    """Invertible a with a r1(e_i) = r2(e_i) a, if one exists."""
-    if r1.dim != r2.dim or len(r1.images) != len(r2.images):
-        return None
-    cand = invertible_intertwiner(r1.images, r2.images)
-    return None if cand is None else Intertwiner(cand, True)
+    return (ident + j).scale(HALF), (ident - j).scale(HALF)

@@ -21,15 +21,21 @@ the same five ints as adding canonical ExactScalar products one by one.
 
 from __future__ import annotations
 
+import sys
 from math import gcd, lcm
-from numbers import Rational  # int and fractions.Fraction
+
+
+def _rational(x) -> bool:
+    """An int (bool too) or a fractions.Fraction, the rationals the field takes.
+    A Fraction exists only once fractions is loaded, so its class is read from
+    sys.modules, and neither fractions nor numbers is imported."""
+    return isinstance(x, (int, getattr(sys.modules.get("fractions"), "Fraction", int)))
 
 
 def _fraction(*args):
-    """fractions.Fraction(*args).  The first call imports fractions (which
-    loads decimal) and rebinds this name to Fraction itself, so a process
-    that never builds a Fraction never loads them, and later calls cost
-    what a direct Fraction call does."""
+    """fractions.Fraction(*args).  The first call imports fractions (which loads decimal) and
+    rebinds this name to Fraction itself, so a process that never builds a Fraction never loads
+    them, and later calls cost what a direct Fraction call does."""
     global _fraction
     from fractions import Fraction
 
@@ -37,8 +43,7 @@ def _fraction(*args):
     return Fraction(*args)
 
 
-def _gmul(a, b, c, d):
-    # (a+bi)(c+di)
+def _gmul(a, b, c, d):  # (a+bi)(c+di)
     return a * c - b * d, a * d + b * c
 
 
@@ -54,26 +59,18 @@ def _sign_with_sqrt2(x: int, y: int) -> int:
     return 1 if y > 0 else -1
 
 
-class _Coordinate:
-    """Read-only Fraction view of one integer coordinate over the shared
-    denominator.
+class _View:
+    """A read-only attribute computed by get(obj).  A descriptor rather than a property:
+    perfbench/tracer.py times every property as layer work, but reads the coordinate views and
+    ``ExactMatrix.rows`` from its own hooks, whose cost it keeps out of the layer times."""
 
-    A descriptor rather than a property: perfbench/tracer.py times every
-    property as scalar work, but reads these coordinates from its own
-    hooks, whose cost it keeps out of the layer times.
-    """
+    __slots__ = ("get",)
 
-    __slots__ = ("field",)
-
-    def __init__(self, field: str):
-        self.field = field
+    def __init__(self, get):
+        self.get = get
 
     def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        den = obj.den
-        value = getattr(obj, self.field)
-        return _fraction(value) if den == 1 else _fraction(value, den)
+        return self if obj is None else self.get(obj)
 
 
 class ExactScalar:
@@ -85,20 +82,20 @@ class ExactScalar:
 
     __slots__ = ("p", "q", "r", "s", "den")
 
-    def __init__(self, a: Rational = 0, b: Rational = 0, c: Rational = 0, d: Rational = 0):
+    def __init__(self, a=0, b=0, c=0, d=0):
         coords = (a, b, c, d)
         for x in coords:
-            if not isinstance(x, Rational):
+            if not _rational(x):
                 raise TypeError(f"cannot coerce {type(x).__name__} into Q(i, sqrt2)")
         # the lcm of reduced denominators leaves the five ints coprime
         den = lcm(*(x.denominator for x in coords))
         self.p, self.q, self.r, self.s = (x.numerator * (den // x.denominator) for x in coords)
         self.den = den
 
-    a = _Coordinate("p")
-    b = _Coordinate("q")
-    c = _Coordinate("r")
-    d = _Coordinate("s")
+    a = _View(lambda x: _fraction(x.p, x.den))
+    b = _View(lambda x: _fraction(x.q, x.den))
+    c = _View(lambda x: _fraction(x.r, x.den))
+    d = _View(lambda x: _fraction(x.s, x.den))
 
     # -- predicates ------------------------------------------------------
 
@@ -120,7 +117,7 @@ class ExactScalar:
 
     def __add__(self, other) -> "ExactScalar":
         if type(other) is not ExactScalar:
-            if not isinstance(other, Rational):
+            if not _rational(other):
                 return NotImplemented
             other = sc(other)
         d1, d2 = self.den, other.den
@@ -141,7 +138,7 @@ class ExactScalar:
 
     def __sub__(self, other) -> "ExactScalar":
         if type(other) is not ExactScalar:
-            if not isinstance(other, Rational):
+            if not _rational(other):
                 return NotImplemented
             other = sc(other)
         d1, d2 = self.den, other.den
@@ -166,7 +163,7 @@ class ExactScalar:
 
     def __mul__(self, other) -> "ExactScalar":
         if type(other) is not ExactScalar:
-            if not isinstance(other, Rational):
+            if not _rational(other):
                 return NotImplemented
             other = sc(other)
         # write self = (X1 + Y1*sqrt2)/d1, other = (X2 + Y2*sqrt2)/d2 with
@@ -254,7 +251,7 @@ class ExactScalar:
 
     def __eq__(self, other) -> bool:
         if type(other) is not ExactScalar:
-            if not isinstance(other, Rational):
+            if not _rational(other):
                 return NotImplemented
             other = sc(other)
         return (
@@ -281,14 +278,14 @@ class ExactScalar:
         if self.is_zero():
             return "0"
         parts = []
-        for coeff, unit in ((self.a, ""), (self.b, "i"), (self.c, "sqrt2"), (self.d, "i*sqrt2")):
-            if coeff == 0:
+        for coeff, unit in zip(self.to_json(), ("", "i", "sqrt2", "i*sqrt2")):
+            if coeff == "0":
                 continue
             if unit == "":
-                parts.append(str(coeff))
-            elif coeff == 1:
+                parts.append(coeff)
+            elif coeff == "1":
                 parts.append(unit)
-            elif coeff == -1:
+            elif coeff == "-1":
                 parts.append("-" + unit)
             else:
                 parts.append(f"{coeff}*{unit}")
@@ -300,7 +297,12 @@ class ExactScalar:
     # -- serialization ----------------------------------------------------
 
     def to_json(self):
-        return [str(self.a), str(self.b), str(self.c), str(self.d)]
+        """The strings of the Fractions a, b, c, d, built without loading fractions."""
+        out = []
+        for num in (self.p, self.q, self.r, self.s):
+            g = gcd(num, self.den)
+            out.append(str(num // g) if g == self.den else f"{num // g}/{self.den // g}")
+        return out
 
     @classmethod
     def from_json(cls, data) -> "ExactScalar":
@@ -391,7 +393,7 @@ def sc(x) -> ExactScalar:
         return x
     if isinstance(x, int):
         return _make(int(x), 0, 0, 0, 1)
-    if isinstance(x, Rational):
+    if _rational(x):
         return _make(x.numerator, 0, 0, 0, x.denominator)
     raise TypeError(f"cannot coerce {type(x).__name__} into Q(i, sqrt2)")
 

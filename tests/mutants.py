@@ -207,6 +207,25 @@ MUTANTS = (
         ("tests/test_bundles.py::TestExampleChecks::test_quadric_names_the_first_failure[varpi-identity]",),
     ),
     Mutant(
+        # the anticommutant projected with the commutant's signs eps_A = 1
+        "projection-skips-eps-flip",
+        "reps.py",
+        "    signs = [flip and bin(mask).count(\"1\") & 1 for mask in range(len(v_blades))]\n",
+        "    signs = [0] * len(v_blades)\n",
+        ("tests/test_intertwiner_oracle.py::test_projection_bases_equal_the_solve[Cl(2,0)]",
+         "tests/test_intertwiner_oracle.py::test_projection_bases_equal_the_solve[Cl(3,0)]",
+         "tests/test_intertwiner_oracle.py::test_character_count_is_the_basis_length[Cl(1,0)]"),
+    ),
+    Mutant(
+        # each orbit vector scaled to 1 at its first nonzero position, not its last
+        "orbit-basis-normalised-at-first-position",
+        "reps.py",
+        "for _, p, q in entries[-1:]]",
+        "for _, p, q in entries[:1]]",
+        ("tests/test_intertwiner_oracle.py::test_projection_bases_equal_the_solve[Cl(2,0)]",
+         "tests/test_intertwiner_oracle.py::test_projection_bases_equal_the_solve[Cl(2,2)]"),
+    ),
+    Mutant(
         "parser-skips-choice-check",
         "cli.py",
         "            if isinstance(conv, tuple) and value not in conv:\n",

@@ -4,6 +4,7 @@ Every check runs in a fresh interpreter, since the test session has long
 since imported every module.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import spinweave
+from spinweave import charclass
 
 SRC = str(Path(spinweave.__file__).resolve().parent.parent)
 LAYERS = ("scalars", "linalg", "clifford", "reps", "groups", "bundles",
@@ -111,6 +113,52 @@ def test_examples_load_no_fractions_or_decimal(argv):
     # check reads: the checks run on integer forms
     doc = json.loads(fresh("-c", NUMERIC, "examples", *argv).splitlines()[-1])
     assert doc == {"code": 0, "loaded": []}
+
+
+# Runs main on the remaining arguments, then prints its exit code and which of
+# json and numbers the process has loaded.  It prints a repr, not JSON, so the
+# probe itself loads neither.
+STDLIB = """
+import contextlib, io, sys
+import spinweave.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(repr((code, [m for m in ("json", "numbers") if m in sys.modules])))
+"""
+
+
+def stdlib_loaded(*argv: str) -> tuple:
+    return ast.literal_eval(fresh("-c", STDLIB, *argv).splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--sig", "3,0"),
+    ("verify", "--sig", "2,2", "--format", "table"),
+    ("examples", "sphere", "--m", "3", "--samples", "3"),
+    ("examples", "associated", "--m", "3"),
+    ("examples", "exterior", "--m", "3"),
+    ("build", "--sig", "2,0", "--kind", "dirac"),
+    ("build", "--sig", "3,0", "--kind", "cartan", "--format", "table"),
+], ids=" ".join)
+def test_subcommand_loads_no_json_or_numbers(argv):
+    # reports writes its JSON itself, and scalars takes ints and Fractions
+    # without numbers.Rational
+    assert stdlib_loaded(*argv) == (0, [])
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_obstructions_without_a_catalog_loads_no_json(fmt):
+    code, loaded = stdlib_loaded("obstructions", "--format", fmt)
+    assert code == 0 and "json" not in loaded
+
+
+def test_a_catalog_or_config_file_loads_json(tmp_path):
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(charclass.dump_catalog(charclass.builtin_catalog()[:1]))
+    assert "json" in stdlib_loaded("obstructions", "--catalog", str(catalog))[1]
+    config = tmp_path / "config.json"
+    config.write_text('{"seed": 2}')
+    assert "json" in stdlib_loaded("verify", "--sig", "1,0", "--config", str(config))[1]
 
 
 # Runs main on the remaining arguments after building the parser, then prints

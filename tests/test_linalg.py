@@ -3,14 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from spinweave.linalg import (
-    ExactMatrix,
-    matrix_to_vector,
-    nullspace_sparse,
-    rref_sparse,
-    vector_to_matrix,
-)
+from spinweave.linalg import ExactMatrix
 from spinweave.scalars import I, ONE, ZERO, ExactScalar, sc
+
+from test_intertwiner_oracle import matrix_to_vector, nullspace_sparse, rref_sparse, vector_to_matrix
 
 M = ExactMatrix
 

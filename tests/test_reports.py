@@ -1,5 +1,9 @@
 import json
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from spinweave.clifford import Signature
 from spinweave.linalg import ExactMatrix
 from spinweave.reports import (
@@ -98,3 +102,39 @@ def test_report_behaves_as_its_dataclass_did():
     assert not full.ok and Report("c", None, "pass").ok
     assert Report.__hash__ is None
     assert not hasattr(full, "__dict__")
+
+
+# -- the JSON writer against json.dumps(doc, indent=2) -------------------------------
+
+_TEXT = st.text(st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f'),  # escapes and control characters
+    st.characters(max_codepoint=0x7F),
+    st.characters(min_codepoint=0x80, max_codepoint=0xFFFF, blacklist_categories=("Cs",)),
+    st.characters(min_codepoint=0x10000),  # astral, written as surrogate pairs
+), max_size=12)
+_ATOMS = st.one_of(st.none(), st.booleans(), st.sampled_from([0, 1, -1]),
+                   st.integers(-10 ** 30, 10 ** 30), _TEXT)
+_KEYS = st.one_of(_TEXT, st.none(), st.booleans(), st.integers(-3, 3))
+_DOCS = st.recursive(_ATOMS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.dictionaries(_KEYS, inner, max_size=4)), max_leaves=20)
+
+
+@settings(max_examples=300)
+@given(_DOCS)
+def test_writer_matches_json_dumps(doc):
+    assert to_json_text(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [
+    {}, [], {"a": {}, "b": []}, [[], {}, [[]]],
+    {True: 1, 1: True, False: 0, 0: False, None: None},
+    ["\"\\", "\x00\x1f\x7f", "é", "\U0001F600", ""],
+])
+def test_writer_matches_json_dumps_on_edge_cases(doc):
+    assert to_json_text(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [1.5, (1, 2), {"a": {1, 2}}, {(1, 2): 0}, {1.5: 0}, b"x"])
+def test_writer_rejects_other_types(doc):
+    with pytest.raises(TypeError):
+        to_json_text(doc)

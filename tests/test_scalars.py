@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -170,3 +171,21 @@ def test_shared_denominator():
     x = ExactScalar(Fraction(1, 2), Fraction(-1, 3), Fraction(5, 4), 2)
     assert _fields(x) == (6, -4, 15, 24, 12)
     assert _fields(x + x) == (6, -4, 15, 24, 6)
+
+
+@pytest.mark.parametrize("value", [1.5, Decimal(1), "1", 1j, None])
+def test_only_ints_and_fractions_coerce(value):
+    # scalars reads the Fraction class from sys.modules, not from numbers.Rational
+    for make in (sc, ExactScalar, lambda x: ExactScalar(0, x)):
+        with pytest.raises(TypeError, match=rf"cannot coerce {type(value).__name__} into"):
+            make(value)
+    for op in ("__add__", "__sub__", "__mul__", "__eq__"):
+        assert getattr(ONE, op)(value) is NotImplemented
+
+
+@pytest.mark.parametrize("value, expected", [
+    (True, sc(1)), (False, sc(0)), (Fraction(3, 6), ExactScalar(Fraction(1, 2))), (7, sc(7)),
+])
+def test_bools_ints_and_fractions_coerce(value, expected):
+    assert sc(value) == expected and ExactScalar(value) == expected
+    assert ONE * value == expected and expected == value

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from spinweave.clifford import Signature
 from spinweave.groups import _isotropic_pair, _probe
-from spinweave.linalg import rref_sparse
 from spinweave.reps import spin_space
 from spinweave.scalars import ZERO
 
+from test_intertwiner_oracle import rref_sparse
 from test_matrix_oracle import GRID, NONZERO
 
 
