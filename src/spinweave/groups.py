@@ -17,12 +17,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .clifford import Signature
 from .linalg import ExactMatrix, _add_row
 from .reports import Record, Report, report
-from .reps import EVEN, NEITHER, ODD, SpinSpace, spin_space
+from .reps import EVEN, NEITHER, ODD, SpinSpace, _blade_table, spin_space
 from .scalars import ExactScalar, MINUS_ONE, ONE, ZERO, _sum_products, sc
 
 
 class FrameGroup:
-    """Finite subgroup of Pin generated by {+-frame} of the spin space ``ss``; includes +-I.
+    """Subgroup of Pin that {+-frame} of the spin space ``ss`` generates: its signed blades +-v_A.
 
     The Cayley table is materialised on first use; element order is canonical (sorted by
     ``ExactMatrix.key``).  Lookups hash the sparse rows, not the key.
@@ -62,26 +62,21 @@ class FrameGroup:
 
 
 def generate_frame_group(ss: SpinSpace) -> FrameGroup:
-    """The signed frame products {+-v_A}, enumerated by blade mask A.
+    """{+-v_A}: the blades of the frame's ``reps._blade_table`` and their negatives.
 
-    v_A = v_(A - i) * v_i with i the highest bit of A: 2^m - 1 products.  The Clifford relations
-    v_i v_j + v_j v_i = 2 h_ij delta_ij I give v_A v_B = +-v_(A xor B), so {+-v_A} is the group the
-    signed frame generates.  They are checked on the frame (v_i^2, and v_j v_i for i < j: m(m+1)/2
-    products); a frame that breaks them raises.  Deduplication hashes the sparse rows, so a
-    degenerate frame (v_A = +-v_B for some A != B) gives fewer than 2^(m+1) elements, sorted by
-    ``key()`` once, at the end.
+    The table checks v_i^2 = c_i I, c_i a nonzero scalar, and v_j v_i = -v_i v_j for i < j, so
+    v_A v_B = +-v_(A xor B) (Lawson-Michelsohn I.5).  c_i = h_i is checked here; a frame that breaks
+    either raises.  Deduplication hashes the sparse rows, so a degenerate frame (v_A = +-v_B for
+    some A != B) gives fewer than 2^(m+1) elements.
     """
-    m = ss.sig.m
-    ident = ExactMatrix.identity(ss.dim)
-    blades = [ident]
-    for mask in range(1, 1 << m):
-        i = mask.bit_length() - 1
-        blades.append(blades[mask ^ 1 << i] * ss.frame[i])
-    for j, v in enumerate(ss.frame):
-        if v * v != ident.scale(sc(ss.sig.h(j))) or any(
-            v * ss.frame[i] != -blades[1 << i | 1 << j] for i in range(j)
-        ):
+    try:
+        unit, blades, squares, _ = _blade_table(tuple(ss.frame))
+    except ValueError as exc:
+        raise RuntimeError(str(exc)) from None
+    for j, c in enumerate(squares):
+        if c != sc(ss.sig.h(j)):
             raise RuntimeError(f"frame vector e{j + 1} breaks the Clifford relations")
+    blades = [b.matrix() for b in blades] if unit else blades
     elements = set(blades) | {-b for b in blades}
     return FrameGroup(ss, tuple(sorted(elements, key=lambda g: g.key())))
 
@@ -496,8 +491,8 @@ def verify_spinor_groups(group: FrameGroup, seed: int, kappa_pairs: int = 20) ->
     The sampled elements are not tested for membership one by one.  The Lipschitz group is closed
     under products: if a and b are invertible and conjugate V into V by real matrices, so does ab,
     by their product.  A sample is a product of factors of three kinds: nonzero scalars c I, which
-    fix V; frame-group elements +-v_A, which ``generate_frame_group`` builds as products of -I and
-    frame vectors; and odd elements (lam P+ + mu P-) Gamma a with a in the frame group.  The scalar
+    fix V; frame-group elements +-v_A, signed products of frame vectors read off the blade table;
+    and odd elements (lam P+ + mu P-) Gamma a with a in the frame group.  The scalar
     pair lam P+ + mu P- lies in span{I, eta}, so it commutes with V once eta does; a.inverse()
     raises on a singular sample, so when the inverse exists every factor is invertible, and a
     scalar pair that is invertible and commutes with V is Lipschitz.  So one certificate per run --

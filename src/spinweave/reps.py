@@ -265,6 +265,10 @@ class _UnitMonomial(tuple):
         sigma, psi = self
         return _UNIT[psi[0]] if sigma == tuple(range(len(sigma))) and len(set(psi)) == 1 else None
 
+    def matrix(self) -> ExactMatrix:
+        n = len(self[0])
+        return _matrix(n, sorted((r * n + c, _UNIT[k]) for c, (r, k) in enumerate(zip(*self))))
+
     def trace(self) -> ExactScalar:
         fixed = [k for c, (r, k) in enumerate(zip(*self)) if r == c]
         return ExactScalar(fixed.count(0) - fixed.count(2), fixed.count(1) - fixed.count(3))

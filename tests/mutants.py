@@ -155,12 +155,23 @@ MUTANTS = (
          "tests/test_bundles.py::TestSpinSpaceMorphisms::test_conjugates_the_frame_onto_every_variant[Cl(3,0)]"),
     ),
     Mutant(
+        # the blade table accepts any nonzero square, so only this check rejects 2v and iv
         "frame-group-skips-relation-check",
         "groups.py",
         "            raise RuntimeError(f\"frame vector e{j + 1} breaks the Clifford relations\")\n",
         "            pass\n",
         ("tests/test_group_oracle.py::test_altered_spin_space_fails_where_the_oracle_does[Cl(2,0)-iv]",
          "tests/test_group_oracle.py::test_altered_spin_space_fails_where_the_oracle_does[Cl(2,0)-2v]"),
+    ),
+    Mutant(
+        # an isotropic b (b^2 = 0) taken at odd m: r = -1/s divides by zero
+        "gamma-accepts-isotropic-b",
+        "reps.py",
+        "        if s:  # None off the scalars, zero on an isotropic b\n",
+        "        if s is not None:  # None off the scalars, zero on an isotropic b\n",
+        ("tests/test_reps.py::TestChooseGamma::test_odd_canonical_swap_block",
+         "tests/test_reps.py::TestChooseGamma::test_gamma_anticommutes_with_frame",
+         "tests/test_reps.py::TestChooseGamma::test_conjugated_frame_gives_conjugated_gamma_up_to_sign"),
     ),
     Mutant(
         "orth-matrix-accepts-complex-entries",

@@ -1,7 +1,7 @@
 """Exhaustive oracle for the frame-group certificates in ``spinweave.groups``.
 
-``generate_frame_group`` enumerates the group by blade mask and checks the
-Clifford relations on the frame; ``verify_extension_diagram`` and
+``generate_frame_group`` reads the group off the frame's blade table, which
+checks the Clifford relations on the frame; ``verify_extension_diagram`` and
 ``plain_ad_kernel`` check the m frame vectors and count orders.  The
 reference code below is the exhaustive version they replace: closure under
 the 2m signed generators, one twisted adjoint per element, and m
@@ -255,6 +255,8 @@ def test_altered_spin_space_fails_where_the_oracle_does(sig, name):
     valid = _is_spin_space(ss)
     assert valid == (name in ("-v", "conjugated"))
     assert _certificate_fails(ss) == (_oracle_fails(ss) or not valid)
+    if valid:  # "conjugated" takes the table's matrix blades
+        assert generate_frame_group(ss).elements == closure_frame_group(ss).elements
 
 
 def test_oracle_misses_what_the_certificate_catches():

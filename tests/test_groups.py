@@ -34,7 +34,9 @@ from spinweave.groups import (
     verify_extension_diagram,
     verify_spinor_groups,
 )
-from spinweave.reps import EVEN, ODD, SpinSpace, conjugate_spin_space, grading_of, spin_space
+from spinweave.reps import (
+    EVEN, ODD, SpinSpace, _blade_table, conjugate_spin_space, grading_of, spin_space,
+)
 from spinweave.scalars import I, MINUS_ONE, ONE, ExactScalar, sc
 
 CE = CliffordElement
@@ -61,6 +63,16 @@ class TestFrameGroup:
         for s in all_signatures(5):
             assert generate_frame_group(spin_space(s)).order == 2 ** (s.m + 1)
 
+    @pytest.mark.parametrize("s", [sig(3, 0), sig(2, 2)], ids=str)
+    def test_reads_the_built_blade_table_without_a_product(self, monkeypatch, s):
+        ss = spin_space(s)
+        _blade_table(ss.frame)
+        products = []
+        mul = M.__mul__
+        monkeypatch.setattr(M, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+        assert generate_frame_group(ss).order == 2 ** (s.m + 1)
+        assert not products
+
     def test_contains_plus_minus_identity(self):
         ss = spin_space(sig(2, 1))
         g = generate_frame_group(ss)
@@ -71,7 +83,7 @@ class TestFrameGroup:
         ss = spin_space(sig(2, 0))
         g = generate_frame_group(ss)
         for i in range(g.order):
-            g.inverse_index(i)  # raises StopIteration if missing
+            g.inverse_index(i)  # raises KeyError if missing
         e = g.identity_index
         assert all(g.cayley[e][j] == j for j in range(g.order))
 

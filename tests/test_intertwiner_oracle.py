@@ -128,6 +128,12 @@ def test_character_count_is_the_basis_length(sig):
         assert count == len(basis) == (2 if sig.m % 2 else 1)
 
 
+@pytest.mark.parametrize("sig", SIGNATURES, ids=str)
+def test_phase_blades_read_back_as_the_matrix_blades(sig):
+    frame = spin_space(sig).frame
+    assert [b.matrix() for b in reps._blade_table(frame)[1]] == reps._blade_table(frame, False)[1]
+
+
 # -- frames that are not unit-monomial ----------------------------------------------------
 
 
