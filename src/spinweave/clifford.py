@@ -17,7 +17,7 @@ from .scalars import ExactScalar, I, ONE, ZERO, _sum_products, sc
 class Signature(Record):
     """Quadratic-form signature (k, l): k generators square to +1, l to -1."""
 
-    __slots__ = ("k", "l", "_blades")
+    __slots__ = ("k", "l")
 
     def __init__(self, k: int, l: int):
         if k < 0 or l < 0 or k + l < 1:
@@ -25,8 +25,6 @@ class Signature(Record):
                 f"invalid signature ({k},{l}): k and l must be non-negative with k + l >= 1"
             )
         self._assign(k, l)
-        # (a, b) -> blade_mul(a, b, self) for the products met so far; never a bad mask
-        object.__setattr__(self, "_blades", {})
 
     @property
     def m(self) -> int:
@@ -149,15 +147,12 @@ class CliffordElement:
             return self.scale(other)
         self._check(other)
         sig = self.sig
-        table = sig._blades
         pairs = []
         for ma, ca in self.terms.items():
             by_sign = {1: [], -1: []}
             for mb, cb in other.terms.items():
-                entry = table.get((ma, mb))
-                if entry is None:
-                    entry = table[ma, mb] = blade_mul(ma, mb, sig)
-                by_sign[entry[1]].append((entry[0], cb))
+                mask, sign = blade_mul(ma, mb, sig)
+                by_sign[sign].append((mask, cb))
             pairs += ((ca, by_sign[1]), (-ca, by_sign[-1]))
         return CliffordElement(sig, dict(_sum_products(pairs)))
 

@@ -303,17 +303,8 @@ def build_odd_element(ss: SpinSpace, lam, mu, a_pin: ExactMatrix) -> ExactMatrix
     for even a makes it the block [[0, lam*s(a)], [mu*s(a), 0]] on the canonical Cartan frame, with
     s(a) the Pauli image of a.
     """
-    if ss.sig.m % 2 == 0:
-        raise ValueError("odd block elements need odd m")
-    lam, mu = sc(lam), sc(mu)
-    if lam.is_zero() or mu.is_zero():
-        raise ValueError("scale parameters must be nonzero")
-    parity = clifford_parity(ss, a_pin)
-    if parity == NEITHER:
-        raise ValueError("a_pin must be even or odd")
-    if parity == EVEN:
-        lam = -lam
-    return scalar_pair(ss, lam, mu) * ss.gamma * a_pin
+    lam, mu, parity = _pair_model_parts(ss, lam, mu, a_pin)
+    return scalar_pair(ss, -lam if parity == EVEN else lam, mu) * ss.gamma * a_pin
 
 
 def embed_pin_pair(ss: SpinSpace, a_pin: ExactMatrix, lam, mu) -> ExactMatrix:
@@ -324,15 +315,23 @@ def embed_pin_pair(ss: SpinSpace, a_pin: ExactMatrix, lam, mu) -> ExactMatrix:
     diag(lam*s(a), mu*s(a)) and the antidiagonal blocks.  Moving an odd
     factor past a scalar pair swaps (lambda, mu).
     """
+    lam, mu, parity = _pair_model_parts(ss, lam, mu, a_pin)
+    pair = scalar_pair(ss, lam, mu)
+    return pair * a_pin if parity == EVEN else pair * ss.gamma * a_pin
+
+
+def _pair_model_parts(ss: SpinSpace, lam, mu, a_pin: ExactMatrix) -> tuple:
+    """(lam, mu, parity of a_pin) for the pair model; raises ValueError unless m is odd, both
+    scales are nonzero and a_pin is even or odd."""
     if ss.sig.m % 2 == 0:
         raise ValueError("the pair model needs odd m")
-    pair = scalar_pair(ss, lam, mu)
+    lam, mu = sc(lam), sc(mu)
+    if lam.is_zero() or mu.is_zero():
+        raise ValueError("scale parameters must be nonzero")
     parity = clifford_parity(ss, a_pin)
     if parity == NEITHER:
         raise ValueError("a_pin must be even or odd")
-    if parity == EVEN:
-        return pair * a_pin
-    return pair * ss.gamma * a_pin
+    return lam, mu, parity
 
 
 def clifford_parity(ss: SpinSpace, a: ExactMatrix) -> str:

@@ -45,7 +45,7 @@ class Representation(Record, frozen=False, eq=False):
         self.kind = kind
         self.images = images
         self.dim = dim
-        self._blade_cache: Dict[int, ExactMatrix] = {}
+        self._blade_cache: Dict[int, ExactMatrix] = {0: ExactMatrix.identity(dim)}
 
     def h_values(self) -> List[int]:
         """Expected generator squares for the stored images."""
@@ -60,20 +60,20 @@ class Representation(Record, frozen=False, eq=False):
             raise ValueError("Weyl kinds do not represent the full algebra")
         if x.sig != self.sig:
             raise ValueError(f"element of {x.sig} fed to a {self.sig} representation")
+        memo = self._blade_cache
         return ExactMatrix.combination(
-            self.dim, ((coeff, self._blade_image(mask)) for mask, coeff in x.terms.items()))
+            self.dim, ((coeff, _blade(self.images, memo, mask)) for mask, coeff in x.terms.items()))
 
-    def _blade_image(self, mask: int) -> ExactMatrix:
-        cached = self._blade_cache.get(mask)
-        if cached is not None:
-            return cached
-        if mask == 0:
-            out = ExactMatrix.identity(self.dim)
-        else:
-            low = mask & -mask
-            out = self.images[low.bit_length() - 1] * self._blade_image(mask ^ low)
-        self._blade_cache[mask] = out
-        return out
+
+def _blade(gens: Sequence, memo: Dict[int, object], mask: int):
+    """The blade v_A = v_low v_(A - low) of the generators, low the lowest bit of A, memoised in
+    memo, which holds the identity at mask 0.  The Clifford relations make it the product of the
+    v_i, i in A, in increasing order (Lawson-Michelsohn I.5)."""
+    out = memo.get(mask)
+    if out is None:
+        low = mask & -mask
+        out = memo[mask] = gens[low.bit_length() - 1] * _blade(gens, memo, mask ^ low)
+    return out
 
 
 def _frame_volume(frame: Sequence[ExactMatrix]) -> Tuple[ExactMatrix, ExactScalar]:
@@ -158,11 +158,10 @@ def build_rep(sig: Signature, kind: str) -> Representation:
         return Representation(sig, kind, images, images[0].n)
 
     if kind == CARTAN:
-        sigma = _fix_pauli_normalisation(_mixed_images(sig, _pauli_positive(m)))
-        n = sigma[0].n
-        z = ExactMatrix.zeros(n)
+        sigma = build_rep(sig, PAULI).images
+        z = ExactMatrix.zeros(sigma[0].n)
         images = tuple(ExactMatrix.block2(s, z, z, -s) for s in sigma)
-        return Representation(sig, kind, images, 2 * n)
+        return Representation(sig, kind, images, images[0].n)
 
     if kind == DIRAC:
         images = _mixed_images(sig, _dirac_positive(m))
@@ -275,20 +274,18 @@ class _UnitMonomial(tuple):
 
 
 @lru_cache(maxsize=16)
-def _blade_table(frame: Tuple[ExactMatrix, ...], unit: bool = True) -> tuple:
-    """(unit, blades, squares, traces) of a frame: its blades v_A = v_low v_(A - low), low the
-    lowest bit of A, as ``_UnitMonomial`` pairs if unit and the frame is unit-monomial (every
-    canonical frame), else as matrices; the c_i = v_i^2; and the traces tr v_A.  A frame that
-    breaks the Clifford relations raises ValueError: a zero or non-scalar square, or v_j v_i !=
-    -v_i v_j for some i < j, that is (v_i v_j)^2 = -v_i v_j v_j v_i != -c_i c_j."""
+def _blade_table(frame: Tuple[ExactMatrix, ...]) -> tuple:
+    """(unit, blades, squares, traces) of a frame: its blades ``_blade`` in mask order, as
+    ``_UnitMonomial`` pairs if the frame is unit-monomial (every canonical frame), else as
+    matrices; the c_i = v_i^2; and the traces tr v_A.  A frame that breaks the Clifford relations
+    raises ValueError: a zero or non-scalar square, or v_j v_i != -v_i v_j for some i < j, that is
+    (v_i v_j)^2 = -v_i v_j v_j v_i != -c_i c_j."""
     n = frame[0].n
-    gens = [_UnitMonomial.of(v) for v in frame] if unit else [None]
+    gens = [_UnitMonomial.of(v) for v in frame]
     unit = None not in gens
-    gens, blades = ((gens, [_UnitMonomial((tuple(range(n)), (0,) * n))]) if unit
-                    else (frame, [ExactMatrix.identity(n)]))
-    for mask in range(1, 1 << len(frame)):
-        low = mask & -mask
-        blades.append(gens[low.bit_length() - 1] * blades[mask ^ low])
+    gens, memo = ((gens, {0: _UnitMonomial((tuple(range(n)), (0,) * n))}) if unit
+                  else (frame, {0: ExactMatrix.identity(n)}))
+    blades = [_blade(gens, memo, mask) for mask in range(1 << len(frame))]
     squares = tuple((v * v).scalar_value() for v in gens)
     for j, c in enumerate(squares):
         pairs = (blades[1 << i | 1 << j] for i in range(j))
@@ -367,9 +364,10 @@ def _intertwiner_space(source: Sequence[ExactMatrix], target: Sequence[ExactMatr
     if not source or len(source) != len(target) or source[0].n != target[0].n:
         raise ValueError("the frames must be nonempty and of one length and size")
     tables = [_blade_table(tuple(frame)) for frame in (source, target)]
-    if tables[0][0] != tables[1][0]:  # one frame is not unit-monomial: matrix blades for both
-        tables = [_blade_table(tuple(frame), False) for frame in (source, target)]
-    (unit, v_blades, squares, v_traces), (_, w_blades, w_squares, w_traces) = tables
+    (unit, v_blades, squares, v_traces), (w_unit, w_blades, w_squares, w_traces) = tables
+    if unit != w_unit:  # one frame is not unit-monomial: matrix blades for both
+        unit = False
+        v_blades, w_blades = ([b.matrix() for b in t[1]] if t[0] else t[1] for t in tables)
     if squares != w_squares:
         return [], ZERO
     signs = [flip and bin(mask).count("1") & 1 for mask in range(len(v_blades))]

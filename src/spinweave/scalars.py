@@ -141,19 +141,7 @@ class ExactScalar:
             if not _rational(other):
                 return NotImplemented
             other = sc(other)
-        d1, d2 = self.den, other.den
-        if d1 == d2:
-            p, q, r, s = self.p - other.p, self.q - other.q, self.r - other.r, self.s - other.s
-            if d1 == 1:
-                return _make(p, q, r, s, 1)
-            return _reduce(p, q, r, s, d1)
-        return _reduce(
-            self.p * d2 - other.p * d1,
-            self.q * d2 - other.q * d1,
-            self.r * d2 - other.r * d1,
-            self.s * d2 - other.s * d1,
-            d1 * d2,
-        )
+        return self + -other
 
     def __rsub__(self, other) -> "ExactScalar":
         return sc(other).__sub__(self)

@@ -245,6 +245,28 @@ MUTANTS = (
          "tests/test_cli_usage.py::test_usage_error_exits_2_naming_the_offender[argv10---kind]",
          "tests/test_parser_oracle.py::test_malformed_lines_exit_2_in_both[verify --format yaml]"),
     ),
+    Mutant(
+        # v_(A - low) v_low: grade-k blades flip sign for k = 2, 3 mod 4, on both sides of every
+        # conjugation, so the group pins and the projection cannot see it
+        "blade-product-reversed",
+        "reps.py",
+        "        out = memo[mask] = gens[low.bit_length() - 1] * _blade(gens, memo, mask ^ low)\n",
+        "        out = memo[mask] = _blade(gens, memo, mask ^ low) * gens[low.bit_length() - 1]\n",
+        ("tests/test_intertwiner_oracle.py::test_phase_blades_read_back_as_the_matrix_blades[Cl(2,0)]",
+         "tests/test_intertwiner_oracle.py::test_phase_blades_read_back_as_the_matrix_blades[Cl(1,2)]",
+         "tests/test_reps.py::TestGammaMap::test_homomorphism_on_blades"),
+    ),
+    Mutant(
+        # a zero scale makes a singular matrix, outside the Lipschitz group
+        "pair-model-accepts-zero-scale",
+        "groups.py",
+        "    if lam.is_zero() or mu.is_zero():\n"
+        "        raise ValueError(\"scale parameters must be nonzero\")\n",
+        "",
+        ("tests/test_groups.py::TestOddElements::test_zero_scale_rejected",
+         "tests/test_groups.py::TestPairModel::test_zero_scale_rejected[even-lambda=0]",
+         "tests/test_groups.py::TestPairModel::test_zero_scale_rejected[odd-mu=0]"),
+    ),
 )
 
 

@@ -187,14 +187,14 @@ def test_clifford_product_matches_per_term_reference(ab):
     assert all(fields(got[mask]) == fields(expected[mask]) for mask in got)
 
 
-# -- the blade table ------------------------------------------------------------------
+# -- blade products of elements -------------------------------------------------------
 
 
 @pytest.mark.parametrize("m", range(1, 6))
 def test_blade_table_agrees_with_blade_mul(m):
     for k in range(m + 1):
         sig = Signature(k, m - k)
-        for _ in range(2):  # the second pass reads what the first left in the table
+        for _ in range(2):  # twice: a product must not depend on the products made before it
             for a, b in product(range(1 << m), repeat=2):
                 mask, sign = blade_mul(a, b, sig)
                 got = CliffordElement.blade(sig, a) * CliffordElement.blade(sig, b)

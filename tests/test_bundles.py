@@ -30,6 +30,8 @@ from spinweave.bundles import (
     spin_space_morphisms,
     stereographic,
 )
+from spinweave.charclass import check_lpin, projective_space_data, sphere_data
+from spinweave.cli import MAX_M
 from spinweave.clifford import CliffordElement, Signature
 from spinweave.linalg import ExactMatrix
 from spinweave import reps
@@ -449,3 +451,15 @@ class TestExampleChecks:
         monkeypatch.setattr(bundles, name, broken)
         report = quadric_example_check(2, seed=1)
         assert report.status == "fail" and report.counterexample == first
+
+
+class TestObstructionFence:
+    """Where the sphere and RP^m examples build their Clifford module bundles, the obstruction
+    table must allow an lpin structure; the catalog stops at s7, so S^m and RP^m are built here."""
+
+    @pytest.mark.parametrize("m", range(1, MAX_M + 1))
+    def test_examples_pass_and_lpin_holds(self, m):
+        assert sphere_example_check(m, 2, 1).ok
+        assert projective_example_check(m, 2, 1).ok
+        assert check_lpin(sphere_data(m))[0] is True
+        assert check_lpin(projective_space_data(m))[0] is True

@@ -335,6 +335,15 @@ class TestPairModel:
         with pytest.raises(ValueError, match="even or odd"):
             embed_pin_pair(ss, M.identity(ss.dim) + ss.frame[0], 1, 2)
 
+    @pytest.mark.parametrize("lam, mu", [(0, 1), (1, 0)], ids=["lambda=0", "mu=0"])
+    @pytest.mark.parametrize("parity", [EVEN, ODD])
+    def test_zero_scale_rejected(self, lam, mu, parity):
+        # a zero scale gives a singular matrix, which no Lipschitz group holds
+        ss = spin_space(sig(3, 0))
+        a = M.identity(ss.dim) if parity == EVEN else ss.frame[0]
+        with pytest.raises(ValueError, match="scale parameters must be nonzero"):
+            embed_pin_pair(ss, a, lam, mu)
+
     def test_embed_homomorphism_with_parity_swap(self):
         rng = random.Random(9)
         ss = spin_space(sig(3, 0))

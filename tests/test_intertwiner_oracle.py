@@ -15,6 +15,8 @@ The projection must give the very same bases: on the canonical spin spaces
 frames (matrix blades), and between frames of the two kinds.
 """
 
+from functools import reduce
+from operator import mul
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import pytest
@@ -131,7 +133,11 @@ def test_character_count_is_the_basis_length(sig):
 @pytest.mark.parametrize("sig", SIGNATURES, ids=str)
 def test_phase_blades_read_back_as_the_matrix_blades(sig):
     frame = spin_space(sig).frame
-    assert [b.matrix() for b in reps._blade_table(frame)[1]] == reps._blade_table(frame, False)[1]
+    # the low-bit product v_A = v_low v_(A - low), unrolled: the frame matrices of A in
+    # increasing order
+    products = [reduce(mul, (v for i, v in enumerate(frame) if mask >> i & 1),
+                       ExactMatrix.identity(frame[0].n)) for mask in range(1 << len(frame))]
+    assert [b.matrix() for b in reps._blade_table(frame)[1]] == products
 
 
 # -- frames that are not unit-monomial ----------------------------------------------------
