@@ -7,7 +7,8 @@ structure checks), examples (sampled bundle-example verification).
 to json; --seed falls back to the --config file, SPINWEAVE_SEED, then 1;
 --config names a JSON object of defaults for seed, samples, max_m and
 format, which flags override.  Exit codes: 0 all checks pass, 1 a check
-failed, 2 usage errors (a bad flag prints "error: argument FLAG: reason").
+failed, 2 usage errors (a bad flag prints "error: argument FLAG: reason")
+or output that cannot be written.
 Identical flags and seed produce byte-identical reports.
 """
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 import os
 import sys
 import types
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, NoReturn, Optional
 
 from .reports import (
     KINDS, Report, envelope, render_table, serialize_representation, to_json_text,
@@ -125,17 +126,23 @@ def _check_limits(args) -> Optional[str]:
     return None
 
 
+def _error(message: str) -> int:
+    """Print "error: message" to stderr; return 2, the exit code of every such error."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _emit(args, text: str, code: int) -> int:
-    """Write the output to --out or stdout; return code, or 2 if --out cannot be written."""
-    if not args.out:
-        sys.stdout.write(text)
-        return code
+    """Write the output to --out or stdout; return code, or 2 if it cannot be written."""
     try:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
     except OSError as exc:
-        print(f"error: --out {args.out}: {exc.strerror or exc}", file=sys.stderr)
-        return 2
+        return _error(f"{'--out ' + args.out if args.out else 'stdout'}: {exc.strerror or exc}")
     return code
 
 
@@ -161,8 +168,7 @@ def cmd_build(args) -> int:
     try:
         rep = sys.modules[__name__].build_rep(args.sig, args.kind)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(str(exc))
     doc = serialize_representation(rep)
     if args.format == "json":
         return _emit(args, to_json_text(doc) + "\n", 0)
@@ -214,15 +220,13 @@ def cmd_obstructions(args) -> int:
             with open(args.catalog) as fh:
                 catalog = charclass.load_catalog(fh.read())
         except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _error(str(exc))
     else:
         catalog = charclass.builtin_catalog()
     if args.manifold:
         catalog = [m for m in catalog if m.name == args.manifold]
         if not catalog:
-            print(f"error: manifold {args.manifold!r} not in catalog", file=sys.stderr)
-            return 2
+            return _error(f"manifold {args.manifold!r} not in catalog")
     rows = [charclass.structure_summary(m) for m in catalog]
     for row in rows:
         witness = row.pop("lpin_witness")
@@ -252,8 +256,7 @@ def cmd_examples(args) -> int:
     try:
         reports = _run_example(args.name, args.m, args.samples, args.seed)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(str(exc))
     return _emit_reports(args, reports)
 
 
@@ -341,17 +344,38 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = make_parser().parse_args(argv)
     error = _apply_config(args)
     if error is not None:
-        print(f"error: bad config file: {error}", file=sys.stderr)
-        return 2
+        return _error(f"bad config file: {error}")
     for key, value in (("format", "json"), ("max_m", 4), ("samples", 25)):
         if getattr(args, key, value) is None:  # unset by flag and config
             setattr(args, key, value)
     error = _check_limits(args) or _resolve_seed(args)
     if error is not None:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        return _error(error)
     return args.func(args)
 
 
+def run() -> NoReturn:
+    """Run main() as a process: flush stdout and stderr, then os._exit(code).
+
+    ``python -m spinweave.cli`` and the ``spinweave`` script enter here; main() never calls
+    os._exit.  Skipping finalization (module teardown, the last GC pass, freeing every cached
+    matrix) saves its time and loses nothing: --out is closed by its ``with`` before main()
+    returns, spinweave registers no atexit handler and starts no thread, and the only
+    unwritten data is in the two stdio buffers, flushed here.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:  # the parser's --help and usage errors
+        code = exc.code
+    try:
+        if sys.stdout is not None:  # None when the process started with fd 1 closed
+            sys.stdout.flush()
+    except OSError as exc:  # a nonzero code is reported already, by _emit if stdout failed
+        code = code or _error(f"stdout: {exc.strerror or exc}")
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

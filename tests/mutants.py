@@ -267,6 +267,17 @@ MUTANTS = (
          "tests/test_groups.py::TestPairModel::test_zero_scale_rejected[even-lambda=0]",
          "tests/test_groups.py::TestPairModel::test_zero_scale_rejected[odd-mu=0]"),
     ),
+    Mutant(
+        # _emit flushes the reports itself, so only what the parser writes (--help)
+        # is still buffered when the process ends by os._exit
+        "cli-exit-skips-flush",
+        "cli.py",
+        "        if sys.stdout is not None:  # None when the process started with fd 1 closed\n"
+        "            sys.stdout.flush()\n",
+        "        pass\n",
+        ("tests/test_golden_stdout.py::test_help_stdout_is_unchanged",
+         "tests/test_cli.py::TestUnwritableOut::test_unwritable_stdout_exits_2[argv2-False]"),
+    ),
 )
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -452,3 +456,21 @@ class TestUnwritableOut:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: --out {path}: ")
+
+    # PYTHONUNBUFFERED set: the write itself fails; unset: the flush after it,
+    # or for --help (written by the parser) cli.run's flush before os._exit
+    @pytest.mark.parametrize("argv, unbuffered", [
+        (("verify", "--sig", "2,0"), True),
+        (("verify", "--sig", "2,0"), False),
+        (("--help",), False),
+    ])
+    def test_unwritable_stdout_exits_2(self, argv, unbuffered):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            done = subprocess.run([sys.executable, "-m", "spinweave.cli", *argv], stdout=full,
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+        # one message, no traceback: a failure _emit reported is not reported again
+        assert (done.returncode, done.stderr) == (2, "error: stdout: No space left on device\n")

@@ -107,3 +107,15 @@ def test_console_error_has_no_traceback():
     assert (done.returncode, done.stdout) == (2, "")
     assert "Traceback" not in done.stderr
     assert done.stderr.endswith("error: argument --bogus: unrecognized argument\n")
+
+
+def test_usage_error_with_stdout_closed_exits_2():
+    # with fd 1 closed the child's sys.stdout is None, which cli.run must not flush
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-m", "spinweave.cli", "verify", "--bogus"],
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+                          preexec_fn=lambda: os.close(1))
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.endswith("error: argument --bogus: unrecognized argument\n")

@@ -9,13 +9,27 @@ bundle-samples job, and of ``verify`` at m = 1, 2, 3 and 7 and over the
 m <= 3 sweep, in both formats.  ``build`` is the one subcommand that
 prints the restricted Weyl matrices; its digests cover both halves at
 2,2, 0,4, 3,3 and 5,5 (m = 10) and the other kinds at one signature each.
+``obstructions`` is pinned on the builtin catalog.
+
+The tests call ``main()`` in-process.  One job per example, verify at an
+odd and an even m, one build and obstructions, each in both formats, also
+run as a fresh ``python -m spinweave.cli`` process with block-buffered
+stdout on a pipe, so their output passes through ``cli.run``: its flush,
+then ``os._exit``.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spinweave
 from spinweave.cli import main
+
+SRC = str(Path(spinweave.__file__).resolve().parent.parent)
 
 # (argv after "examples", format) -> sha256 of stdout
 GOLDEN = {
@@ -142,28 +156,87 @@ BUILD_GOLDEN = {
         "1ddc8af700d1e9a8a8854e937874a6d62d6d430f6b42fcd9fdd9c1266eeca53d",
 }
 
+# (argv after "obstructions", format) -> sha256 of stdout
+OBSTRUCTIONS_GOLDEN = {
+    ((), "json"): "c9966b1f093c5daa7708da70083a8a66ef69f61cd499f6c43d5126bd56d7f414",
+    ((), "table"): "e70d05dc5cc16386c97256919350bda2f87c5c5abf5b2f0c69ce5c83d26e65f0",
+}
 
-def _stdout_digest(capsys, monkeypatch, argv):
-    monkeypatch.delenv("SPINWEAVE_SEED", raising=False)
-    code = main(argv)
-    out = capsys.readouterr().out
+# the argv (after the subcommand) that also run as a fresh process
+FRESH = {
+    ("associated", "--m", "3"), ("exterior", "--m", "3"), ("hermitean", "--m", "2"),
+    ("quadric", "--samples", "5"), ("sphere", "--m", "3", "--samples", "5"),
+    ("projective", "--m", "3", "--samples", "5"),
+    ("--sig", "2,1"), ("--sig", "0,2"),
+    ("--sig", "1,3", "--kind", "dirac"),
+    (),
+}
+
+
+def _cases(golden):
+    """Every key of golden in-process, then each in FRESH again as a fresh process."""
+    keys = sorted(golden)
+    return ([pytest.param(argv, fmt, False, id=f"argv{i}-{fmt}")
+             for i, (argv, fmt) in enumerate(keys)]
+            + [pytest.param(argv, fmt, True, id=f"argv{i}-{fmt}-fresh")
+               for i, (argv, fmt) in enumerate(keys) if argv in FRESH])
+
+
+def _fresh(argv):
+    """Run ``python -m spinweave.cli argv`` with stdout on a pipe, block-buffered."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    for name in ("SPINWEAVE_SEED", "PYTHONUNBUFFERED"):
+        env.pop(name, None)
+    return subprocess.run([sys.executable, "-m", "spinweave.cli", *argv], capture_output=True,
+                          env=env, timeout=300)
+
+
+def _stdout_digest(capsys, monkeypatch, argv, fresh=False):
+    if fresh:
+        done = _fresh(argv)
+        code, out = done.returncode, done.stdout
+    else:
+        monkeypatch.delenv("SPINWEAVE_SEED", raising=False)
+        code = main(argv)
+        out = capsys.readouterr().out.encode()
     assert code == 0
-    return hashlib.sha256(out.encode()).hexdigest()
+    return hashlib.sha256(out).hexdigest()
 
 
-@pytest.mark.parametrize("argv, fmt", sorted(GOLDEN))
-def test_example_stdout_is_unchanged(capsys, monkeypatch, argv, fmt):
-    digest = _stdout_digest(capsys, monkeypatch, ["examples", *argv, "--format", fmt])
+@pytest.mark.parametrize("argv, fmt, fresh", _cases(GOLDEN))
+def test_example_stdout_is_unchanged(capsys, monkeypatch, argv, fmt, fresh):
+    digest = _stdout_digest(capsys, monkeypatch, ["examples", *argv, "--format", fmt], fresh)
     assert digest == GOLDEN[argv, fmt]
 
 
-@pytest.mark.parametrize("argv, fmt", sorted(VERIFY_GOLDEN))
-def test_verify_stdout_is_unchanged(capsys, monkeypatch, argv, fmt):
-    digest = _stdout_digest(capsys, monkeypatch, ["verify", *argv, "--format", fmt])
+@pytest.mark.parametrize("argv, fmt, fresh", _cases(VERIFY_GOLDEN))
+def test_verify_stdout_is_unchanged(capsys, monkeypatch, argv, fmt, fresh):
+    digest = _stdout_digest(capsys, monkeypatch, ["verify", *argv, "--format", fmt], fresh)
     assert digest == VERIFY_GOLDEN[argv, fmt]
 
 
-@pytest.mark.parametrize("argv, fmt", sorted(BUILD_GOLDEN))
-def test_build_stdout_is_unchanged(capsys, monkeypatch, argv, fmt):
-    digest = _stdout_digest(capsys, monkeypatch, ["build", *argv, "--format", fmt])
+@pytest.mark.parametrize("argv, fmt, fresh", _cases(BUILD_GOLDEN))
+def test_build_stdout_is_unchanged(capsys, monkeypatch, argv, fmt, fresh):
+    digest = _stdout_digest(capsys, monkeypatch, ["build", *argv, "--format", fmt], fresh)
     assert digest == BUILD_GOLDEN[argv, fmt]
+
+
+@pytest.mark.parametrize("argv, fmt, fresh", _cases(OBSTRUCTIONS_GOLDEN))
+def test_obstructions_stdout_is_unchanged(capsys, monkeypatch, argv, fmt, fresh):
+    digest = _stdout_digest(capsys, monkeypatch, ["obstructions", *argv, "--format", fmt], fresh)
+    assert digest == OBSTRUCTIONS_GOLDEN[argv, fmt]
+
+
+def test_help_stdout_is_unchanged(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    done = _fresh(["--help"])
+    assert (done.returncode, done.stdout.decode()) == (exc.value.code, capsys.readouterr().out)
+
+
+def test_out_file_holds_the_stdout_bytes(tmp_path):
+    path = tmp_path / "report.json"
+    done = _fresh(["verify", "--sig", "2,1", "--out", str(path)])
+    assert (done.returncode, done.stdout) == (0, b"")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == VERIFY_GOLDEN[("--sig", "2,1"), "json"]
