@@ -132,17 +132,27 @@ def _error(message: str) -> int:
     return 2
 
 
+def _write_stdout(text: str, code: int) -> int:
+    """Write and flush text to stdout; return code, or 2 if it cannot (None: fd 1 was closed)."""
+    if sys.stdout is None:
+        return _error("stdout: closed")
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        return _error(f"stdout: {exc.strerror or exc}")
+    return code
+
+
 def _emit(args, text: str, code: int) -> int:
     """Write the output to --out or stdout; return code, or 2 if it cannot be written."""
+    if not args.out:
+        return _write_stdout(text, code)
     try:
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-            sys.stdout.flush()
+        with open(args.out, "w") as fh:
+            fh.write(text)
     except OSError as exc:
-        return _error(f"{'--out ' + args.out if args.out else 'stdout'}: {exc.strerror or exc}")
+        return _error(f"--out {args.out}: {exc.strerror or exc}")
     return code
 
 
@@ -220,7 +230,7 @@ def cmd_obstructions(args) -> int:
             with open(args.catalog) as fh:
                 catalog = charclass.load_catalog(fh.read())
         except (OSError, ValueError) as exc:
-            return _error(str(exc))
+            return _error(f"--catalog {args.catalog}: {getattr(exc, 'strerror', None) or exc}")
     else:
         catalog = charclass.builtin_catalog()
     if args.manifold:
@@ -297,16 +307,13 @@ def _parse_args(argv: Optional[List[str]] = None) -> types.SimpleNamespace:
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv and argv[0] in _COMMANDS else None
 
-    def stop(code: int, text: str) -> None:
-        (sys.stderr if code else sys.stdout).write(f"usage: {_usage(command)}\n{text}")
-        raise SystemExit(code)
-
     def fail(flag: str, reason: str) -> None:
-        stop(2, f"error: argument {flag}: {reason}\n")
+        sys.stderr.write(f"usage: {_usage(command)}\nerror: argument {flag}: {reason}\n")
+        raise SystemExit(2)
 
     for token in argv[:1] if command is None else argv[1:]:
         if token in ("-h", "--help"):
-            stop(0, f"\n{__doc__ or ''}")
+            raise SystemExit(_write_stdout(f"usage: {_usage(command)}\n\n{__doc__ or ''}", 0))
     if command is None:
         fail("command", f"invalid choice: {argv[0]!r}" if argv else "required")
     func, flags = _COMMANDS[command]
@@ -355,23 +362,18 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def run() -> NoReturn:
-    """Run main() as a process: flush stdout and stderr, then os._exit(code).
+    """Run main() as a process: flush stderr, then os._exit(code).
 
     ``python -m spinweave.cli`` and the ``spinweave`` script enter here; main() never calls
     os._exit.  Skipping finalization (module teardown, the last GC pass, freeing every cached
     matrix) saves its time and loses nothing: --out is closed by its ``with`` before main()
-    returns, spinweave registers no atexit handler and starts no thread, and the only
-    unwritten data is in the two stdio buffers, flushed here.
+    returns, ``_write_stdout`` flushes every stdout write, spinweave registers no atexit
+    handler and starts no thread, so only the stderr buffer can hold data, flushed here.
     """
     try:
         code = main()
     except SystemExit as exc:  # the parser's --help and usage errors
         code = exc.code
-    try:
-        if sys.stdout is not None:  # None when the process started with fd 1 closed
-            sys.stdout.flush()
-    except OSError as exc:  # a nonzero code is reported already, by _emit if stdout failed
-        code = code or _error(f"stdout: {exc.strerror or exc}")
     if sys.stderr is not None:
         sys.stderr.flush()
     os._exit(code)

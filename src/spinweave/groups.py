@@ -12,10 +12,10 @@ from __future__ import annotations
 import random
 from functools import cached_property, lru_cache, reduce
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .clifford import Signature
-from .linalg import ExactMatrix, _add_row
+from .linalg import ExactMatrix
 from .reports import Record, Report, report
 from .reps import EVEN, NEITHER, ODD, SpinSpace, _blade_table, spin_space
 from .scalars import ExactScalar, MINUS_ONE, ONE, ZERO, _sum_products, sc
@@ -100,55 +100,39 @@ def twisted_adjoint(ss: SpinSpace, a: ExactMatrix, v: ExactMatrix) -> ExactMatri
     return clifford_alpha(ss, a) * v * a.inverse()
 
 
-def _probe(mats: Sequence[ExactMatrix]) -> Tuple[List[Tuple[int, int]], ExactMatrix]:
-    """Probe positions and the transposed inverse sample matrix, whose row
-    i holds the weight of probe entry i in each coefficient.
-
-    Greedily picks len(mats) entry positions, in row-major order among the nonzeros, at which the
-    matrices are linearly independent: a position is kept when its row of values adds a pivot.
-    Expansion then solves a small system and verifies the candidate exactly.
-    """
-    k = len(mats)
-    positions: List[Tuple[int, int]] = []
-    pivots: Dict[int, Dict[int, ExactScalar]] = {}
-    picked: List[List[ExactScalar]] = []
-    for r in range(mats[0].n):
-        for c in sorted({c for v in mats for c, _ in v.sparse_rows[r]}):
-            vals = [v[r, c] for v in mats]
-            row = [(j, x) for j, x in enumerate(vals) if not x.is_zero()]
-            if _add_row(pivots, row) is not None:
-                picked.append(vals)
-                positions.append((r, c))
-                if len(positions) == k:
-                    return positions, ExactMatrix(picked).inverse().transpose()
-    raise ValueError("matrices are linearly dependent")
-
-
 def _expand(
-    mats: Sequence[ExactMatrix], probe: Tuple[List[Tuple[int, int]], ExactMatrix], x: ExactMatrix
+    mats: Sequence[ExactMatrix], duals: Sequence[ExactMatrix], x: ExactMatrix
 ) -> Optional[List[ExactScalar]]:
     """Coefficients of x in the span of mats, or None if x is outside it.
 
-    The probe entries of x give the only possible coefficients; the
-    combination is then compared with x exactly.
+    duals gives each b_k = mats[k] a d_k with b_j d_k + d_k b_j = delta_jk I, so x = sum_j c_j b_j
+    has x d_k + d_k x = c_k I and c_k is its entry (0, 0): row 0 of x against column 0 of d_k, plus
+    row 0 of d_k against column 0 of x.  The column-0 entry of row j is the row's first stored
+    entry when its column is 0, so the read forms no product and does no solve.  The combination
+    is then compared with x exactly, so a wrong reading (x outside the span, or duals that break
+    the relation) returns None, never wrong coordinates.
     """
-    positions, weights = probe
-    pairs = ((x[r, c], row) for (r, c), row in zip(positions, weights.sparse_rows))
+    pairs = []
+    for k, d in enumerate(duals):
+        for left, right in ((x.sparse_rows, d.sparse_rows), (d.sparse_rows, x.sparse_rows)):
+            pairs += [(y, ((k, right[j][0][1]),))
+                      for j, y in left[0] if right[j] and right[j][0][0] == 0]
     values = dict(_sum_products(pairs))
     coords = [values.get(k, ZERO) for k in range(len(mats))]
     return coords if ExactMatrix.combination(x.n, zip(coords, mats)) == x else None
 
 
-def _frame_probe(ss: SpinSpace):
-    probe = ss._probes.get("frame")
-    if probe is None:
-        probe = ss._probes["frame"] = _probe(ss.frame)
-    return probe
-
-
 def expand_in_frame(ss: SpinSpace, x: ExactMatrix) -> Optional[List[ExactScalar]]:
-    """Coefficients of x in the frame basis, or None if x is outside span V."""
-    return _expand(ss.frame, _frame_probe(ss), x)
+    """Coefficients of x in the frame basis, or None if x is outside span V.
+
+    v_j v_k + v_k v_j = 2 c_k delta_jk I, so the frame is its own dual basis up to scale: the duals
+    are v_k / (2 c_k), with the c_k the squares of ``reps._blade_table``, which raises ValueError
+    on a frame whose vectors do not anticommute with nonzero scalar squares.
+    """
+    if "frame" not in ss._cache:
+        squares = _blade_table(tuple(ss.frame))[2]
+        ss._cache["frame"] = tuple(v.scale((c * 2).inverse()) for c, v in zip(squares, ss.frame))
+    return _expand(ss.frame, ss._cache["frame"], x)
 
 
 class OrthMatrix(Record):
@@ -238,20 +222,25 @@ class KappaImage(Record):
 
 
 def _isotropic_pair(ss: SpinSpace) -> Tuple[Tuple[ExactMatrix, ExactMatrix], tuple]:
-    """Ordered isotropic basis of A(h) normalised from (Gamma, Gamma*eta),
-    with its expansion probe; cached on the spin space.
+    """Ordered isotropic basis (u+, u-) of A(h) normalised from (Gamma, Gamma*eta), with its
+    ``_expand`` duals; cached on the spin space.
 
-    With j = eta/iota the pair is Gamma (I + j) and Gamma (j - I); Gamma anticommutes with j and
-    j^2 = I, so each squares to -(I - j^2) = 0. kappa reads off as the reflection scale on this
-    pair, making the odd elements map to (-1, lambda/mu) exactly.  On the canonical Cartan frame
-    the pair is the two corner blocks.
+    With j = eta/iota the pair is Gamma (I + j) and Gamma (j - I).  On a spin space Gamma j = -j
+    Gamma, j^2 = I and Gamma^2 = -I, so each squares to -(I - j^2) = 0, u+ u- = 2I - 2j and
+    u- u+ = 2I + 2j: s = u+ u- + u- u+ = 4I, and the duals are u-/s for u+ and u+/s for u-.
+    ValueError if s is not a nonzero scalar (Gamma = I gives s = 0).  kappa reads off as the
+    reflection scale on this pair, making the odd elements map to (-1, lambda/mu) exactly.  On the
+    canonical Cartan frame the pair is the two corner blocks.
     """
-    cached = ss._probes.get("isotropic")
-    if cached is None:
+    if "isotropic" not in ss._cache:
         scaled = (ss.gamma * ss.eta).scale(ss.iota.inverse())
-        pair = (ss.gamma + scaled, -ss.gamma + scaled)
-        cached = ss._probes["isotropic"] = (pair, _probe(pair))
-    return cached
+        u_plus, u_minus = ss.gamma + scaled, -ss.gamma + scaled
+        s = (u_plus * u_minus + u_minus * u_plus).scalar_value()
+        if not s:
+            raise ValueError("u+ u- + u- u+ is not a nonzero scalar")
+        t = s.inverse()
+        ss._cache["isotropic"] = ((u_plus, u_minus), (u_minus.scale(t), u_plus.scale(t)))
+    return ss._cache["isotropic"]
 
 
 def kappa(ss: SpinSpace, a: ExactMatrix) -> KappaImage:
@@ -274,9 +263,8 @@ def _kappa(ss: SpinSpace, a: ExactMatrix, inv: ExactMatrix) -> KappaImage:
         if conj == -ss.gamma:
             return KappaImage(-1)
         raise ValueError("conjugation does not preserve the gamma line")
-    (u_plus, u_minus), probe = _isotropic_pair(ss)
-    img_plus = _expand((u_plus, u_minus), probe, a * u_plus * inv)
-    img_minus = _expand((u_plus, u_minus), probe, a * u_minus * inv)
+    pair, duals = _isotropic_pair(ss)
+    img_plus, img_minus = (_expand(pair, duals, a * u * inv) for u in pair)
     if img_plus is None or img_minus is None:
         raise ValueError("conjugation does not preserve the anticommutant")
     (x1, y1), (x2, y2) = img_plus, img_minus
@@ -373,7 +361,7 @@ def _adjoints(ss: SpinSpace, gamma: bool) -> Tuple[Optional[OrthMatrix], ...]:
     cached on the spin space.  Ad(Gamma v_i) serves the extension diagram and the reflection
     witnesses, Ad(v_i) the plain-Ad kernel and the kappa certificate."""
     key = "gamma-adjoints" if gamma else "frame-adjoints"
-    cached = ss._probes.get(key)
+    cached = ss._cache.get(key)
     if cached is None:
         cached = []
         for v in ss.frame:
@@ -381,7 +369,7 @@ def _adjoints(ss: SpinSpace, gamma: bool) -> Tuple[Optional[OrthMatrix], ...]:
                 cached.append(adjoint_matrix(ss, ss.gamma * v if gamma else v))
             except ValueError:
                 cached.append(None)
-        cached = ss._probes[key] = tuple(cached)
+        cached = ss._cache[key] = tuple(cached)
     return cached
 
 

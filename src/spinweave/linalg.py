@@ -18,9 +18,9 @@ Every exact solve is built on one incremental Gauss-Jordan step,
 ``_add_row``, over a dict from each pivot column to its fully reduced
 sparse row, which makes every solver in the library deterministic.
 ``rank`` counts the rows that add a pivot, ``inverse`` reduces [A | I],
-``det`` multiplies the leading values of A's rows, ``groups._probe``
-keeps the entry rows that add a pivot, and the intertwiners of frames
-that are not unit-monomial reduce their projections from the right.
+``det`` multiplies the leading values of A's rows, and the intertwiners
+of frames that are not unit-monomial reduce their projections from the
+right.
 """
 
 from __future__ import annotations

@@ -466,7 +466,7 @@ class SpinSpace(Record, frozen=False, eq=False):
     """Matrix data of a spin space: frame images, volume, and gamma element."""
 
     __slots__ = ("sig", "rep", "frame", "eta", "iota", "gamma",
-                 "_gamma_rep", "_gamma_inv", "_probes")
+                 "_gamma_rep", "_gamma_inv", "_cache")
 
     def __init__(self, sig: Signature, rep: Representation, frame: Tuple[ExactMatrix, ...],
                  eta: ExactMatrix, iota: ExactScalar, gamma: ExactMatrix):
@@ -478,7 +478,7 @@ class SpinSpace(Record, frozen=False, eq=False):
         self.gamma = gamma
         self._gamma_rep: Optional[Representation] = None
         self._gamma_inv: Optional[ExactMatrix] = None
-        self._probes: Dict[str, tuple] = {}
+        self._cache: Dict[str, tuple] = {}
 
     @property
     def dim(self) -> int:

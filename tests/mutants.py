@@ -268,15 +268,24 @@ MUTANTS = (
          "tests/test_groups.py::TestPairModel::test_zero_scale_rejected[odd-mu=0]"),
     ),
     Mutant(
-        # _emit flushes the reports itself, so only what the parser writes (--help)
-        # is still buffered when the process ends by os._exit
+        # the one stdout flush: without it the reports and --help stay buffered when the process
+        # ends by os._exit, unwritten and unreported
         "cli-exit-skips-flush",
         "cli.py",
-        "        if sys.stdout is not None:  # None when the process started with fd 1 closed\n"
-        "            sys.stdout.flush()\n",
+        "        sys.stdout.flush()\n",
         "        pass\n",
         ("tests/test_golden_stdout.py::test_help_stdout_is_unchanged",
-         "tests/test_cli.py::TestUnwritableOut::test_unwritable_stdout_exits_2[argv2-False]"),
+         "tests/test_cli.py::TestUnwritableOut::test_unwritable_stdout_exits_2[argv1-False]"),
+    ),
+    Mutant(
+        # the read coordinates returned without the exact comparison: Gamma and any matrix
+        # outside the span get coordinates
+        "expand-trusts-the-read",
+        "groups.py",
+        "    return coords if ExactMatrix.combination(x.n, zip(coords, mats)) == x else None\n",
+        "    return coords\n",
+        ("tests/test_groups.py::TestIsLipschitz::test_frame_expansion",
+         "tests/test_expand_oracle.py::test_frame_read_matches_the_oracle[2,1]"),
     ),
 )
 

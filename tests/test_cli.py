@@ -236,6 +236,17 @@ class TestObstructions:
         assert code == 2
         assert "manifolds" in err
 
+    def test_non_json_catalog_exits_2_naming_the_file(self, capsys, tmp_path):
+        path = tmp_path / "notes.txt"
+        path.write_text("not json")
+        code, out, err = run(capsys, "obstructions", "--catalog", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: --catalog {path}: Expecting value")
+
+    def test_directory_catalog_exits_2_naming_it(self, capsys, tmp_path):
+        code, out, err = run(capsys, "obstructions", "--catalog", str(tmp_path))
+        assert (code, out, err) == (2, "", f"error: --catalog {tmp_path}: Is a directory\n")
+
     def test_unknown_manifold_exits_2(self, capsys):
         code, _, err = run(capsys, "obstructions", "--manifold", "nowhere")
         assert code == 2
@@ -457,12 +468,13 @@ class TestUnwritableOut:
         assert out == ""
         assert err.startswith(f"error: --out {path}: ")
 
-    # PYTHONUNBUFFERED set: the write itself fails; unset: the flush after it,
-    # or for --help (written by the parser) cli.run's flush before os._exit
+    # PYTHONUNBUFFERED set: the write itself fails; unset: the flush after it, which
+    # cli._write_stdout makes for the reports and for --help alike
     @pytest.mark.parametrize("argv, unbuffered", [
         (("verify", "--sig", "2,0"), True),
         (("verify", "--sig", "2,0"), False),
         (("--help",), False),
+        (("--help",), True),
     ])
     def test_unwritable_stdout_exits_2(self, argv, unbuffered):
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
@@ -472,5 +484,5 @@ class TestUnwritableOut:
         with open("/dev/full", "w") as full:
             done = subprocess.run([sys.executable, "-m", "spinweave.cli", *argv], stdout=full,
                                   stderr=subprocess.PIPE, text=True, env=env, timeout=60)
-        # one message, no traceback: a failure _emit reported is not reported again
+        # one message, no traceback
         assert (done.returncode, done.stderr) == (2, "error: stdout: No space left on device\n")

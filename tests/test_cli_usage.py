@@ -110,12 +110,16 @@ def test_console_error_has_no_traceback():
 
 
 def test_usage_error_with_stdout_closed_exits_2():
-    # with fd 1 closed the child's sys.stdout is None, which cli.run must not flush
+    # with fd 1 closed the child's sys.stdout is None: the usage error goes to stderr, and the
+    # reports or --help, which need stdout, end in one "error: stdout" line
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run([sys.executable, "-m", "spinweave.cli", "verify", "--bogus"],
-                          stderr=subprocess.PIPE, text=True, env=env, timeout=60,
-                          preexec_fn=lambda: os.close(1))
-    assert done.returncode == 2
-    assert "Traceback" not in done.stderr
-    assert done.stderr.endswith("error: argument --bogus: unrecognized argument\n")
+    for argv, last in [(("verify", "--bogus"), "error: argument --bogus: unrecognized argument\n"),
+                       (("verify", "--sig", "2,0"), "error: stdout: closed\n"),
+                       (("--help",), "error: stdout: closed\n")]:
+        done = subprocess.run([sys.executable, "-m", "spinweave.cli", *argv],
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+                              preexec_fn=lambda: os.close(1))
+        assert done.returncode == 2, argv
+        assert "Traceback" not in done.stderr
+        assert done.stderr.endswith(last) and done.stderr.count("error:") == 1

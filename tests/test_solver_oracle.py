@@ -8,13 +8,9 @@ linalg.py.  The reduced echelon form is unique, so both must agree
 exactly on every system, whatever the row order, duplicates or zero rows.
 """
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinweave.clifford import Signature
-from spinweave.groups import _isotropic_pair, _probe
-from spinweave.reps import spin_space
 from spinweave.scalars import ZERO
 
 from test_intertwiner_oracle import rref_sparse
@@ -53,10 +49,6 @@ def oracle_rref(rows, ncols):
         work = [r for r in work if r]
     order = sorted(range(len(pivots)), key=lambda i: pivots[i])
     return [reduced[i] for i in order], sorted(pivots)
-
-
-def oracle_rank(rows, ncols):
-    return len(oracle_rref(rows, ncols)[1])
 
 
 # -- strategies -------------------------------------------------------------------
@@ -107,36 +99,3 @@ def test_inconsistent_augmented_system_pivots_on_the_last_column(case, coeffs, r
     reduced, pivots = rref_sparse(aug, ncols + 1)
     assert pivots[-1] == ncols
     assert (reduced, pivots) == oracle_rref(aug, ncols + 1)
-
-
-# -- the expansion probe -----------------------------------------------------------
-
-
-def reference_probe_positions(mats):
-    """Greedy row-major positions among the nonzeros, kept when the oracle
-    rank of the picked value rows grows."""
-    k = len(mats)
-    rows, positions = [], []
-    for r in range(mats[0].n):
-        for c in sorted({c for v in mats for c, _ in v.sparse_rows[r]}):
-            trial = rows + [_sparse([v[r, c] for v in mats])]
-            if oracle_rank(trial, k) == len(trial):
-                rows, positions = trial, positions + [(r, c)]
-                if len(positions) == k:
-                    return positions
-    raise ValueError("matrices are linearly dependent")
-
-
-SIGNATURES = [(k, m - k) for m in range(1, 7) for k in range(m + 1)]
-
-
-@pytest.mark.parametrize("kl", SIGNATURES, ids="{0[0]},{0[1]}".format)
-def test_frame_probe_matches_reference_greedy(kl):
-    frame = spin_space(Signature(*kl)).frame
-    assert _probe(frame)[0] == reference_probe_positions(frame)
-
-
-@pytest.mark.parametrize("kl", [kl for kl in SIGNATURES if sum(kl) % 2], ids="{0[0]},{0[1]}".format)
-def test_isotropic_probe_matches_reference_greedy(kl):
-    pair, (positions, _) = _isotropic_pair(spin_space(Signature(*kl)))
-    assert positions == reference_probe_positions(pair)
