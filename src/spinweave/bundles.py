@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import lcm
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .clifford import CliffordElement, Signature, volume
+from .clifford import CliffordElement, Signature, _nonzero_terms, volume
 from .linalg import ExactMatrix, _wrap
 from .reports import Record, Report, report
 from .reps import DIRAC, PAULI, Representation, SpinSpace, build_rep, invertible_intertwiner
@@ -222,11 +222,10 @@ def _square_check(name: str, m: int, samples: int, seed: int) -> Report:
     """tau^2 = |y|^2 I at each seeded form, checked as N^2 = D^2 |Y|^2 I for
     the numerator N = D E tau: (D E)^2 |y|^2 = D^2 |Y|^2, and D E > 0."""
     rep = sphere_representation(m)
-    ident = ExactMatrix.identity(rep.dim)
     failures = 0
     for xs, d, ys, _ in _tangent_forms(m, samples, seed):
         n = _sphere_numerator(xs, ys, rep)
-        if n * n != ident.scale(d * d * sum(y * y for y in ys)):
+        if (n * n).scalar_value() != d * d * sum(y * y for y in ys):
             failures += 1
     return report(f"{name}-clifford-property", f"m={m}", failures == 0,
                   counterexample=f"{failures} failures" if failures else None)
@@ -242,15 +241,7 @@ class ExteriorElement(Record, frozen=False, eq=False):
 
     def __init__(self, m: int, terms: Optional[Dict[int, ExactScalar]] = None):
         self.m = m
-        self.terms = {}
-        if terms:
-            size = 1 << m
-            for mask, coeff in terms.items():
-                if not 0 <= mask < size:
-                    raise ValueError("basis form mask outside the exterior algebra")
-                coeff = sc(coeff)
-                if not coeff.is_zero():
-                    self.terms[mask] = coeff
+        self.terms = _nonzero_terms(terms, m, "basis form mask outside the exterior algebra")
 
     @classmethod
     def basis_form(cls, m: int, mask: int) -> "ExteriorElement":
@@ -343,12 +334,10 @@ def exterior_example_check(h: Signature) -> Report:
     h_i * I is therefore the statement on every basis form.  The record names the definite Cl(m,0)
     m=<m>, as the CLI prints it.
     """
-    ident = ExactMatrix.identity(1 << h.m)
-    scaled = {1: ident, -1: -ident}  # h_i * I
     ok = True
     for i in range(h.m):
         t = exterior_operator([1 if j == i else 0 for j in range(h.m)], h)
-        if t * t != scaled[h.h(i)]:
+        if (t * t).scalar_value() != h.h(i):
             ok = False
     return report("exterior-clifford-property", f"m={h.m}" if h.l == 0 else h, ok)
 
@@ -394,14 +383,13 @@ def hermitean_example_check(d: int, samples: int, seed: int) -> Report:
     squares S, whose entries are Gaussian rationals.
     """
     rng = random.Random(seed)
-    ident = ExactMatrix.identity(1 << d)
     ok = True
     for _ in range(samples):
         n = [ExactScalar(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(d)]
         if all(c.is_zero() for c in n):
             continue
         s = _operator(d, _hermitean_slots(n, d))
-        if s * s != ident.scale(hermitean_h_value(n) * HALF):
+        if (s * s).scalar_value() != hermitean_h_value(n) * HALF:
             ok = False
     return report("hermitean-clifford-property", f"d={d}", ok)
 
@@ -508,12 +496,11 @@ def quadric_example_check(samples: int, seed: int) -> Report:
     checked on the same sample before it, so it could only ever add a later failure.
     """
     failures = []
-    ident = ExactMatrix.identity(4)
     for idx, (fx, fy) in enumerate(_quadric_forms(samples, seed)):
         (_, d1, y1, e1), (_, d2, y2, e2) = fx, fy
         tau = _quadric_tau_numerator(fx, fy)
         varpi = _quadric_varpi_numerator(fx, fy)
-        if varpi * varpi != ident.scale((d1 * d2) ** 2):
+        if (varpi * varpi).scalar_value() != (d1 * d2) ** 2:
             failures.append(f"sample {idx}: varpi is not involutive")
         if not varpi.anticommutes_with(tau):
             failures.append(f"sample {idx}: varpi does not anticommute with tau")
@@ -521,7 +508,7 @@ def quadric_example_check(samples: int, seed: int) -> Report:
         # (D2 L)^2 g with L = lcm(E1, E2) and g = |Y1|^2 / E1^2 + |Y2|^2 / E2^2
         g = d2 * d2 * (sum(c * c for c in y1) * (scale // e1) ** 2
                        + sum(c * c for c in y2) * (scale // e2) ** 2)
-        if tau * tau != ident.scale(g):
+        if (tau * tau).scalar_value() != g:
             failures.append(f"sample {idx}: Clifford property fails")
     return report("quadric-pointwise-checks", None, not failures,
                   counterexample=failures[0] if failures else None)

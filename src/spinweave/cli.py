@@ -126,9 +126,19 @@ def _check_limits(args) -> Optional[str]:
     return None
 
 
+def _write_stderr(text: str) -> None:
+    """Write and flush text to stderr; drop it if fd 2 was closed (sys.stderr is None) or fails."""
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(text)
+            sys.stderr.flush()
+        except OSError:
+            pass
+
+
 def _error(message: str) -> int:
-    """Print "error: message" to stderr; return 2, the exit code of every such error."""
-    print(f"error: {message}", file=sys.stderr)
+    """Write "error: message" to stderr; return 2, the exit code of every such error."""
+    _write_stderr(f"error: {message}\n")
     return 2
 
 
@@ -308,7 +318,7 @@ def _parse_args(argv: Optional[List[str]] = None) -> types.SimpleNamespace:
     command = argv[0] if argv and argv[0] in _COMMANDS else None
 
     def fail(flag: str, reason: str) -> None:
-        sys.stderr.write(f"usage: {_usage(command)}\nerror: argument {flag}: {reason}\n")
+        _write_stderr(f"usage: {_usage(command)}\nerror: argument {flag}: {reason}\n")
         raise SystemExit(2)
 
     for token in argv[:1] if command is None else argv[1:]:
@@ -374,8 +384,7 @@ def run() -> NoReturn:
         code = main()
     except SystemExit as exc:  # the parser's --help and usage errors
         code = exc.code
-    if sys.stderr is not None:
-        sys.stderr.flush()
+    _write_stderr("")
     os._exit(code)
 
 

@@ -69,6 +69,20 @@ def blade_mul(a: int, b: int, sig: Signature) -> Tuple[int, int]:
     return a ^ b, sign
 
 
+def _nonzero_terms(terms: Optional[Dict], m: int, message: str) -> Dict[int, ExactScalar]:
+    """The nonzero coefficients of terms, coerced by ``sc``; ValueError(message) off range(2^m)."""
+    pruned: Dict[int, ExactScalar] = {}
+    if terms:
+        size = 1 << m
+        for mask, coeff in terms.items():
+            if not 0 <= mask < size:
+                raise ValueError(message)
+            coeff = sc(coeff)
+            if not coeff.is_zero():
+                pruned[mask] = coeff
+    return pruned
+
+
 class CliffordElement:
     """Sparse element of Cl(k,l); zero coefficients are never stored."""
 
@@ -76,16 +90,7 @@ class CliffordElement:
 
     def __init__(self, sig: Signature, terms: Optional[Dict[int, ExactScalar]] = None):
         self.sig = sig
-        pruned: Dict[int, ExactScalar] = {}
-        if terms:
-            size = 1 << sig.m
-            for mask, coeff in terms.items():
-                if not 0 <= mask < size:
-                    raise ValueError("blade mask outside the algebra")
-                coeff = sc(coeff)
-                if not coeff.is_zero():
-                    pruned[mask] = coeff
-        self.terms = pruned
+        self.terms = _nonzero_terms(terms, sig.m, "blade mask outside the algebra")
 
     # -- constructors ------------------------------------------------------
 

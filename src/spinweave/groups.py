@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import random
 from functools import cached_property, lru_cache, reduce
+from itertools import takewhile
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .clifford import Signature
 from .linalg import ExactMatrix
 from .reports import Record, Report, report
-from .reps import EVEN, NEITHER, ODD, SpinSpace, _blade_table, spin_space
+from .reps import EVEN, NEITHER, SpinSpace, _blade_table, _parity, spin_space
 from .scalars import ExactScalar, MINUS_ONE, ONE, ZERO, _sum_products, sc
 
 
@@ -245,12 +246,9 @@ def _isotropic_pair(ss: SpinSpace) -> Tuple[Tuple[ExactMatrix, ExactMatrix], tup
 
 def kappa(ss: SpinSpace, a: ExactMatrix) -> KappaImage:
     """Conjugation action of a Lipschitz element on the anticommutant."""
-    try:
-        inv = a.inverse()
-        _frame_matrix(ss, a, inv)
-    except ValueError:
-        raise ValueError("kappa needs a Lipschitz group element") from None
-    return _kappa(ss, a, inv)
+    if not is_lipschitz(ss, a):
+        raise ValueError("kappa needs a Lipschitz group element")
+    return _kappa(ss, a, a.inverse())
 
 
 def _kappa(ss: SpinSpace, a: ExactMatrix, inv: ExactMatrix) -> KappaImage:
@@ -324,12 +322,7 @@ def _pair_model_parts(ss: SpinSpace, lam, mu, a_pin: ExactMatrix) -> tuple:
 
 def clifford_parity(ss: SpinSpace, a: ExactMatrix) -> str:
     """Parity of an invertible Clifford-algebra element via alpha conjugation."""
-    conj = clifford_alpha(ss, a)
-    if conj == a:
-        return EVEN
-    if conj == -a:
-        return ODD
-    return NEITHER
+    return _parity(clifford_alpha(ss, a), a)
 
 
 def scalar_pair(ss: SpinSpace, lam, mu) -> ExactMatrix:
@@ -356,17 +349,18 @@ def _reflection(m: int, i: int) -> ExactMatrix:
     return ExactMatrix.diag([MINUS_ONE if j == i else ONE for j in range(m)])
 
 
-def _adjoints(ss: SpinSpace, gamma: bool) -> Tuple[Optional[OrthMatrix], ...]:
-    """Ad(Gamma v_i) if gamma, else Ad(v_i), for each frame vector, None where it is not Lipschitz;
-    cached on the spin space.  Ad(Gamma v_i) serves the extension diagram and the reflection
-    witnesses, Ad(v_i) the plain-Ad kernel and the kappa certificate."""
-    key = "gamma-adjoints" if gamma else "frame-adjoints"
+def _adjoints(ss: SpinSpace, family: str) -> Tuple[Optional[OrthMatrix], ...]:
+    """Ad~(v_i), Ad(Gamma v_i) or Ad(v_i) of each frame vector for family "twisted", "gamma" or
+    "frame", None where it fails; cached on the spin space.  The first two serve the extension
+    diagram ("gamma" the reflection witnesses too), "frame" the plain-Ad kernel and kappa."""
+    key = family + "-adjoints"
     cached = ss._cache.get(key)
     if cached is None:
         cached = []
         for v in ss.frame:
             try:
-                cached.append(adjoint_matrix(ss, ss.gamma * v if gamma else v))
+                cached.append(twisted_adjoint_matrix(ss, v) if family == "twisted" else
+                              adjoint_matrix(ss, ss.gamma * v if family == "gamma" else v))
             except ValueError:
                 cached.append(None)
         cached = ss._cache[key] = tuple(cached)
@@ -388,24 +382,20 @@ def verify_extension_diagram(group: FrameGroup) -> List[Report]:
         |G| = 2^(m+1) the kernel has order 2, so it is {+-I}.
     (c) Ad(gamma(u)) equals the twisted adjoint of u on frame vectors.
 
-    Each check is an exact matrix equality on the m twisted adjoints.
+    Each check is an exact matrix equality on the m twisted adjoints.  The first frame vector
+    that fails (a) is its counterexample; (b) names the adjoints before it.
     """
     ss = group.ss
     m = ss.sig.m
-    twisted, bad = [], None
-    for v in ss.frame:
-        try:
-            twisted.append(twisted_adjoint_matrix(ss, v))
-        except ValueError:
-            bad = v
-            break
+    twisted = list(takewhile(lambda t: t is not None, _adjoints(ss, "twisted")))
+    bad = ss.frame[len(twisted)] if len(twisted) < m else None
     ident = ExactMatrix.identity(ss.dim)
     off = [f"e{i + 1}" for i, t in enumerate(twisted) if t.mat != _reflection(m, i)]
     kernel_ok = (
         bad is None and not off and group.order == 2 << m
         and all(g in group for g in (ident, -ident, *ss.frame))
     )
-    agree = bad is None and all(g == t for g, t in zip(_adjoints(ss, gamma=True), twisted))
+    agree = bad is None and all(g == t for g, t in zip(_adjoints(ss, "gamma"), twisted))
     return [
         report("twisted-adjoint-lands-in-orthogonal-group", ss.sig, bad is None,
                counterexample=None if bad is None else str(bad)),
@@ -432,7 +422,7 @@ def plain_ad_kernel(group: FrameGroup) -> List[ExactMatrix]:
     central = [ident, -ident] + ([ss.eta, -ss.eta] if m % 2 else [])
     members = {group.index_of(g) for g in central}
     ok = all(g is not None and g.mat == -_reflection(m, i)
-             for i, g in enumerate(_adjoints(ss, gamma=False)))
+             for i, g in enumerate(_adjoints(ss, "frame")))
     if ok and group.order == 2 << m and None not in members and len(members) == len(central):
         if all(in_kernel_k(ss, g) for g in central):
             return [group.elements[i] for i in sorted(members)]
@@ -449,14 +439,14 @@ def ad_surjectivity_witnesses(ss: SpinSpace) -> List[Report]:
     m = ss.sig.m
     identity = adjoint_matrix(ss, ExactMatrix.identity(ss.dim)).mat.is_identity()
     results = [report("identity-witness", ss.sig, identity, witness="I")]
-    adjoints = _adjoints(ss, gamma=True)
+    adjoints = _adjoints(ss, "gamma")
     for i, g in enumerate(adjoints):
         ok = g is not None and g.mat == _reflection(m, i)
         results.append(report(f"reflection-e{i + 1}-witness", ss.sig, ok,
                               witness=f"gamma(e{i + 1})"))
     if m % 2 == 1:
-        ok = None not in adjoints and (reduce(mul, (g.mat for g in adjoints))
-                                       == -ExactMatrix.identity(m))
+        ok = None not in adjoints and (reduce(mul, (g.mat for g in adjoints)).scalar_value()
+                                       == MINUS_ONE)
         results.append(report("central-inversion-witness", ss.sig, ok,
                               witness="product of gamma(e_i)"))
     return results
@@ -465,7 +455,7 @@ def ad_surjectivity_witnesses(ss: SpinSpace) -> List[Report]:
 def _sampled_kinds_are_lipschitz(ss: SpinSpace) -> bool:
     """Certificate that every factor ``sample_lipschitz`` draws on ss is
     Lipschitz: each frame vector and Gamma are, and eta commutes with V."""
-    return (None not in _adjoints(ss, gamma=False) and is_lipschitz(ss, ss.gamma)
+    return (None not in _adjoints(ss, "frame") and is_lipschitz(ss, ss.gamma)
             and in_kernel_k(ss, ss.eta))
 
 

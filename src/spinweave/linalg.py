@@ -260,7 +260,7 @@ class ExactMatrix:
         return not any(self.sparse_rows)
 
     def is_identity(self) -> bool:
-        return self == ExactMatrix.identity(self.n)
+        return self.scalar_value() == ONE
 
     def scalar_value(self) -> Optional[ExactScalar]:
         """If the matrix is c*I, return c, else None."""

@@ -97,16 +97,14 @@ def _swap_block(n: int) -> ExactMatrix:
 
 @lru_cache(maxsize=None)
 def _pauli_positive(m: int) -> Tuple[ExactMatrix, ...]:
-    """Pauli images for Cl(m,0), m odd, normalised so the volume maps to +iota."""
+    """Pauli images for Cl(m,0), m odd: the Dirac images of Cl(m-1,0), with volume eta, and
+    eta/iota.  Their volume maps to +iota with no sign to fix: eta (eta/iota) = iota I."""
     assert m % 2 == 1
     if m == 1:
         return (ExactMatrix([[ONE]]),)
     dirac = _dirac_positive(m - 1)
     eta, iota = _frame_volume(dirac)
-    last = eta.scale(iota.inverse())
-    images = dirac + (last,)
-    images = _fix_pauli_normalisation(images)
-    return images
+    return dirac + (eta.scale(iota.inverse()),)
 
 
 @lru_cache(maxsize=None)
@@ -208,12 +206,10 @@ def verify_clifford(rep: Representation) -> Report:
     h = rep.h_values()
     n = len(rep.images)
     failures = []
-    ident = ExactMatrix.identity(rep.dim)
     for i in range(n):
         for j in range(i, n):
             lhs = rep.images[i] * rep.images[j] + rep.images[j] * rep.images[i]
-            rhs = ident.scale(2 * h[i]) if i == j else ExactMatrix.zeros(rep.dim)
-            if lhs != rhs:
+            if lhs.scalar_value() != (2 * h[i] if i == j else 0):
                 failures.append((i, j))
     return report(f"clifford-relations-{rep.kind}", rep.sig, not failures,
                   counterexample=str(failures[:3]) if failures else None)
@@ -465,8 +461,7 @@ def choose_gamma(frame: Sequence[ExactMatrix]) -> ExactMatrix:
 class SpinSpace(Record, frozen=False, eq=False):
     """Matrix data of a spin space: frame images, volume, and gamma element."""
 
-    __slots__ = ("sig", "rep", "frame", "eta", "iota", "gamma",
-                 "_gamma_rep", "_gamma_inv", "_cache")
+    __slots__ = ("sig", "rep", "frame", "eta", "iota", "gamma", "_cache")
 
     def __init__(self, sig: Signature, rep: Representation, frame: Tuple[ExactMatrix, ...],
                  eta: ExactMatrix, iota: ExactScalar, gamma: ExactMatrix):
@@ -476,9 +471,7 @@ class SpinSpace(Record, frozen=False, eq=False):
         self.eta = eta
         self.iota = iota
         self.gamma = gamma
-        self._gamma_rep: Optional[Representation] = None
-        self._gamma_inv: Optional[ExactMatrix] = None
-        self._cache: Dict[str, tuple] = {}
+        self._cache: Dict[str, object] = {}
 
     @property
     def dim(self) -> int:
@@ -486,9 +479,9 @@ class SpinSpace(Record, frozen=False, eq=False):
 
     @property
     def gamma_inv(self) -> ExactMatrix:
-        if self._gamma_inv is None:
-            self._gamma_inv = self.gamma.inverse()
-        return self._gamma_inv
+        if "gamma-inv" not in self._cache:
+            self._cache["gamma-inv"] = self.gamma.inverse()
+        return self._cache["gamma-inv"]
 
     def include(self, x: CliffordElement) -> ExactMatrix:
         """Image of a Clifford element under the inclusion representation."""
@@ -551,21 +544,20 @@ def gamma_map(ss: SpinSpace, x: CliffordElement) -> ExactMatrix:
     """Algebra morphism extending v -> gamma * v on the spin space: the image
     of x under the representation with generator images gamma * v_i, built
     on first use and kept on the spin space."""
-    if ss._gamma_rep is None:
+    if "gamma-rep" not in ss._cache:
         images = tuple(ss.gamma * v for v in ss.frame)
-        ss._gamma_rep = Representation(ss.sig, ss.rep.kind, images, ss.dim)
-    return ss._gamma_rep.image(x)
+        ss._cache["gamma-rep"] = Representation(ss.sig, ss.rep.kind, images, ss.dim)
+    return ss._cache["gamma-rep"].image(x)
+
+
+def _parity(x: ExactMatrix, y: ExactMatrix) -> str:
+    """EVEN if x == y, ODD if x == -y, else NEITHER."""
+    return EVEN if x == y else ODD if x == -y else NEITHER
 
 
 def grading_of(a: ExactMatrix, ss: SpinSpace) -> str:
     """Parity of a matrix in the volume grading: even, odd, or neither."""
-    left = a * ss.eta
-    right = ss.eta * a
-    if left == right:
-        return EVEN
-    if left == -right:
-        return ODD
-    return NEITHER
+    return _parity(a * ss.eta, ss.eta * a)
 
 
 def cartan_projectors(ss: SpinSpace) -> Tuple[ExactMatrix, ExactMatrix]:

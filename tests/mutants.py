@@ -63,13 +63,15 @@ MUTANTS = (
         ("tests/test_accumulate_oracle.py::test_sqrt2_products_leave_the_gaussian_shortcut",),
     ),
     Mutant(
+        # the one mask check of CliffordElement and ExteriorElement
         "clifford-accepts-any-mask",
         "clifford.py",
-        "                if not 0 <= mask < size:\n"
-        "                    raise ValueError(\"blade mask outside the algebra\")\n",
+        "            if not 0 <= mask < size:\n"
+        "                raise ValueError(message)\n",
         "",
         ("tests/test_clifford.py::TestBladeMul::test_element_rejects_a_mask_outside_the_algebra",
-         "tests/test_accumulate_oracle.py::test_out_of_range_mask_raises_on_every_product"),
+         "tests/test_accumulate_oracle.py::test_out_of_range_mask_raises_on_every_product",
+         "tests/test_bundles.py::TestExteriorModule::test_mask_outside_the_algebra_rejected"),
     ),
     Mutant(
         "add-row-skips-back-elimination",
@@ -102,8 +104,8 @@ MUTANTS = (
         # N = D E tau squares to D^2 |Y|^2 I, not to |Y|^2 I
         "sphere-check-drops-d-squared",
         "bundles.py",
-        "        if n * n != ident.scale(d * d * sum(y * y for y in ys)):\n",
-        "        if n * n != ident.scale(sum(y * y for y in ys)):\n",
+        "        if (n * n).scalar_value() != d * d * sum(y * y for y in ys):\n",
+        "        if (n * n).scalar_value() != sum(y * y for y in ys):\n",
         ("tests/test_bundles.py::TestExampleChecks::test_records_carry_the_cli_name_and_signature",
          "tests/test_cli.py::TestExamples::test_sphere",
          "tests/test_cli.py::TestExamples::test_projective"),
@@ -186,8 +188,8 @@ MUTANTS = (
     Mutant(
         "kappa-certificate-skips-gamma",
         "groups.py",
-        "    return (None not in _adjoints(ss, gamma=False) and is_lipschitz(ss, ss.gamma)\n",
-        "    return (None not in _adjoints(ss, gamma=False)\n",
+        "    return (None not in _adjoints(ss, \"frame\") and is_lipschitz(ss, ss.gamma)\n",
+        "    return (None not in _adjoints(ss, \"frame\")\n",
         ("tests/test_groups.py::TestVerifySpinorGroups::test_certificate_rejects_a_non_lipschitz_gamma[Cl(3,0)]",
          "tests/test_groups.py::TestVerifySpinorGroups::test_certificate_rejects_a_non_lipschitz_gamma[Cl(1,2)]"),
     ),
@@ -286,6 +288,28 @@ MUTANTS = (
         "    return coords\n",
         ("tests/test_groups.py::TestIsLipschitz::test_frame_expansion",
          "tests/test_expand_oracle.py::test_frame_read_matches_the_oracle[2,1]"),
+    ),
+    Mutant(
+        # Ad(v_i) = -r_i read as the twisted adjoint Ad~(v_i) = r_i: no reflection, no agreement
+        "twisted-family-is-the-plain-adjoint",
+        "groups.py",
+        "twisted_adjoint_matrix(ss, v) if family == \"twisted\"",
+        "adjoint_matrix(ss, v) if family == \"twisted\"",
+        ("tests/test_group_oracle.py::test_certificates_match_the_oracle[Cl(2,0)]",
+         "tests/test_group_oracle.py::test_certificates_match_the_oracle[Cl(3,0)]",
+         "tests/test_groups.py::TestExtensionDiagram::test_all_checks_pass[s0]",
+         "tests/test_groups.py::TestVerifySpinorGroups::test_even_m_reports_in_order",
+         "tests/test_golden_stdout.py::test_verify_stdout_is_unchanged[argv0-json]"),
+    ),
+    Mutant(
+        # v_i^2 compared with h_i I, not v_i v_i + v_i v_i with 2 h_i I
+        "clifford-check-drops-the-two",
+        "reps.py",
+        "            if lhs.scalar_value() != (2 * h[i] if i == j else 0):\n",
+        "            if lhs.scalar_value() != (h[i] if i == j else 0):\n",
+        ("tests/test_reps.py::TestVerifyClifford::test_all_kinds_all_signatures",
+         "tests/test_reps.py::TestVerifyClifford::test_perturbed_image_reported",
+         "tests/test_golden_stdout.py::test_verify_stdout_is_unchanged[argv0-json]"),
     ),
 )
 

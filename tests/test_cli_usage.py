@@ -123,3 +123,19 @@ def test_usage_error_with_stdout_closed_exits_2():
         assert done.returncode == 2, argv
         assert "Traceback" not in done.stderr
         assert done.stderr.endswith(last) and done.stderr.count("error:") == 1
+
+
+@pytest.mark.parametrize("stderr", ["closed", "full"])
+@pytest.mark.parametrize("argv", [("verify", "--bogus"), ("verify", "--sig", "20,0"),
+                                  ("obstructions", "--catalog", "missing.json")], ids=" ".join)
+def test_error_with_stderr_closed_or_full_exits_2(tmp_path, argv, stderr):
+    # with fd 2 closed the child's sys.stderr is None, and on /dev/full its write fails: either
+    # way the error is dropped, the exit code stays 2 and nothing reaches stdout
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "spinweave.cli", *argv], cwd=tmp_path,
+                              stdout=subprocess.PIPE, text=True, env=env, timeout=60,
+                              stderr=full if stderr == "full" else None,
+                              preexec_fn=(lambda: os.close(2)) if stderr == "closed" else None)
+    assert (done.returncode, done.stdout) == (2, "")

@@ -286,6 +286,54 @@ class TestKappa:
         with pytest.raises(ValueError):
             kappa(ss, M([[1, 0], [1, 1]]))
 
+    def test_even_m_images_compose_by_sign(self):
+        assert KappaImage(-1) * KappaImage(-1) == KappaImage(1)
+        assert KappaImage(1) * KappaImage(-1) == KappaImage(-1)
+
+    def test_images_of_different_parities_do_not_compose(self):
+        for a, b in ((KappaImage(1), KappaImage(1, ONE)), (KappaImage(-1, sc(2)), KappaImage(-1))):
+            with pytest.raises(ValueError, match="kappa images of different parities"):
+                a * b
+
+
+class TestKappaCore:
+    """The errors of ``groups._kappa``, which takes a^-1 on trust.  A true conjugation maps the
+    gamma line, or the isotropic pair (u+, u-) of the anticommutant, diagonally or antidiagonally
+    and keeps u+ u- + u- u+ = 4I, so these are reached through a wrong inverse (or a = 0)."""
+
+    def test_even_m_conjugation_off_the_gamma_line(self):
+        ss = spin_space(sig(2, 0))
+        with pytest.raises(ValueError, match="conjugation does not preserve the gamma line"):
+            groups._kappa(ss, M.identity(ss.dim), ss.frame[0])
+
+    def test_odd_m_image_outside_the_anticommutant(self):
+        # u+ v1 commutes with v2, so it is not in A(h)
+        ss = spin_space(sig(3, 0))
+        with pytest.raises(ValueError, match="conjugation does not preserve the anticommutant"):
+            groups._kappa(ss, M.identity(ss.dim), ss.frame[0])
+
+    def test_odd_m_diagonal_image_that_is_not_orthogonal(self):
+        # u -> 2u: diagonal, with x1 y2 = 4
+        ss = spin_space(sig(3, 0))
+        ident = M.identity(ss.dim)
+        with pytest.raises(ValueError, match="conjugation is not orthogonal on the anticommutant"):
+            groups._kappa(ss, ident, ident.scale(sc(2)))
+
+    @pytest.mark.parametrize("s", [sig(3, 0), sig(1, 2)], ids=str)
+    def test_odd_m_antidiagonal_image_that_is_not_orthogonal(self, s):
+        # an odd element swaps u+ and u- with x2 y1 = 1; twice its inverse makes it 4
+        ss = spin_space(s)
+        odd = build_odd_element(ss, 2, 3, M.identity(ss.dim))
+        inv = odd.inverse()
+        assert groups._kappa(ss, odd, inv) == KappaImage(-1, sc(2) / 3)
+        with pytest.raises(ValueError, match="conjugation is not orthogonal on the anticommutant"):
+            groups._kappa(ss, odd, inv.scale(sc(2)))
+
+    def test_odd_m_zero_images_are_neither_diagonal_nor_antidiagonal(self):
+        ss = spin_space(sig(3, 0))
+        with pytest.raises(ValueError, match="conjugation is not diagonal or antidiagonal"):
+            groups._kappa(ss, M.zeros(ss.dim), M.identity(ss.dim))
+
 
 class TestOddElements:
     def test_zero_scale_rejected(self):
@@ -379,6 +427,13 @@ class TestExtensionDiagram:
         kernel = plain_ad_kernel(generate_frame_group(ss))
         assert len(kernel) == 2
 
+    @pytest.mark.parametrize("s", [sig(2, 0), sig(3, 0)], ids=str)
+    def test_plain_ad_kernel_is_empty_on_a_group_without_minus_identity(self, s):
+        ss = spin_space(s)
+        minus = -M.identity(ss.dim)
+        group = groups.FrameGroup(ss, tuple(g for g in frame_group(s).elements if g != minus))
+        assert plain_ad_kernel(group) == []
+
 
 class TestSurjectivityWitnesses:
     @pytest.mark.parametrize("s", [sig(2, 0), sig(3, 0), sig(1, 2)])
@@ -440,6 +495,23 @@ class TestVerifySpinorGroups:
                                        seed=1)
         assert reports[-1].check_name == "kappa-homomorphism-sampled"
         assert not reports[-1].ok
+
+    @pytest.mark.parametrize("s", [sig(3, 0), sig(1, 2)], ids=str)
+    def test_non_central_eta_fails_the_kernel_and_kappa(self, s):
+        # eta replaced by v1, which does not commute with v2: the kernel certificate finds no
+        # central +-eta, and the kappa certificate needs eta in K(h)
+        ss = spin_space(s)
+        broken = SpinSpace(ss.sig, ss.rep, ss.frame, ss.frame[0], ss.iota, ss.gamma)
+        reports = verify_spinor_groups(generate_frame_group(broken), seed=1)
+        assert [r.check_name for r in reports if not r.ok] == [
+            "plain-ad-kernel-size-4", "kappa-homomorphism-sampled"]
+
+    def test_singular_sample_fails_kappa_without_raising(self, monkeypatch):
+        # a zero scalar factor makes the sample singular, so its inverse (or the odd element's
+        # zero scale) raises ValueError inside the check, which reports a failure
+        monkeypatch.setattr(groups, "_SCALAR_GRID", (sc(0),))
+        reports = verify_spinor_groups(generate_frame_group(spin_space(sig(3, 0))), seed=1)
+        assert [r.check_name for r in reports if not r.ok] == ["kappa-homomorphism-sampled"]
 
     def test_odd_m_builds_each_frame_adjoint_once(self):
         # verify --sig 5,0: 5 twisted adjoints, 5 Ad(Gamma v_i), the identity
