@@ -10,7 +10,7 @@ elements, and the odd elements available for odd m.
 from __future__ import annotations
 
 import random
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from itertools import takewhile
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
@@ -82,10 +82,10 @@ def generate_frame_group(ss: SpinSpace) -> FrameGroup:
     return FrameGroup(ss, tuple(sorted(elements, key=lambda g: g.key())))
 
 
-@lru_cache(maxsize=None)
 def frame_group(sig: Signature) -> FrameGroup:
-    """Frame group of the canonical spin space, cached per signature."""
-    return generate_frame_group(spin_space(sig))
+    """Frame group of the canonical spin space, kept on that space (``SpinSpace.memo``)."""
+    ss = spin_space(sig)
+    return ss.memo("group", lambda: generate_frame_group(ss))
 
 
 # -- adjoint actions ----------------------------------------------------------
@@ -130,10 +130,9 @@ def expand_in_frame(ss: SpinSpace, x: ExactMatrix) -> Optional[List[ExactScalar]
     are v_k / (2 c_k), with the c_k the squares of ``reps._blade_table``, which raises ValueError
     on a frame whose vectors do not anticommute with nonzero scalar squares.
     """
-    if "frame" not in ss._cache:
-        squares = _blade_table(tuple(ss.frame))[2]
-        ss._cache["frame"] = tuple(v.scale((c * 2).inverse()) for c, v in zip(squares, ss.frame))
-    return _expand(ss.frame, ss._cache["frame"], x)
+    duals = ss.memo("frame", lambda: tuple(
+        v.scale((c * 2).inverse()) for c, v in zip(_blade_table(tuple(ss.frame))[2], ss.frame)))
+    return _expand(ss.frame, duals, x)
 
 
 class OrthMatrix(Record):
@@ -233,15 +232,15 @@ def _isotropic_pair(ss: SpinSpace) -> Tuple[Tuple[ExactMatrix, ExactMatrix], tup
     reflection scale on this pair, making the odd elements map to (-1, lambda/mu) exactly.  On the
     canonical Cartan frame the pair is the two corner blocks.
     """
-    if "isotropic" not in ss._cache:
+    def build():
         scaled = (ss.gamma * ss.eta).scale(ss.iota.inverse())
         u_plus, u_minus = ss.gamma + scaled, -ss.gamma + scaled
         s = (u_plus * u_minus + u_minus * u_plus).scalar_value()
         if not s:
             raise ValueError("u+ u- + u- u+ is not a nonzero scalar")
         t = s.inverse()
-        ss._cache["isotropic"] = ((u_plus, u_minus), (u_minus.scale(t), u_plus.scale(t)))
-    return ss._cache["isotropic"]
+        return (u_plus, u_minus), (u_minus.scale(t), u_plus.scale(t))
+    return ss.memo("isotropic", build)
 
 
 def kappa(ss: SpinSpace, a: ExactMatrix) -> KappaImage:
@@ -353,18 +352,13 @@ def _adjoints(ss: SpinSpace, family: str) -> Tuple[Optional[OrthMatrix], ...]:
     """Ad~(v_i), Ad(Gamma v_i) or Ad(v_i) of each frame vector for family "twisted", "gamma" or
     "frame", None where it fails; cached on the spin space.  The first two serve the extension
     diagram ("gamma" the reflection witnesses too), "frame" the plain-Ad kernel and kappa."""
-    key = family + "-adjoints"
-    cached = ss._cache.get(key)
-    if cached is None:
-        cached = []
-        for v in ss.frame:
-            try:
-                cached.append(twisted_adjoint_matrix(ss, v) if family == "twisted" else
-                              adjoint_matrix(ss, ss.gamma * v if family == "gamma" else v))
-            except ValueError:
-                cached.append(None)
-        cached = ss._cache[key] = tuple(cached)
-    return cached
+    def adjoint(v: ExactMatrix) -> Optional[OrthMatrix]:
+        try:
+            return (twisted_adjoint_matrix(ss, v) if family == "twisted" else
+                    adjoint_matrix(ss, ss.gamma * v if family == "gamma" else v))
+        except ValueError:
+            return None
+    return ss.memo(family + "-adjoints", lambda: tuple(map(adjoint, ss.frame)))
 
 
 def verify_extension_diagram(group: FrameGroup) -> List[Report]:

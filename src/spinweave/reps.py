@@ -17,7 +17,7 @@ the normalised volume involution is [[0, -cI], [cI, 0]].
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .clifford import CliffordElement, Signature, volume
 from .linalg import ExactMatrix, _add_row, _wrap
@@ -269,13 +269,14 @@ class _UnitMonomial(tuple):
         return ExactScalar(fixed.count(0) - fixed.count(2), fixed.count(1) - fixed.count(3))
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=2)
 def _blade_table(frame: Tuple[ExactMatrix, ...]) -> tuple:
     """(unit, blades, squares, traces) of a frame: its blades ``_blade`` in mask order, as
     ``_UnitMonomial`` pairs if the frame is unit-monomial (every canonical frame), else as
     matrices; the c_i = v_i^2; and the traces tr v_A.  A frame that breaks the Clifford relations
     raises ValueError: a zero or non-scalar square, or v_j v_i != -v_i v_j for some i < j, that is
-    (v_i v_j)^2 = -v_i v_j v_j v_i != -c_i c_j."""
+    (v_i v_j)^2 = -v_i v_j v_j v_i != -c_i c_j.  Two are kept, for the two frames of one
+    ``_intertwiner_space``; each ``verify`` and ``examples`` path reads one frame per signature."""
     n = frame[0].n
     gens = [_UnitMonomial.of(v) for v in frame]
     unit = None not in gens
@@ -479,18 +480,24 @@ class SpinSpace(Record, frozen=False, eq=False):
 
     @property
     def gamma_inv(self) -> ExactMatrix:
-        if "gamma-inv" not in self._cache:
-            self._cache["gamma-inv"] = self.gamma.inverse()
-        return self._cache["gamma-inv"]
+        return self.memo("gamma-inv", self.gamma.inverse)
+
+    def memo(self, key: str, build: Callable[[], object]):
+        """build() under key, built on first use; the one store of what is derived from the space:
+        Gamma's inverse and map, frame duals, isotropic pair, adjoints and frame group."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     def include(self, x: CliffordElement) -> ExactMatrix:
         """Image of a Clifford element under the inclusion representation."""
         return self.rep.image(x)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def spin_space(sig: Signature) -> SpinSpace:
-    """Canonical spin space: Dirac for even m, Cartan for odd m."""
+    """Canonical spin space: Dirac for even m, Cartan for odd m.  Only the last one is kept, with
+    all its derived data (``SpinSpace.memo``): a ``verify`` sweep never returns to a signature."""
     rep = build_rep(sig, DIRAC if sig.m % 2 == 0 else CARTAN)
     return _spin_space_from(rep)
 
@@ -544,10 +551,8 @@ def gamma_map(ss: SpinSpace, x: CliffordElement) -> ExactMatrix:
     """Algebra morphism extending v -> gamma * v on the spin space: the image
     of x under the representation with generator images gamma * v_i, built
     on first use and kept on the spin space."""
-    if "gamma-rep" not in ss._cache:
-        images = tuple(ss.gamma * v for v in ss.frame)
-        ss._cache["gamma-rep"] = Representation(ss.sig, ss.rep.kind, images, ss.dim)
-    return ss._cache["gamma-rep"].image(x)
+    return ss.memo("gamma-rep", lambda: Representation(
+        ss.sig, ss.rep.kind, tuple(ss.gamma * v for v in ss.frame), ss.dim)).image(x)
 
 
 def _parity(x: ExactMatrix, y: ExactMatrix) -> str:

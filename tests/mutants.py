@@ -311,6 +311,64 @@ MUTANTS = (
          "tests/test_reps.py::TestVerifyClifford::test_perturbed_image_reported",
          "tests/test_golden_stdout.py::test_verify_stdout_is_unchanged[argv0-json]"),
     ),
+    Mutant(
+        # every signature's space, with its frame group, kept for the life of the process
+        "spin-space-cache-keeps-every-signature",
+        "reps.py",
+        "@lru_cache(maxsize=1)\n",
+        "@lru_cache(maxsize=None)\n",
+        ("tests/test_groups.py::TestOneSignatureAtATime::test_next_signature_frees_the_last_group",),
+    ),
+    Mutant(
+        # pin+ tested with w2 + w1^2 and pin- with w2
+        "charclass-pin-signs-swapped",
+        "charclass.py",
+        "def check_pin_plus(m: ManifoldData) -> bool:\n"
+        "    return m.tangent.w2.is_zero()\n"
+        "\n\n"
+        "def check_pin_minus(m: ManifoldData) -> bool:\n"
+        "    return (m.ring.square(m.tangent.w1) + m.tangent.w2).is_zero()\n",
+        "def check_pin_plus(m: ManifoldData) -> bool:\n"
+        "    return (m.ring.square(m.tangent.w1) + m.tangent.w2).is_zero()\n"
+        "\n\n"
+        "def check_pin_minus(m: ManifoldData) -> bool:\n"
+        "    return m.tangent.w2.is_zero()\n",
+        ("tests/test_charclass.py::TestProjectiveSpaces::test_rp2_pin_minus_only",
+         "tests/test_charclass.py::TestProducts::test_rp2_x_s1_pulls_back",
+         "tests/test_golden_stdout.py::test_obstructions_stdout_is_unchanged[argv0-json]",
+         "tests/test_golden_stdout.py::test_obstructions_stdout_is_unchanged[argv1-table]"),
+    ),
+    Mutant(
+        "charclass-orientable-ignores-w1",
+        "charclass.py",
+        "def is_orientable(m: ManifoldData) -> bool:\n"
+        "    return m.tangent.w1.is_zero()\n",
+        "def is_orientable(m: ManifoldData) -> bool:\n"
+        "    return True\n",
+        ("tests/test_charclass.py::TestProjectiveSpaces::test_orientability_iff_odd",
+         "tests/test_golden_stdout.py::test_obstructions_stdout_is_unchanged[argv0-json]",
+         "tests/test_golden_stdout.py::test_obstructions_stdout_is_unchanged[argv1-table]"),
+    ),
+    Mutant(
+        # only the trivial rank-2 bundle is tried as the odd-dimensional lpin witness
+        "charclass-lpin-skips-declared-bundles",
+        "charclass.py",
+        "    candidates = [b for b in m.bundles if b.rank == 2]\n",
+        "    candidates = []\n",
+        ("tests/test_charclass.py::TestCodim2Demo::test_lpin_with_normal_witness",
+         "tests/test_charclass.py::TestGrassmannian::test_products_admit_lpin_with_gamma",
+         "tests/test_golden_stdout.py::test_obstructions_stdout_is_unchanged[argv0-json]"),
+    ),
+    Mutant(
+        # a class counted liftable only when it is zero, not when it lies in the declared span
+        "charclass-liftable-means-zero",
+        "charclass.py",
+        "        return f2_in_span(x.coords, self.liftable2)\n",
+        "        return x.is_zero()\n",
+        ("tests/test_charclass.py::TestComplexProjective::test_spin_c_always",
+         "tests/test_golden_stdout.py::test_obstructions_stdout_is_unchanged[argv0-json]",
+         "tests/test_golden_stdout.py::test_obstructions_stdout_is_unchanged[argv1-table]"),
+    ),
 )
 
 

@@ -89,6 +89,9 @@ class TestVerify:
         assert reports and [r.check_name for r in reports if not r.ok] == []
 
 
+OVER_M = cli.MAX_M + 1  # the first m that the CLI rejects
+
+
 class TestLimits:
     @pytest.fixture(autouse=True)
     def no_work(self, monkeypatch):
@@ -100,11 +103,11 @@ class TestLimits:
     @pytest.mark.parametrize(
         "argv, flag",
         [
-            (("verify", "--sig", "6,5"), "--sig"),
-            (("verify", "--max-m", "11"), "--max-m"),
+            (("verify", "--sig", f"{OVER_M - OVER_M // 2},{OVER_M // 2}"), "--sig"),
+            (("verify", "--max-m", str(OVER_M)), "--max-m"),
             (("verify", "--max-m", "-1"), "--max-m"),
-            (("build", "--sig", "0,11", "--kind", "dirac"), "--sig"),
-            (("examples", "exterior", "--m", "11"), "--m"),
+            (("build", "--sig", f"0,{OVER_M}", "--kind", "dirac"), "--sig"),
+            (("examples", "exterior", "--m", str(OVER_M)), "--m"),
             (("examples", "sphere", "--samples", "10001"), "--samples"),
         ],
     )
@@ -116,10 +119,11 @@ class TestLimits:
 
     def test_config_max_m_over_limit(self, capsys, tmp_path):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"max_m": 11}))
+        config.write_text(json.dumps({"max_m": OVER_M}))
         code, _, err = run(capsys, "verify", "--config", str(config))
         assert code == 2
-        assert err == "error: bad config file: key 'max_m' must be at most 10, got 11\n"
+        assert err == (f"error: bad config file: key 'max_m' must be at most {cli.MAX_M}, "
+                       f"got {OVER_M}\n")
 
     @pytest.mark.parametrize(
         "key, value, argv, message",
@@ -139,9 +143,10 @@ class TestLimits:
     def test_limits_are_inclusive(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_verify_signature", lambda sig, seed: [])
         monkeypatch.setattr(cli, "_run_example", lambda name, m, samples, seed: [])
-        assert run(capsys, "verify", "--sig", "10,0")[0] == 0
-        assert run(capsys, "verify", "--max-m", "10")[0] == 0
-        assert run(capsys, "examples", "exterior", "--m", "10", "--samples", "10000")[0] == 0
+        assert run(capsys, "verify", "--sig", f"{cli.MAX_M},0")[0] == 0
+        assert run(capsys, "verify", "--max-m", str(cli.MAX_M))[0] == 0
+        assert run(capsys, "examples", "exterior", "--m", str(cli.MAX_M), "--samples",
+                   "10000")[0] == 0
 
 
 class TestObstructions:

@@ -1,13 +1,15 @@
+import gc
 import os
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from spinweave import groups
+from spinweave import cli, groups
 from spinweave.clifford import CliffordElement, Signature
 from spinweave.linalg import ExactMatrix
 from spinweave.groups import (
@@ -35,7 +37,8 @@ from spinweave.groups import (
     verify_spinor_groups,
 )
 from spinweave.reps import (
-    EVEN, ODD, SpinSpace, _blade_table, conjugate_spin_space, grading_of, spin_space,
+    EVEN, ODD, Representation, SpinSpace, _blade_table, conjugate_spin_space, grading_of,
+    spin_space,
 )
 from spinweave.scalars import I, MINUS_ONE, ONE, ExactScalar, sc
 
@@ -176,6 +179,25 @@ class TestGroupOfAConjugatedSpace:
     @pytest.mark.parametrize("s", [sig(2, 1), sig(2, 2)], ids=str)
     def test_cached_group_carries_the_canonical_space(self, s):
         assert frame_group(s).ss is spin_space(s)
+
+
+class TestOneSignatureAtATime:
+    """Each signature's derived state, its frame group included, lives on its spin space, and
+    ``spin_space`` keeps only the last one: a ``verify`` sweep holds one signature at a time."""
+
+    def test_group_is_kept_on_its_space(self):
+        s = sig(2, 1)
+        assert frame_group(s) is frame_group(s)
+        assert frame_group(s).ss is spin_space(s)
+
+    def test_next_signature_frees_the_last_group(self):
+        spin_space.cache_clear()  # a space built here, which no other test holds
+        first = weakref.ref(frame_group(sig(2, 1)))
+        cli._verify_signature(sig(2, 1), 1)
+        assert first() is frame_group(sig(2, 1))  # verify used the group kept on the space
+        cli._verify_signature(sig(1, 2), 1)
+        gc.collect()  # the group and its space reference each other
+        assert first() is None
 
 
 class TestIsLipschitz:
@@ -505,6 +527,16 @@ class TestVerifySpinorGroups:
         reports = verify_spinor_groups(generate_frame_group(broken), seed=1)
         assert [r.check_name for r in reports if not r.ok] == [
             "plain-ad-kernel-size-4", "kappa-homomorphism-sampled"]
+
+    def test_coinciding_blades_fail_the_group_order(self):
+        # the 1 x 1 frame ([[1]],) keeps v^2 = I, but v = I = v_empty, so the group is {+-I}
+        one = (M([[ONE]]),)
+        ss = SpinSpace(sig(1, 0), Representation(sig(1, 0), "cartan", one, 1), one, one[0], ONE,
+                       M([[I]]))
+        group = generate_frame_group(ss)
+        assert group.order == 2
+        reports = verify_spinor_groups(group, seed=1)
+        assert (reports[0].check_name, reports[0].status) == ("frame-group-order", "fail")
 
     def test_singular_sample_fails_kappa_without_raising(self, monkeypatch):
         # a zero scalar factor makes the sample singular, so its inverse (or the odd element's

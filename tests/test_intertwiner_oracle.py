@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinweave import groups, reps
+from spinweave import reps
 from spinweave.clifford import Signature
 from spinweave.linalg import ExactMatrix, _add_row
 from spinweave.reps import (
@@ -241,7 +241,7 @@ def test_verify_makes_no_solve(monkeypatch, sig):
     from spinweave import cli
 
     expected = [r.to_json() for r in cli._verify_signature(sig, 1)]
-    for cached in (reps._blade_table, reps.spin_space, groups.frame_group):
+    for cached in (reps._blade_table, reps.spin_space):
         cached.cache_clear()  # so that Gamma and the frame group are built again
     monkeypatch.setattr(reps, "_add_row", _no_solve)
     assert [r.to_json() for r in cli._verify_signature(sig, 1)] == expected

@@ -27,6 +27,7 @@ from spinweave.reps import (
     WEYL_PLUS,
     Representation,
     SpinSpace,
+    _spin_space_from,
     alpha_is_gamma_conjugation,
     anticommutant,
     build_rep,
@@ -362,6 +363,25 @@ class TestVerifySpinSpace:
         flat = SpinSpace(ss.sig, ss.rep, ss.frame, ss.eta, ss.iota, M.identity(ss.dim))
         failed = [r.check_name for r in verify_spin_space(flat) if not r.ok]
         assert failed == ["gamma-square", "alpha-is-gamma-conjugation"]
+
+    def test_doubled_frame_fails_both_dimensions(self):
+        # v -> diag(v, v) keeps the Clifford relations, but M_2 commutes with the doubled frame:
+        # dim K(h) = dim A(h) = 4, not 1
+        ss = spin_space(sig(2, 0))
+        z = M.zeros(ss.dim)
+        frame = tuple(M.block2(v, z, z, v) for v in ss.frame)
+        doubled = _spin_space_from(Representation(ss.sig, ss.rep.kind, frame, 2 * ss.dim))
+        failed = [r.check_name for r in verify_spin_space(doubled) if r.status == "fail"]
+        assert failed == ["commutant-dimension", "anticommutant-dimension"]
+
+    def test_swapped_iota_fails_the_volume_square(self):
+        # eta^2 = -I on Cl(2,0), so iota = i; iota = 1 gives iota^2 = 1
+        ss = spin_space(sig(2, 0))
+        assert ss.iota == I
+        swapped = SpinSpace(ss.sig, ss.rep, ss.frame, ss.eta, ONE, ss.gamma)
+        failed = [r.check_name for r in verify_spin_space(swapped) if r.status == "fail"]
+        assert failed == ["volume-square"]
+
 
 class TestGammaMap:
     def test_unit(self):
