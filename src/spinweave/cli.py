@@ -90,7 +90,7 @@ def _apply_config(args) -> Optional[str]:
     try:
         with open(args.config) as fh:
             config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: JSON or UTF-8
         return str(exc)
     if not isinstance(config, dict):
         return "config file must hold a JSON object"
@@ -239,7 +239,7 @@ def cmd_obstructions(args) -> int:
         try:
             with open(args.catalog) as fh:
                 catalog = charclass.load_catalog(fh.read())
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             return _error(f"--catalog {args.catalog}: {getattr(exc, 'strerror', None) or exc}")
     else:
         catalog = charclass.builtin_catalog()

@@ -71,13 +71,12 @@ def generate_frame_group(ss: SpinSpace) -> FrameGroup:
     some A != B) gives fewer than 2^(m+1) elements.
     """
     try:
-        unit, blades, squares, _ = _blade_table(tuple(ss.frame))
+        blades, squares, _, _ = _blade_table(tuple(ss.frame))
     except ValueError as exc:
         raise RuntimeError(str(exc)) from None
     for j, c in enumerate(squares):
         if c != sc(ss.sig.h(j)):
             raise RuntimeError(f"frame vector e{j + 1} breaks the Clifford relations")
-    blades = [b.matrix() for b in blades] if unit else blades
     elements = set(blades) | {-b for b in blades}
     return FrameGroup(ss, tuple(sorted(elements, key=lambda g: g.key())))
 
@@ -130,9 +129,11 @@ def expand_in_frame(ss: SpinSpace, x: ExactMatrix) -> Optional[List[ExactScalar]
     are v_k / (2 c_k), with the c_k the squares of ``reps._blade_table``, which raises ValueError
     on a frame whose vectors do not anticommute with nonzero scalar squares.
     """
-    duals = ss.memo("frame", lambda: tuple(
-        v.scale((c * 2).inverse()) for c, v in zip(_blade_table(tuple(ss.frame))[2], ss.frame)))
-    return _expand(ss.frame, duals, x)
+    def duals():
+        _, squares, _, _ = _blade_table(tuple(ss.frame))
+        return tuple(v.scale((c * 2).inverse()) for c, v in zip(squares, ss.frame))
+
+    return _expand(ss.frame, ss.memo("frame", duals), x)
 
 
 class OrthMatrix(Record):

@@ -277,7 +277,9 @@ class ExactMatrix:
         return c
 
     def trace(self) -> ExactScalar:
-        return sum((self[r, r] for r in range(self.n)), ZERO)
+        """The sum of the diagonal entries read off the sparse rows, in one ``_sum_products``."""
+        diagonal = ((0, x) for r, row in enumerate(self.sparse_rows) for c, x in row if c == r)
+        return dict(_sum_products(((ONE, diagonal),))).get(0, ZERO)
 
     def first_nonzero(self) -> Optional[ExactScalar]:
         for row in self.sparse_rows:

@@ -230,65 +230,39 @@ def anticommutant(frame: Sequence[ExactMatrix]) -> List[ExactMatrix]:
     return _intertwiner_space(frame, frame, flip=True)[0]
 
 
-_UNIT = (ONE, I, MINUS_ONE, -I)
 _PHASE = {(1, 0, 0, 0, 1): 0, (0, 1, 0, 0, 1): 1, (-1, 0, 0, 0, 1): 2, (0, -1, 0, 0, 1): 3}
 
 
-class _UnitMonomial(tuple):
-    """A matrix with one entry from {+-1, +-i} per row and column as the pair
-    (sigma, psi) with M e_c = i^psi[c] e_sigma[c]: O(n) integer work a product."""
-
-    __slots__ = ()
-
-    @classmethod
-    def of(cls, v: ExactMatrix) -> Optional["_UnitMonomial"]:
-        sigma, psi = [None] * v.n, [0] * v.n
-        for r, row in enumerate(v.sparse_rows):
-            c, x = row[0] if len(row) == 1 else (0, ZERO)
-            k = _PHASE.get((x.p, x.q, x.r, x.s, x.den))
-            if k is None or sigma[c] is not None:
-                return None
-            sigma[c], psi[c] = r, k
-        return cls((tuple(sigma), tuple(psi)))
-
-    def __mul__(self, other: "_UnitMonomial") -> "_UnitMonomial":
-        (xs, xp), (ys, yp) = self, other  # other e_c = i^yp[c] e_ys[c], moved on by self
-        return _UnitMonomial((tuple(map(xs.__getitem__, ys)),
-                              tuple([(k + xp[j]) & 3 for j, k in zip(ys, yp)])))
-
-    def scalar_value(self) -> Optional[ExactScalar]:
-        sigma, psi = self
-        return _UNIT[psi[0]] if sigma == tuple(range(len(sigma))) and len(set(psi)) == 1 else None
-
-    def matrix(self) -> ExactMatrix:
-        n = len(self[0])
-        return _matrix(n, sorted((r * n + c, _UNIT[k]) for c, (r, k) in enumerate(zip(*self))))
-
-    def trace(self) -> ExactScalar:
-        fixed = [k for c, (r, k) in enumerate(zip(*self)) if r == c]
-        return ExactScalar(fixed.count(0) - fixed.count(2), fixed.count(1) - fixed.count(3))
+def _unit_form(v: ExactMatrix) -> Optional[Tuple[tuple, tuple]]:
+    """(sigma, psi) with v e_c = i^psi[c] e_sigma[c] if v has one entry from {+-1, +-i} per row
+    and column, else None: the integer form that ``_orbit_basis`` reads."""
+    sigma, psi = [None] * v.n, [0] * v.n
+    for r, row in enumerate(v.sparse_rows):
+        c, x = row[0] if len(row) == 1 else (0, ZERO)
+        k = _PHASE.get((x.p, x.q, x.r, x.s, x.den))
+        if k is None or sigma[c] is not None:
+            return None
+        sigma[c], psi[c] = r, k
+    return tuple(sigma), tuple(psi)
 
 
 @lru_cache(maxsize=2)
 def _blade_table(frame: Tuple[ExactMatrix, ...]) -> tuple:
-    """(unit, blades, squares, traces) of a frame: its blades ``_blade`` in mask order, as
-    ``_UnitMonomial`` pairs if the frame is unit-monomial (every canonical frame), else as
-    matrices; the c_i = v_i^2; and the traces tr v_A.  A frame that breaks the Clifford relations
-    raises ValueError: a zero or non-scalar square, or v_j v_i != -v_i v_j for some i < j, that is
+    """(blades, squares, traces, forms) of a frame: its blades ``_blade`` in mask order; the
+    c_i = v_i^2; the traces tr v_A; and each blade's ``_unit_form`` if the frame is unit-monomial
+    (every canonical frame), else None.  A frame that breaks the Clifford relations raises
+    ValueError: a zero or non-scalar square, or v_j v_i != -v_i v_j for some i < j, that is
     (v_i v_j)^2 = -v_i v_j v_j v_i != -c_i c_j.  Two are kept, for the two frames of one
     ``_intertwiner_space``; each ``verify`` and ``examples`` path reads one frame per signature."""
-    n = frame[0].n
-    gens = [_UnitMonomial.of(v) for v in frame]
-    unit = None not in gens
-    gens, memo = ((gens, {0: _UnitMonomial((tuple(range(n)), (0,) * n))}) if unit
-                  else (frame, {0: ExactMatrix.identity(n)}))
-    blades = [_blade(gens, memo, mask) for mask in range(1 << len(frame))]
-    squares = tuple((v * v).scalar_value() for v in gens)
+    memo = {0: ExactMatrix.identity(frame[0].n)}
+    blades = [_blade(frame, memo, mask) for mask in range(1 << len(frame))]
+    squares = tuple((v * v).scalar_value() for v in frame)
     for j, c in enumerate(squares):
         pairs = (blades[1 << i | 1 << j] for i in range(j))
         if not c or any((b * b).scalar_value() != -squares[i] * c for i, b in enumerate(pairs)):
             raise ValueError(f"frame vector e{j + 1} breaks the Clifford relations")
-    return unit, blades, squares, [b.trace() for b in blades]
+    forms = [_unit_form(b) for b in blades]
+    return blades, squares, [b.trace() for b in blades], None if None in forms else forms
 
 
 def _matrix(n: int, entries) -> ExactMatrix:
@@ -299,7 +273,7 @@ def _matrix(n: int, entries) -> ExactMatrix:
     return _wrap(n, tuple(map(tuple, rows)))
 
 
-def _orbit_basis(w_blades, v_blades, signs, count, n: int) -> List[ExactMatrix]:
+def _orbit_basis(w_forms, v_forms, signs, count, n: int) -> List[ExactMatrix]:
     """P(E_rc) once per orbit of positions until count, on integer phases: w_A E_rc v_A^-1 is the
     unit i^(psi_w(r) - psi_v(c)) at (sigma_w(r), sigma_v(c)).  The blades are a group up to sign,
     so P(w_B E_rc v_B^-1) = eps_B P(E_rc) covers the orbit of (r, c).  Orbits are disjoint, so the
@@ -310,7 +284,7 @@ def _orbit_basis(w_blades, v_blades, signs, count, n: int) -> List[ExactMatrix]:
             continue
         r, c = divmod(start, n)
         acc: Dict[int, List[int]] = {}
-        for (ws, wp), (vs, vp), sign in zip(w_blades, v_blades, signs):
+        for (ws, wp), (vs, vp), sign in zip(w_forms, v_forms, signs):
             acc.setdefault(ws[r] * n + vs[c], [0, 0, 0, 0])[(wp[r] - vp[c] + 2 * sign) & 3] += 1
         for pos in acc:
             seen[pos] = 1
@@ -360,19 +334,17 @@ def _intertwiner_space(source: Sequence[ExactMatrix], target: Sequence[ExactMatr
     """
     if not source or len(source) != len(target) or source[0].n != target[0].n:
         raise ValueError("the frames must be nonempty and of one length and size")
-    tables = [_blade_table(tuple(frame)) for frame in (source, target)]
-    (unit, v_blades, squares, v_traces), (w_unit, w_blades, w_squares, w_traces) = tables
-    if unit != w_unit:  # one frame is not unit-monomial: matrix blades for both
-        unit = False
-        v_blades, w_blades = ([b.matrix() for b in t[1]] if t[0] else t[1] for t in tables)
+    v_blades, squares, v_traces, v_forms = _blade_table(tuple(source))
+    w_blades, w_squares, w_traces, w_forms = _blade_table(tuple(target))
     if squares != w_squares:
         return [], ZERO
     signs = [flip and bin(mask).count("1") & 1 for mask in range(len(v_blades))]
     count = sum(((-tw if sign else tw) * tv / (v * v).scalar_value()
                  for sign, tw, tv, v in zip(signs, w_traces, v_traces, v_blades) if tw and tv),
                 ZERO) / len(v_blades)
-    return (_orbit_basis if unit else _reduced_basis)(w_blades, v_blades, signs, count,
-                                                       source[0].n), count
+    if v_forms and w_forms:
+        return _orbit_basis(w_forms, v_forms, signs, count, source[0].n), count
+    return _reduced_basis(w_blades, v_blades, signs, count, source[0].n), count
 
 
 class Intertwiner(Record):

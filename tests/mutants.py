@@ -369,6 +369,54 @@ MUTANTS = (
          "tests/test_golden_stdout.py::test_obstructions_stdout_is_unchanged[argv0-json]",
          "tests/test_golden_stdout.py::test_obstructions_stdout_is_unchanged[argv1-table]"),
     ),
+    Mutant(
+        # the first declared rank-2 bundle taken as the odd-dimensional lpin witness, untested
+        "charclass-lpin-skips-liftability",
+        "charclass.py",
+        "        if m.is_liftable(m.tangent.w2 + bundle.w2):\n",
+        "        if True:\n",
+        ("tests/test_cli.py::TestObstructions::test_large_b1_record_loads",),
+    ),
+    Mutant(
+        "charclass-spin-ignores-w1",
+        "charclass.py",
+        "    return m.tangent.w1.is_zero() and m.tangent.w2.is_zero()\n",
+        "    return m.tangent.w2.is_zero()\n",
+        ("tests/test_charclass.py::TestProjectiveSpaces::test_spin_iff_3_mod_4",),
+    ),
+    Mutant(
+        "charclass-spin-ignores-w2",
+        "charclass.py",
+        "    return m.tangent.w1.is_zero() and m.tangent.w2.is_zero()\n",
+        "    return m.tangent.w1.is_zero()\n",
+        ("tests/test_charclass.py::TestProjectiveSpaces::test_rp5_not_spin",
+         "tests/test_charclass.py::TestComplexProjective::test_cp2_not_spin"),
+    ),
+    Mutant(
+        "charclass-spin-c-ignores-w1",
+        "charclass.py",
+        "    return m.tangent.w1.is_zero() and m.is_liftable(m.tangent.w2)\n",
+        "    return m.is_liftable(m.tangent.w2)\n",
+        ("tests/test_golden_stdout.py::test_obstructions_stdout_is_unchanged[argv0-json]",),
+    ),
+    Mutant(
+        # every orientable manifold counted spin^c: only the Wu manifold's w2 does not lift
+        "charclass-spin-c-ignores-liftability",
+        "charclass.py",
+        "    return m.tangent.w1.is_zero() and m.is_liftable(m.tangent.w2)\n",
+        "    return m.tangent.w1.is_zero()\n",
+        ("tests/test_charclass.py::TestWuManifold::test_orientable_without_any_other_structure",),
+    ),
+    Mutant(
+        # the orbit basis read when only the source frame has (permutation, phase) forms
+        "intertwiner-orbit-basis-on-one-unit-frame",
+        "reps.py",
+        "    if v_forms and w_forms:\n",
+        "    if v_forms:\n",
+        ("tests/test_intertwiner_oracle.py::test_conjugated_frames_equal_the_solve",
+         "tests/test_reps.py::TestIntertwiner::test_recovers_conjugation",
+         "tests/test_bundles.py::TestSpinSpaceMorphisms::test_conjugated_target"),
+    ),
 )
 
 

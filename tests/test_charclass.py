@@ -203,6 +203,18 @@ class TestCodim2Demo:
         assert ok and witness == "normal"
 
 
+class TestWuManifold:
+    """SU(3)/SO(3): orientable with w2 = x, the generator of H^2(M; Z2) = Z2, and H^2(M; Z) = 0,
+    so no class lifts.  A test record, not a builtin row, so ``obstructions`` prints as before."""
+
+    def test_orientable_without_any_other_structure(self):
+        (wu,) = _load({"name": "wu", "dim": 5, "h1": [], "h2": ["x"], "sq": {},
+                       "tangent": {"w1": [], "w2": [1]}, "liftable2": []})
+        assert structure_summary(wu) == {
+            "manifold": "wu", "dim": 5, "orientable": True, "spin": False, "pin+": False,
+            "pin-": False, "spin_c": False, "pin_c": False, "lpin": False, "lpin_witness": None}
+
+
 class TestImplicationChain:
     def test_chain_on_catalog(self):
         for m in builtin_catalog():

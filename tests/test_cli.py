@@ -252,6 +252,14 @@ class TestObstructions:
         code, out, err = run(capsys, "obstructions", "--catalog", str(tmp_path))
         assert (code, out, err) == (2, "", f"error: --catalog {tmp_path}: Is a directory\n")
 
+    def test_deeply_nested_catalog_exits_2_naming_the_file(self, capsys, tmp_path):
+        # deeper than any recursion limit of the JSON decoder
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run(capsys, "obstructions", "--catalog", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: --catalog {path}: maximum recursion depth exceeded")
+
     def test_unknown_manifold_exits_2(self, capsys):
         code, _, err = run(capsys, "obstructions", "--manifold", "nowhere")
         assert code == 2
@@ -333,6 +341,17 @@ class TestConfigFile:
         code, _, err = run(capsys, "verify", "--sig", "1,0", "--config", str(config))
         assert code == 2
         assert "config" in err
+
+    @pytest.mark.parametrize("data, message", [
+        (b'\xff\xfe{"seed": 3}', "codec can't decode byte 0xff"),
+        (b"[" * 100_000, "maximum recursion depth exceeded"),
+    ], ids=["not-utf8", "deeply-nested"])
+    def test_undecodable_config_exits_2(self, capsys, tmp_path, data, message):
+        config = tmp_path / "config.json"
+        config.write_bytes(data)
+        code, out, err = run(capsys, "verify", "--sig", "1,0", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad config file: ") and message in err
 
     def test_nonpositive_samples_rejected(self, capsys):
         code, _, err = run(capsys, "examples", "sphere", "--m", "2", "--samples", "0")

@@ -46,12 +46,22 @@ def _dense(rng: random.Random, n: int) -> ExactMatrix:
     return ExactMatrix([[rng.choice(NONZERO) for _ in range(n)] for _ in range(n)])
 
 
+def _dense_outside(rng: random.Random, mats) -> ExactMatrix:
+    """A dense matrix that the oracle puts outside span mats, redrawn while it lies inside: at
+    n = 2 an m = 2 frame spans half the dimensions, and about 1 % of the draws land in it."""
+    for _ in range(20):
+        x = _dense(rng, mats[0].n)
+        if oracle_expand(mats, x) is None:
+            return x
+    raise AssertionError("20 dense draws all lie in the span")
+
+
 def _check_frame(ss, rng: random.Random) -> None:
     coords = [rng.choice(GRID) for _ in ss.frame]
     inside = ExactMatrix.combination(ss.dim, zip(coords, ss.frame))
     assert expand_in_frame(ss, inside) == oracle_expand(ss.frame, inside) == coords
     # Gamma anticommutes with every v_k, so it has no frame coordinates
-    for outside in (ss.gamma, _dense(rng, ss.dim)):
+    for outside in (ss.gamma, _dense_outside(rng, ss.frame)):
         assert oracle_expand(ss.frame, outside) is None
         assert expand_in_frame(ss, outside) is None
 

@@ -2,9 +2,10 @@
 
 The reference below works on plain lists of lists of ExactScalar and
 shares no code with linalg.py: products and sums entry by entry, the
-determinant by the Leibniz formula, and the key from the Fraction
-coordinates.  Entries come from a small grid with many zeros, so the
-sparse rows see empty rows, single entries and full rows.
+trace as a sum of diagonal entries, the determinant by the Leibniz
+formula, and the key from the Fraction coordinates.  Entries come from a
+small grid with many zeros, so the sparse rows see empty rows, single
+entries and full rows.
 """
 
 from fractions import Fraction
@@ -90,6 +91,13 @@ def ref_det(a):
                 break
         if not term.is_zero():
             total = total + term if _parity(perm) > 0 else total - term
+    return total
+
+
+def ref_trace(a):
+    total = ZERO
+    for i in range(len(a)):
+        total = total + a[i][i]
     return total
 
 
@@ -203,6 +211,11 @@ def test_block2_matches_reference(blocks):
 @given(one())
 def test_det_matches_leibniz(a):
     assert ExactMatrix(a).det() == ref_det(a)
+
+
+@given(one())
+def test_trace_matches_reference(a):
+    assert ExactMatrix(a).trace() == ref_trace(a)
 
 
 @given(one())

@@ -143,17 +143,20 @@ class TestVerifyClifford:
         assert verify_clifford(flipped).ok
 
     def test_perturbed_image_reported(self):
-        rep = build_rep(sig(2, 0), DIRAC)
-        bad_rows = [list(r) for r in rep.images[0].rows]
-        bad_rows[0][0] = bad_rows[0][0] + ONE
-        bad = Representation(rep.sig, rep.kind, (M(bad_rows), rep.images[1]), rep.dim)
-        report = verify_clifford(bad)
-        assert not report.ok
-        assert "(0, 0)" in report.counterexample
-        # e1 + E_00 fails its square and its anticommutator with e2
-        assert report.check_name == "clifford-relations-dirac"
-        assert report.status == "fail"
-        assert report.counterexample == str([(0, 0), (0, 1)])
+        for s, kind in ((sig(2, 0), DIRAC), (sig(2, 1), PAULI), (sig(2, 1), PAULI_TWISTED),
+                        (sig(2, 1), CARTAN), (sig(2, 0), WEYL_PLUS), (sig(4, 0), WEYL_MINUS)):
+            rep = build_rep(s, kind)
+            bad_rows = [list(r) for r in rep.images[0].rows]
+            bad_rows[0][0] = bad_rows[0][0] + ONE
+            bad = Representation(rep.sig, rep.kind, (M(bad_rows),) + rep.images[1:], rep.dim)
+            report = verify_clifford(bad)
+            assert not report.ok
+            assert "(0, 0)" in report.counterexample
+            assert report.check_name == f"clifford-relations-{kind}"
+            assert report.status == "fail"
+            if kind == DIRAC:
+                # e1 + E_00 fails its square and its anticommutator with e2
+                assert report.counterexample == str([(0, 0), (0, 1)])
 
     def test_counterexample_lists_first_three_failures(self):
         rep = build_rep(sig(4, 0), DIRAC)
