@@ -93,6 +93,8 @@ class CohoRing(Record):
 
     def __init__(self, basis1: Tuple[str, ...], basis2: Tuple[str, ...],
                  sq: Tuple[F2Vector, ...], cup: Optional[Dict[Tuple[int, int], F2Vector]] = None):
+        if any("," in x for x in basis1):
+            raise ValueError("an H^1 basis name contains ',', which joins the classes of a cup key")
         if len(sq) != len(basis1):
             raise ValueError("squaring table must cover the degree-1 basis")
         for row in sq:
@@ -384,55 +386,63 @@ def _bad(name: str, key: str, problem: str) -> ValueError:
     return ValueError(f"malformed catalog record {name!r}: key {key!r} {problem}")
 
 
-def _check_bits(value, length: int, name: str, key: str) -> None:
-    if value is None:
-        raise _bad(name, key, "is missing")
-    if not isinstance(value, list) or any(type(b) is not int or b not in (0, 1) for b in value):
-        raise _bad(name, key, "must be a list of 0/1 entries")
-    if len(value) != length:
-        raise _bad(name, key, f"has length {len(value)}, expected {length}")
-
-
 _SHAPE = {"dim": int, "h1": list, "h2": list, "sq": dict, "tangent": dict,
           "cup": dict, "liftable2": list, "bundles": list}
 _REQUIRED = ("dim", "h1", "h2", "sq", "tangent")
 
 
-def _check_record(data) -> None:
-    """Shape, required keys and F2 vector lengths of one catalog record."""
+def manifold_from_json(data: dict) -> ManifoldData:
+    """One catalog record, read once: each field's JSON type, names, or 0/1 entries and length
+    are checked where it is converted; the record constructors hold the semantic rules."""
     if not isinstance(data, dict):
         raise ValueError(f"malformed catalog record: expected a JSON object, got {type(data).__name__}")
     name = data.get("name")
     if not isinstance(name, str):
         raise ValueError("malformed catalog record: key 'name' must be a string")
-    for key in _REQUIRED:
-        if key not in data:
+
+    def field(key: str):
+        kind = _SHAPE[key]
+        if key in _REQUIRED and key not in data:
             raise _bad(name, key, "is missing")
-    for key, kind in _SHAPE.items():
         value = data.get(key, kind())
         if not isinstance(value, kind) or isinstance(value, bool):
             raise _bad(name, key, f"must be a JSON {'integer' if kind is int else kind.__name__}")
-    h1, h2 = data["h1"], data["h2"]
-    for key, names in (("h1", h1), ("h2", h2)):
-        if not all(isinstance(x, str) for x in names) or len(set(names)) != len(names):
-            raise _bad(name, key, "must list distinct basis names")
-    b1, b2 = len(h1), len(h2)
-    if data["dim"] < 1:
+        return value
+
+    def bits(value, length: int, key: str) -> F2Vector:
+        if value is None:
+            raise _bad(name, key, "is missing")
+        if not isinstance(value, list) or any(type(b) is not int or b not in (0, 1) for b in value):
+            raise _bad(name, key, "must be a list of 0/1 entries")
+        if len(value) != length:
+            raise _bad(name, key, f"has length {len(value)}, expected {length}")
+        return tuple(value)
+
+    dim = field("dim")
+    if dim < 1:
         raise _bad(name, "dim", "must be positive")
-    if set(data["sq"]) != set(h1):
+    basis1, basis2 = tuple(field("h1")), tuple(field("h2"))
+    for key, basis in (("h1", basis1), ("h2", basis2)):
+        if not all(isinstance(x, str) for x in basis) or len(set(basis)) != len(basis):
+            raise _bad(name, key, "must list distinct basis names")
+    if any("," in x for x in basis1):
+        raise _bad(name, "h1", "must not contain ',', which joins the classes of a cup key")
+    b1, b2 = len(basis1), len(basis2)
+    rows = field("sq")
+    if set(rows) != set(basis1):
         raise _bad(name, "sq", "must have exactly one row per h1 class")
-    for cls, row in data["sq"].items():
-        _check_bits(row, b2, name, f"sq.{cls}")
-    for pair, row in data.get("cup", {}).items():
+    sq = tuple(bits(rows[x], b2, f"sq.{x}") for x in basis1)
+    cup = {}
+    for pair, row in field("cup").items():
         parts = pair.split(",")
-        if len(parts) != 2 or not all(x in h1 for x in parts):
+        if len(parts) != 2 or not all(x in basis1 for x in parts):
             raise _bad(name, f"cup.{pair}", "must name two h1 classes")
-        _check_bits(row, b2, name, f"cup.{pair}")
-    _check_bits(data["tangent"].get("w1"), b1, name, "tangent.w1")
-    _check_bits(data["tangent"].get("w2"), b2, name, "tangent.w2")
-    for i, gen in enumerate(data.get("liftable2", [])):
-        _check_bits(gen, b2, name, f"liftable2[{i}]")
-    for i, bundle in enumerate(data.get("bundles", [])):
+        cup[basis1.index(parts[0]), basis1.index(parts[1])] = bits(row, b2, f"cup.{pair}")
+    sw = field("tangent")
+    w1, w2 = bits(sw.get("w1"), b1, "tangent.w1"), bits(sw.get("w2"), b2, "tangent.w2")
+    liftable = tuple(bits(g, b2, f"liftable2[{i}]") for i, g in enumerate(field("liftable2")))
+    declared = []
+    for i, bundle in enumerate(field("bundles")):
         key = f"bundles[{i}]"
         if not isinstance(bundle, dict):
             raise _bad(name, key, "must be a JSON object")
@@ -441,43 +451,18 @@ def _check_record(data) -> None:
         rank = bundle.get("rank")
         if type(rank) is not int or rank < 1:
             raise _bad(name, f"{key}.rank", "must be a positive integer")
-        _check_bits(bundle.get("w1"), b1, name, f"{key}.w1")
-        _check_bits(bundle.get("w2"), b2, name, f"{key}.w2")
-        if type(bundle.get("oriented", False)) is not bool:
+        bw1, bw2 = bits(bundle.get("w1"), b1, f"{key}.w1"), bits(bundle.get("w2"), b2, f"{key}.w2")
+        oriented = bundle.get("oriented", False)
+        if type(oriented) is not bool:
             raise _bad(name, f"{key}.oriented", "must be true or false")
-
-
-def manifold_from_json(data: dict) -> ManifoldData:
-    _check_record(data)
+        declared.append((bundle["name"], rank, CohoClass(1, bw1), CohoClass(2, bw2), oriented))
     try:
-        basis1 = tuple(data["h1"])
-        basis2 = tuple(data["h2"])
-        sq = tuple(_vec(data["sq"][name]) for name in basis1)
-        cup = {}
-        for key, value in data.get("cup", {}).items():
-            n1, n2 = key.split(",")
-            cup[(basis1.index(n1), basis1.index(n2))] = _vec(value)
         ring = CohoRing(basis1, basis2, sq, cup)
-        tangent = BundleData(
-            "T",
-            data["dim"],
-            CohoClass(1, _vec(data["tangent"]["w1"])),
-            CohoClass(2, _vec(data["tangent"]["w2"])),
-        )
-        bundles = tuple(
-            BundleData(
-                b["name"],
-                b["rank"],
-                CohoClass(1, _vec(b["w1"])),
-                CohoClass(2, _vec(b["w2"])),
-                b.get("oriented", False),
-            )
-            for b in data.get("bundles", [])
-        )
-        liftable = tuple(_vec(g) for g in data.get("liftable2", []))
+        tangent = BundleData("T", dim, CohoClass(1, w1), CohoClass(2, w2))
+        bundles = tuple(BundleData(*b) for b in declared)
     except ValueError as exc:
-        raise ValueError(f"malformed catalog record {data['name']!r}: {exc}") from exc
-    return ManifoldData(data["name"], data["dim"], ring, tangent, liftable, bundles)
+        raise ValueError(f"malformed catalog record {name!r}: {exc}") from exc
+    return ManifoldData(name, dim, ring, tangent, liftable, bundles)
 
 
 def dump_catalog(manifolds: Sequence[ManifoldData]) -> str:

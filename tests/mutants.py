@@ -408,6 +408,19 @@ MUTANTS = (
         ("tests/test_charclass.py::TestWuManifold::test_orientable_without_any_other_structure",),
     ),
     Mutant(
+        # a catalog vector of any length accepted: only a record constructor that compares
+        # lengths (the squaring rows, liftable2) still rejects it, without naming the key
+        "catalog-reader-skips-length-check",
+        "charclass.py",
+        "        if len(value) != length:\n"
+        "            raise _bad(name, key, f\"has length {len(value)}, expected {length}\")\n",
+        "",
+        ("tests/test_charclass.py::TestCatalogValidation::test_tangent_w1_length",
+         "tests/test_charclass.py::TestCatalogValidation::test_bundle_vector_length",
+         "tests/test_charclass.py::TestCatalogValidation::test_sq_length",
+         "tests/test_catalog_oracle.py::test_single_faults_raise_the_same_error[tiny]"),
+    ),
+    Mutant(
         # the orbit basis read when only the source frame has (permutation, phase) forms
         "intertwiner-orbit-basis-on-one-unit-frame",
         "reps.py",

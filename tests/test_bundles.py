@@ -441,6 +441,20 @@ class TestExampleChecks:
         report = projective_example_check(2, 3, seed=1)
         assert report.status == "fail" and report.counterexample == "3 failures"
 
+    def test_exterior_fails_with_a_doubled_wedge(self, monkeypatch):
+        # tau(e_i) = contraction + 2 wedge squares to 2 h_i, not h_i
+        slots = bundles._exterior_slots
+        monkeypatch.setattr(bundles, "_exterior_slots",
+                            lambda v, h: [(i, c, w + w) for i, c, w in slots(v, h)])
+        assert exterior_example_check(sig(3, 0)).status == "fail"
+
+    def test_hermitean_fails_without_the_conjugation(self, monkeypatch):
+        # the contraction by n instead of conj(n) squares to sum n_i^2, not |n|^2
+        slots = bundles._hermitean_slots
+        monkeypatch.setattr(bundles, "_hermitean_slots",
+                            lambda n, d: [(i, w, w) for i, _, w in slots(n, d)])
+        assert hermitean_example_check(3, 5, 1).status == "fail"
+
     @pytest.mark.parametrize("name, broken, first", [
         # varpi = I: the numerator D1 D2 varpi is D1 D2 I
         ("_quadric_varpi_numerator", lambda fx, fy: M.identity(4).scale(fx[1] * fy[1]),

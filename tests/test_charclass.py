@@ -421,3 +421,32 @@ class TestCatalogValidation:
     def test_duplicate_names(self):
         with pytest.raises(ValueError, match="duplicate catalog record 'tiny'"):
             _load(_record(), _record())
+
+
+class TestCatalogRoundTrip:
+    """``dump_catalog`` writes only records that ``load_catalog`` reads back."""
+
+    def test_comma_in_an_h1_name_is_refused_by_the_ring(self):
+        # the cup key of (a,b) and c would be written "a,b,c", which names no two classes
+        with pytest.raises(ValueError, match="','"):
+            CohoRing(("a,b", "c"), ("z",), ((1,), (0,)), {(0, 1): (1,)})
+
+    def test_comma_in_an_h1_name_is_refused_before_the_cup(self):
+        record = _record(h1=["a,b", "c"], sq={"a,b": [1], "c": [0]}, cup={"a,b,c": [1]})
+        with pytest.raises(ValueError, match=r"'tiny'.*'h1'.*','"):
+            _load(record)
+
+    @given(_ring_and_liftable(), st.data())
+    def test_dump_then_load_keeps_the_record(self, case, data):
+        ring, liftable = case
+        b1, b2 = len(ring.basis1), len(ring.basis2)
+
+        def bundle(name, rank):
+            return BundleData(name, rank, CohoClass(1, data.draw(_bits(b1))),
+                              CohoClass(2, data.draw(_bits(b2))))
+        dim = data.draw(st.integers(1, 8))
+        # every square among the generators, so that the record is valid
+        m = ManifoldData("r", dim, ring, bundle("T", dim), liftable + ring.sq, (bundle("E", 2),))
+        (loaded,) = load_catalog(dump_catalog([m]))
+        assert structure_summary(loaded) == structure_summary(m)
+        assert loaded == m

@@ -467,6 +467,25 @@ class TestSurjectivityWitnesses:
         if s.m % 2:
             assert "central-inversion-witness" in names
 
+    def test_identity_witness_fails_on_a_wrong_identity_adjoint(self, monkeypatch):
+        ss = spin_space(sig(4, 0))
+        adjoint, minus = groups.adjoint_matrix, OrthMatrix(ss.sig, -M.identity(4))
+        monkeypatch.setattr(groups, "adjoint_matrix",
+                            lambda ss, a: minus if a.is_identity() else adjoint(ss, a))
+        results = ad_surjectivity_witnesses(ss)
+        assert [r.check_name for r in results if r.status == "fail"] == ["identity-witness"]
+
+    def test_reflection_witness_fails_on_a_wrong_gamma_adjoint(self, monkeypatch):
+        # Ad(gamma(e4)) read as the identity: no reflection, and the product of the five
+        # adjoints is then r_1 r_2 r_3 r_5 = -r_4, not -I
+        ss = spin_space(sig(5, 0))
+        adjoints = list(groups._adjoints(ss, "gamma"))
+        adjoints[3] = OrthMatrix(ss.sig, M.identity(5))
+        monkeypatch.setitem(ss._cache, "gamma-adjoints", tuple(adjoints))
+        results = ad_surjectivity_witnesses(ss)
+        assert [r.check_name for r in results if r.status == "fail"] == [
+            "reflection-e4-witness", "central-inversion-witness"]
+
 
 
 class TestVerifySpinorGroups:
