@@ -67,6 +67,18 @@ def _echelon(generators: Tuple[F2Vector, ...]) -> Tuple[int, ...]:
     return tuple(basis)
 
 
+def _bad(name: Optional[str], key: str, problem: str) -> ValueError:
+    """`key '<key>' <problem>`, prefixed with the record name where it is known."""
+    where = "" if name is None else f"malformed catalog record {name!r}: "
+    return ValueError(f"{where}key {key!r} {problem}")
+
+
+def _check_lengths(name: Optional[str], length: int, vectors: Sequence[tuple]) -> None:
+    for key, vec in vectors:
+        if len(vec) != length:
+            raise _bad(name, key, f"has length {len(vec)}, expected {length}")
+
+
 class CohoClass(Record):
     """Degree 1 or 2 class given by F2 coordinates in the declared basis."""
 
@@ -93,21 +105,22 @@ class CohoRing(Record):
 
     def __init__(self, basis1: Tuple[str, ...], basis2: Tuple[str, ...],
                  sq: Tuple[F2Vector, ...], cup: Optional[Dict[Tuple[int, int], F2Vector]] = None):
+        for key, basis in (("h1", basis1), ("h2", basis2)):
+            if len(set(basis)) != len(basis):
+                raise _bad(None, key, "must list distinct basis names")
         if any("," in x for x in basis1):
-            raise ValueError("an H^1 basis name contains ',', which joins the classes of a cup key")
-        if len(sq) != len(basis1):
-            raise ValueError("squaring table must cover the degree-1 basis")
-        for row in sq:
-            if len(row) != len(basis2):
-                raise ValueError("squaring table row has wrong length")
+            raise _bad(None, "h1", "must not contain ',', which joins the classes of a cup key")
+        _check_lengths(None, len(basis1), [("sq", sq)])
         full_cup = dict(cup) if cup else {}
+        if not {i for pair in full_cup for i in pair} <= set(range(len(basis1))):
+            raise _bad(None, "cup", f"must index pairs of the {len(basis1)} h1 classes")
+        _check_lengths(None, len(basis2), [(f"sq.{x}", row) for x, row in zip(basis1, sq)] + [
+            (f"cup.{basis1[i]},{basis1[j]}", v) for (i, j), v in full_cup.items()])
         for (i, j), v in list(full_cup.items()):
-            sym = full_cup.setdefault((j, i), v)
-            if sym != v:
+            if full_cup.setdefault((j, i), v) != v:
                 raise ValueError("cup table is not symmetric")
         for i, row in enumerate(sq):
-            diag = full_cup.setdefault((i, i), row)
-            if diag != _vec(row):
+            if full_cup.setdefault((i, i), row) != _vec(row):
                 raise ValueError("cup(b,b) disagrees with sq(b)")
         self._assign(basis1, basis2, sq, full_cup)
 
@@ -154,9 +167,11 @@ class ManifoldData(Record):
                  liftable2: Tuple[F2Vector, ...], bundles: Tuple[BundleData, ...] = ()):
         if tangent.rank != dim:
             raise ValueError(f"{name}: tangent rank must equal the dimension")
-        for gen in liftable2:
-            if len(gen) != len(ring.basis2):
-                raise ValueError(f"{name}: liftable2 generator has wrong length")
+        b1, b2 = len(ring.basis1), len(ring.basis2)
+        named = [("tangent", tangent)] + [(f"bundles[{i}]", b) for i, b in enumerate(bundles)]
+        _check_lengths(name, b1, [(f"{key}.w1", b.w1.coords) for key, b in named])
+        _check_lengths(name, b2, [(f"{key}.w2", b.w2.coords) for key, b in named]
+                       + [(f"liftable2[{i}]", g) for i, g in enumerate(liftable2)])
         # Every square of a degree-1 class must be liftable.  Squaring is
         # F2-linear on H^1: (x+y)^2 = x^2 + xy + yx + y^2 and xy = yx with F2
         # coefficients, so (x+y)^2 = x^2 + y^2 (CohoRing.square sums sq rows).
@@ -382,18 +397,14 @@ def manifold_to_json(m: ManifoldData) -> dict:
     }
 
 
-def _bad(name: str, key: str, problem: str) -> ValueError:
-    return ValueError(f"malformed catalog record {name!r}: key {key!r} {problem}")
-
-
 _SHAPE = {"dim": int, "h1": list, "h2": list, "sq": dict, "tangent": dict,
           "cup": dict, "liftable2": list, "bundles": list}
 _REQUIRED = ("dim", "h1", "h2", "sq", "tangent")
 
 
 def manifold_from_json(data: dict) -> ManifoldData:
-    """One catalog record, read once: each field's JSON type, names, or 0/1 entries and length
-    are checked where it is converted; the record constructors hold the semantic rules."""
+    """One catalog record, read once: the reader converts JSON (types, required keys, 0/1
+    entries); the record constructors hold every rule on names, vector lengths and classes."""
     if not isinstance(data, dict):
         raise ValueError(f"malformed catalog record: expected a JSON object, got {type(data).__name__}")
     name = data.get("name")
@@ -409,13 +420,11 @@ def manifold_from_json(data: dict) -> ManifoldData:
             raise _bad(name, key, f"must be a JSON {'integer' if kind is int else kind.__name__}")
         return value
 
-    def bits(value, length: int, key: str) -> F2Vector:
+    def bits(value, key: str) -> F2Vector:
         if value is None:
             raise _bad(name, key, "is missing")
         if not isinstance(value, list) or any(type(b) is not int or b not in (0, 1) for b in value):
             raise _bad(name, key, "must be a list of 0/1 entries")
-        if len(value) != length:
-            raise _bad(name, key, f"has length {len(value)}, expected {length}")
         return tuple(value)
 
     dim = field("dim")
@@ -423,24 +432,21 @@ def manifold_from_json(data: dict) -> ManifoldData:
         raise _bad(name, "dim", "must be positive")
     basis1, basis2 = tuple(field("h1")), tuple(field("h2"))
     for key, basis in (("h1", basis1), ("h2", basis2)):
-        if not all(isinstance(x, str) for x in basis) or len(set(basis)) != len(basis):
+        if not all(isinstance(x, str) for x in basis):
             raise _bad(name, key, "must list distinct basis names")
-    if any("," in x for x in basis1):
-        raise _bad(name, "h1", "must not contain ',', which joins the classes of a cup key")
-    b1, b2 = len(basis1), len(basis2)
     rows = field("sq")
     if set(rows) != set(basis1):
         raise _bad(name, "sq", "must have exactly one row per h1 class")
-    sq = tuple(bits(rows[x], b2, f"sq.{x}") for x in basis1)
+    sq = tuple(bits(rows[x], f"sq.{x}") for x in basis1)
+    pairs = {f"{x},{y}": (i, j) for i, x in enumerate(basis1) for j, y in enumerate(basis1)}
     cup = {}
     for pair, row in field("cup").items():
-        parts = pair.split(",")
-        if len(parts) != 2 or not all(x in basis1 for x in parts):
+        if pair not in pairs:
             raise _bad(name, f"cup.{pair}", "must name two h1 classes")
-        cup[basis1.index(parts[0]), basis1.index(parts[1])] = bits(row, b2, f"cup.{pair}")
+        cup[pairs[pair]] = bits(row, f"cup.{pair}")
     sw = field("tangent")
-    w1, w2 = bits(sw.get("w1"), b1, "tangent.w1"), bits(sw.get("w2"), b2, "tangent.w2")
-    liftable = tuple(bits(g, b2, f"liftable2[{i}]") for i, g in enumerate(field("liftable2")))
+    w1, w2 = bits(sw.get("w1"), "tangent.w1"), bits(sw.get("w2"), "tangent.w2")
+    liftable = tuple(bits(g, f"liftable2[{i}]") for i, g in enumerate(field("liftable2")))
     declared = []
     for i, bundle in enumerate(field("bundles")):
         key = f"bundles[{i}]"
@@ -451,7 +457,7 @@ def manifold_from_json(data: dict) -> ManifoldData:
         rank = bundle.get("rank")
         if type(rank) is not int or rank < 1:
             raise _bad(name, f"{key}.rank", "must be a positive integer")
-        bw1, bw2 = bits(bundle.get("w1"), b1, f"{key}.w1"), bits(bundle.get("w2"), b2, f"{key}.w2")
+        bw1, bw2 = bits(bundle.get("w1"), f"{key}.w1"), bits(bundle.get("w2"), f"{key}.w2")
         oriented = bundle.get("oriented", False)
         if type(oriented) is not bool:
             raise _bad(name, f"{key}.oriented", "must be true or false")

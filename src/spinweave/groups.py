@@ -413,8 +413,7 @@ def plain_ad_kernel(group: FrameGroup) -> List[ExactMatrix]:
     """
     ss = group.ss
     m = ss.sig.m
-    ident = ExactMatrix.identity(ss.dim)
-    central = [ident, -ident] + ([ss.eta, -ss.eta] if m % 2 else [])
+    central = list(_central_candidates(ss).values())
     members = {group.index_of(g) for g in central}
     ok = all(g is not None and g.mat == -_reflection(m, i)
              for i, g in enumerate(_adjoints(ss, "frame")))
@@ -422,6 +421,13 @@ def plain_ad_kernel(group: FrameGroup) -> List[ExactMatrix]:
         if all(in_kernel_k(ss, g) for g in central):
             return [group.elements[i] for i in sorted(members)]
     return []
+
+
+def _central_candidates(ss: SpinSpace) -> dict:
+    """+-I, and for odd m +-eta, by name: the elements the plain-Ad kernel certificate checks."""
+    ident = ExactMatrix.identity(ss.dim)
+    odd = {"eta": ss.eta, "-eta": -ss.eta} if ss.sig.m % 2 else {}
+    return {"I": ident, "-I": -ident, **odd}
 
 
 def ad_surjectivity_witnesses(ss: SpinSpace) -> List[Report]:
@@ -470,7 +476,8 @@ def verify_spinor_groups(group: FrameGroup, seed: int, kappa_pairs: int = 20) ->
     scalar pair that is invertible and commutes with V is Lipschitz.  So one certificate per run --
     each frame vector and Gamma Lipschitz, and eta in K(h) -- makes every sample Lipschitz, and
     kappa is read off its conjugation alone.  A failed certificate, or a ValueError while sampling
-    or reading kappa, fails the check.
+    or reading kappa, fails the check.  A failing kernel check names the central elements it found;
+    a failing kappa check, its certificate or its first failing pair and any error text.
     """
     ss = group.ss
     sig = ss.sig
@@ -478,25 +485,31 @@ def verify_spinor_groups(group: FrameGroup, seed: int, kappa_pairs: int = 20) ->
     reports.extend(verify_extension_diagram(group))
     reports.extend(ad_surjectivity_witnesses(ss))
     if sig.m % 2:
-        reports.append(report("plain-ad-kernel-size-4", sig, len(plain_ad_kernel(group)) == 4))
-        rng = random.Random(seed)
-        try:
-            ok = _sampled_kinds_are_lipschitz(ss) and all(
-                _kappa_is_multiplicative(ss, sample_lipschitz(group, rng),
-                                         sample_lipschitz(group, rng))
-                for _ in range(kappa_pairs)
-            )
-        except ValueError:
-            ok = False
-        reports.append(report("kappa-homomorphism-sampled", sig, ok))
+        ok = len(plain_ad_kernel(group)) == 4
+        found = [] if ok else [name for name, g in _central_candidates(ss).items()
+                               if g in group and in_kernel_k(ss, g)]
+        reports.append(report("plain-ad-kernel-size-4", sig, ok, counterexample=None if ok else
+                              "central elements found: " + (", ".join(found) or "-")))
+        bad = _kappa_counterexample(group, random.Random(seed), kappa_pairs)
+        reports.append(report("kappa-homomorphism-sampled", sig, bad is None, counterexample=bad))
     return reports
 
 
-def _kappa_is_multiplicative(ss: SpinSpace, a: ExactMatrix, b: ExactMatrix) -> bool:
-    """kappa(ab) == kappa(a) kappa(b) for certified Lipschitz a and b, with
-    (ab)^-1 = b^-1 a^-1."""
-    inv_a, inv_b = a.inverse(), b.inverse()
-    return _kappa(ss, a * b, inv_b * inv_a) == _kappa(ss, a, inv_a) * _kappa(ss, b, inv_b)
+def _kappa_counterexample(group: FrameGroup, rng: random.Random, pairs: int) -> Optional[str]:
+    """None if kappa(ab) == kappa(a) kappa(b) on ``pairs`` sampled pairs of certified Lipschitz
+    elements, with (ab)^-1 = b^-1 a^-1; else the failed certificate or the first failing pair."""
+    ss = group.ss
+    if not _sampled_kinds_are_lipschitz(ss):
+        return "sampled factor kinds not certified Lipschitz"
+    for i in range(pairs):
+        try:
+            a, b = sample_lipschitz(group, rng), sample_lipschitz(group, rng)
+            inv_a, inv_b = a.inverse(), b.inverse()
+            if _kappa(ss, a * b, inv_b * inv_a) != _kappa(ss, a, inv_a) * _kappa(ss, b, inv_b):
+                return f"pair {i}"
+        except ValueError as exc:
+            return f"pair {i}: {exc}"
+    return None
 
 
 # -- seeded sampling of Lipschitz elements ------------------------------------

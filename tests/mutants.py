@@ -408,17 +408,27 @@ MUTANTS = (
         ("tests/test_charclass.py::TestWuManifold::test_orientable_without_any_other_structure",),
     ),
     Mutant(
-        # a catalog vector of any length accepted: only a record constructor that compares
-        # lengths (the squaring rows, liftable2) still rejects it, without naming the key
-        "catalog-reader-skips-length-check",
+        # a record vector of any length accepted by the one length check of the record
+        # constructors.  TestCatalogValidation::test_sq_length cannot kill it: its too-long
+        # sq row is then refused as not liftable, under the same key 'sq.x'
+        "constructors-skip-length-check",
         "charclass.py",
-        "        if len(value) != length:\n"
-        "            raise _bad(name, key, f\"has length {len(value)}, expected {length}\")\n",
-        "",
+        "        if len(vec) != length:\n",
+        "        if False:\n",
         ("tests/test_charclass.py::TestCatalogValidation::test_tangent_w1_length",
          "tests/test_charclass.py::TestCatalogValidation::test_bundle_vector_length",
-         "tests/test_charclass.py::TestCatalogValidation::test_sq_length",
+         "tests/test_charclass.py::TestCatalogValidation::test_cup_length",
          "tests/test_catalog_oracle.py::test_single_faults_raise_the_same_error[tiny]"),
+    ),
+    Mutant(
+        # a ring with two basis classes of one name: dump_catalog writes one sq row for both
+        "ring-accepts-duplicate-names",
+        "charclass.py",
+        "            if len(set(basis)) != len(basis):\n",
+        "            if False:\n",
+        ("tests/test_charclass.py::TestCatalogRoundTrip::test_every_record_built_reads_back",
+         "tests/test_charclass.py::TestCatalogRoundTrip::"
+         "test_malformed_record_is_refused_at_construction[duplicate-h1]"),
     ),
     Mutant(
         # the orbit basis read when only the source frame has (permutation, phase) forms

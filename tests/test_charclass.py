@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from spinweave.charclass import (
     BundleData,
@@ -201,6 +201,61 @@ class TestCodim2Demo:
         assert not check_pin_c(m)
         ok, witness = check_lpin(m)
         assert ok and witness == "normal"
+
+
+def _cup(ring, x, y):
+    """The cup product of two degree-1 classes, bilinear in the ring's cup table."""
+    acc = ring.zero2()
+    for i, a in enumerate(x.coords):
+        for j, b in enumerate(y.coords):
+            if a and b:
+                acc = acc + CohoClass(2, ring.cup.get((i, j), ring.zero2().coords))
+    return acc
+
+
+def _times(ring, u, v):
+    """(1 + u1 + u2)(1 + v1 + v2) in degrees <= 2, a total class written as its pair (u1, u2)."""
+    return u[0] + v[0], u[1] + v[1] + _cup(ring, u[0], v[0])
+
+
+def _inverse(ring, u):
+    """(1 + u1 + u2)^-1 = 1 + u1 + (u1^2 + u2) in degrees <= 2: every sign is 1 over F2."""
+    return u[0], ring.square(u[0]) + u[1]
+
+
+class TestTypedClassesMatchFormulas:
+    """The rows whose Stiefel-Whitney classes are typed in, against the formulas they come from."""
+
+    def test_g52_tangent_from_the_tautological_bundle(self):
+        # TG + (gamma (x) gamma) = 5 gamma and w(gamma (x) gamma) = (1 + w1)^2 = 1 + w1^2, so
+        # w(TG) = (1 + w1 + w2)^5 / (1 + w1^2): w1(TG) = w1g and w2(TG) = w1g^2 + w2g
+        g = grassmann_g52_data()
+        (gamma,) = g.bundles
+        assert gamma.name == "gamma"
+        assert gamma.w1.coords == (1,) and g.ring.basis1 == ("w1g",)
+        assert [g.ring.basis2[i] for i, bit in enumerate(gamma.w2.coords) if bit] == ["w2g"]
+        w = (gamma.w1, gamma.w2)
+        total = w
+        for _ in range(4):
+            total = _times(g.ring, total, w)
+        total = _times(g.ring, total, _inverse(g.ring, (g.ring.zero1(), g.ring.square(gamma.w1))))
+        assert (g.tangent.w1, g.tangent.w2) == total
+
+    def test_codim2_normal_bundle_by_the_whitney_relation(self):
+        m = codim2_submanifold_demo()
+        (normal,) = m.bundles
+        assert normal.w1 == m.tangent.w1
+        assert normal.w2 == m.tangent.w2 + m.ring.square(m.tangent.w1)
+
+    def test_products_keep_the_classes_of_their_factor(self):
+        catalog = {m.name: m for m in builtin_catalog()}
+        products = [name for name in catalog if name.endswith(("xR", "xS1"))]
+        assert len(products) == 4
+        for name in products:
+            prod, base = catalog[name], catalog[name.rsplit("x", 1)[0]]
+            assert prod.dim == base.dim + 1 and prod.ring == base.ring
+            assert (prod.tangent.w1, prod.tangent.w2) == (base.tangent.w1, base.tangent.w2)
+            assert prod.liftable2 == base.liftable2 and prod.bundles == base.bundles
 
 
 class TestWuManifold:
@@ -423,8 +478,79 @@ class TestCatalogValidation:
             _load(_record(), _record())
 
 
+def _args(**overrides):
+    """Record constructor inputs, by default a sound record with b1 = 2 and b2 = 1."""
+    args = {"h1": ["a", "b"], "h2": ["s"], "sq": [[1], [0]], "cup": {}, "w1": [0, 0],
+            "w2": [0], "liftable2": [[1]], "bw1": [0, 0], "bw2": [0]}
+    args.update(overrides)
+    return args
+
+
+def _build(args):
+    ring = CohoRing(tuple(args["h1"]), tuple(args["h2"]), tuple(map(tuple, args["sq"])),
+                    {pair: tuple(v) for pair, v in args["cup"].items()})
+    tangent = BundleData("T", 3, CohoClass(1, args["w1"]), CohoClass(2, args["w2"]))
+    bundle = BundleData("E", 2, CohoClass(1, args["bw1"]), CohoClass(2, args["bw2"]))
+    return ManifoldData("r", 3, ring, tangent, tuple(map(tuple, args["liftable2"])), (bundle,))
+
+
+@st.composite
+def _record_args(draw):
+    """Constructor inputs of a small record with at most one fault of shape: a duplicate H^1 or
+    H^2 name, a ',' in an H^1 name, a cup index outside H^1, or a vector one entry long or short."""
+    b1, b2 = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+
+    def bits(n):
+        return list(draw(_bits(n)))
+    sq = [bits(b2) for _ in range(b1)]
+    args = _args(h1=[f"x{i}" for i in range(b1)], h2=[f"y{j}" for j in range(b2)], sq=sq,
+                 cup={(i, j): bits(b2) for i in range(b1) for j in range(i + 1, b1)
+                      if draw(st.booleans())},
+                 w1=bits(b1), w2=bits(b2), bw1=bits(b1), bw2=bits(b2),
+                 # every square among the generators, so that only a drawn fault can refuse it
+                 liftable2=[list(row) for row in sq]
+                 + [bits(b2) for _ in range(draw(st.integers(0, 2)))])
+    fault = draw(st.sampled_from(("none", "h1", "h2", ",", "cup index", "long", "short")))
+    if fault in ("h1", "h2") and len(args[fault]) >= 2:
+        args[fault][1] = args[fault][0]
+    elif fault == "," and b1:
+        args["h1"][0] += ",z"
+    elif fault == "cup index":
+        args["cup"][draw(st.sampled_from([(0, b1), (b1, 0), (-1, 0)]))] = bits(b2)
+    elif fault in ("long", "short"):
+        vectors = [args[k] for k in ("w1", "w2", "bw1", "bw2")] + args["sq"] + args["liftable2"]
+        vec = draw(st.sampled_from(vectors + list(args["cup"].values())))
+        if fault == "short" and vec:
+            vec.pop()
+        else:
+            vec.append(draw(st.integers(0, 1)))
+    return args
+
+
+# a ring with two classes of one name; a tangent w1 longer, and one shorter, than H^1
+REPROS = [pytest.param(_args(h1=["a", "a"]), "'h1'", id="duplicate-h1"),
+          pytest.param(_args(w1=[1, 0, 0]), "'tangent.w1'", id="long-w1"),
+          pytest.param(_args(w1=[1]), "'tangent.w1'", id="short-w1")]
+
+
 class TestCatalogRoundTrip:
     """``dump_catalog`` writes only records that ``load_catalog`` reads back."""
+
+    @pytest.mark.parametrize("args, key", REPROS)
+    def test_malformed_record_is_refused_at_construction(self, args, key):
+        with pytest.raises(ValueError, match=key):
+            _build(args)
+
+    @given(_record_args())
+    @example(_args(h1=["a", "a"]))
+    @example(_args(w1=[1, 0, 0]))
+    @example(_args(w1=[1]))
+    def test_every_record_built_reads_back(self, args):
+        try:
+            m = _build(args)
+        except ValueError:
+            return
+        assert load_catalog(dump_catalog([m])) == [m]
 
     def test_comma_in_an_h1_name_is_refused_by_the_ring(self):
         # the cup key of (a,b) and c would be written "a,b,c", which names no two classes

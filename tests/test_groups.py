@@ -546,6 +546,10 @@ class TestVerifySpinorGroups:
         reports = verify_spinor_groups(generate_frame_group(broken), seed=1)
         assert [r.check_name for r in reports if not r.ok] == [
             "plain-ad-kernel-size-4", "kappa-homomorphism-sampled"]
+        kernel, kappa = (r.counterexample for r in reports if not r.ok)
+        assert kernel is not None and kappa is not None
+        assert kernel == "central elements found: I, -I"
+        assert kappa == "sampled factor kinds not certified Lipschitz"
 
     def test_coinciding_blades_fail_the_group_order(self):
         # the 1 x 1 frame ([[1]],) keeps v^2 = I, but v = I = v_empty, so the group is {+-I}
@@ -563,6 +567,18 @@ class TestVerifySpinorGroups:
         monkeypatch.setattr(groups, "_SCALAR_GRID", (sc(0),))
         reports = verify_spinor_groups(generate_frame_group(spin_space(sig(3, 0))), seed=1)
         assert [r.check_name for r in reports if not r.ok] == ["kappa-homomorphism-sampled"]
+        counterexample = reports[-1].counterexample
+        assert counterexample is not None
+        assert counterexample.startswith("pair 0: ") and len(counterexample) > len("pair 0: ")
+
+    def test_first_failing_kappa_pair_is_named(self, monkeypatch):
+        # kappa read as integers, called for ab, a, b in turn: multiplicative on pairs 0 and 1,
+        # not on pair 2
+        values = iter([6, 2, 3, 6, 2, 3, 5, 2, 3])
+        monkeypatch.setattr(groups, "_kappa", lambda ss, a, inv: next(values))
+        reports = verify_spinor_groups(generate_frame_group(spin_space(sig(3, 0))), seed=1)
+        assert [(r.check_name, r.counterexample) for r in reports if not r.ok] == [
+            ("kappa-homomorphism-sampled", "pair 2")]
 
     def test_odd_m_builds_each_frame_adjoint_once(self):
         # verify --sig 5,0: 5 twisted adjoints, 5 Ad(Gamma v_i), the identity
