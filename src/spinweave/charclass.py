@@ -118,10 +118,11 @@ class CohoRing(Record):
             (f"cup.{basis1[i]},{basis1[j]}", v) for (i, j), v in full_cup.items()])
         for (i, j), v in list(full_cup.items()):
             if full_cup.setdefault((j, i), v) != v:
-                raise ValueError("cup table is not symmetric")
-        for i, row in enumerate(sq):
+                x, y = basis1[i], basis1[j]
+                raise _bad(None, f"cup.{y},{x}", f"disagrees with 'cup.{x},{y}'")
+        for i, (x, row) in enumerate(zip(basis1, sq)):
             if full_cup.setdefault((i, i), row) != _vec(row):
-                raise ValueError("cup(b,b) disagrees with sq(b)")
+                raise _bad(None, f"cup.{x},{x}", f"disagrees with 'sq.{x}'")
         self._assign(basis1, basis2, sq, full_cup)
 
     def zero1(self) -> CohoClass:
@@ -433,7 +434,7 @@ def manifold_from_json(data: dict) -> ManifoldData:
     basis1, basis2 = tuple(field("h1")), tuple(field("h2"))
     for key, basis in (("h1", basis1), ("h2", basis2)):
         if not all(isinstance(x, str) for x in basis):
-            raise _bad(name, key, "must list distinct basis names")
+            raise _bad(name, key, "must list basis names as strings")
     rows = field("sq")
     if set(rows) != set(basis1):
         raise _bad(name, "sq", "must have exactly one row per h1 class")

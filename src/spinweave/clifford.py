@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .reports import Record
-from .scalars import ExactScalar, I, ONE, ZERO, _sum_products, sc
+from .scalars import ExactScalar, I, ONE, ZERO, _signed_sum, _sum_products, sc
 
 
 class Signature(Record):
@@ -201,26 +201,8 @@ class CliffordElement:
         return hash((self.sig, frozenset(self.terms.items())))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for mask, coeff in self.blades():
-            name = "".join(f"e{i + 1}" for i in range(self.sig.m) if mask >> i & 1) or "1"
-            cs = str(coeff)
-            if name == "1":
-                parts.append(cs)
-            elif cs == "1":
-                parts.append(name)
-            elif cs == "-1":
-                parts.append("-" + name)
-            elif any(op in cs[1:] for op in "+-"):
-                parts.append(f"({cs})*{name}")
-            else:
-                parts.append(f"{cs}*{name}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return _signed_sum((str(c), "".join(f"e{i + 1}" for i in range(self.sig.m) if mask >> i & 1))
+                           for mask, c in self.blades())
 
     __repr__ = __str__
 

@@ -57,20 +57,10 @@ class ExactMatrix:
     rows = _View(_dense_rows)
 
     def __init__(self, rows: Sequence[Sequence]):
-        n = len(rows)
-        data = []
-        for row in rows:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-            entries = []
-            for c, x in enumerate(row):
-                if type(x) is not ExactScalar:
-                    x = sc(x)
-                if not x.is_zero():
-                    entries.append((c, x))
-            data.append(tuple(entries))
-        self.n = n
-        self.sparse_rows = tuple(data)
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError("matrix must be square")
+        self.n = len(rows)
+        self.sparse_rows = ExactMatrix.from_sparse_rows([enumerate(row) for row in rows]).sparse_rows
         self._dense = self._hash = None
 
     # -- constructors ------------------------------------------------------

@@ -90,9 +90,10 @@ def _frame_volume(frame: Sequence[ExactMatrix]) -> Tuple[ExactMatrix, ExactScala
     raise ValueError("frame volume does not square to +-1")
 
 
-def _swap_block(n: int) -> ExactMatrix:
-    z, i = ExactMatrix.zeros(n), ExactMatrix.identity(n)
-    return ExactMatrix.block2(z, i, i, z)
+def _cartan_blocks(sigma: Sequence[ExactMatrix]) -> Tuple[ExactMatrix, ...]:
+    """diag(s, -s) for each Pauli image s."""
+    z = ExactMatrix.zeros(sigma[0].n)
+    return tuple(ExactMatrix.block2(s, z, z, -s) for s in sigma)
 
 
 @lru_cache(maxsize=None)
@@ -112,11 +113,8 @@ def _dirac_positive(m: int) -> Tuple[ExactMatrix, ...]:
     """Dirac images for Cl(m,0), m even: swap block first, then Cartan blocks."""
     assert m % 2 == 0 and m >= 2
     sigma = _pauli_positive(m - 1)
-    n = sigma[0].n
-    z = ExactMatrix.zeros(n)
-    first = _swap_block(n)
-    rest = tuple(ExactMatrix.block2(s, z, z, -s) for s in sigma)
-    return (first,) + rest
+    z, i = ExactMatrix.zeros(sigma[0].n), ExactMatrix.identity(sigma[0].n)
+    return (ExactMatrix.block2(z, i, i, z),) + _cartan_blocks(sigma)
 
 
 def _fix_pauli_normalisation(images: Tuple[ExactMatrix, ...]) -> Tuple[ExactMatrix, ...]:
@@ -156,9 +154,7 @@ def build_rep(sig: Signature, kind: str) -> Representation:
         return Representation(sig, kind, images, images[0].n)
 
     if kind == CARTAN:
-        sigma = build_rep(sig, PAULI).images
-        z = ExactMatrix.zeros(sigma[0].n)
-        images = tuple(ExactMatrix.block2(s, z, z, -s) for s in sigma)
+        images = _cartan_blocks(build_rep(sig, PAULI).images)
         return Representation(sig, kind, images, images[0].n)
 
     if kind == DIRAC:
@@ -476,10 +472,7 @@ def spin_space(sig: Signature) -> SpinSpace:
 
 def _spin_space_from(rep: Representation) -> SpinSpace:
     eta, iota = _frame_volume(rep.images)
-    gamma = choose_gamma(rep.images)
-    ss = SpinSpace(rep.sig, rep, rep.images, eta, iota, gamma)
-    assert (gamma * gamma).scalar_value() == MINUS_ONE
-    return ss
+    return SpinSpace(rep.sig, rep, rep.images, eta, iota, choose_gamma(rep.images))
 
 
 def conjugate_spin_space(ss: SpinSpace, a: ExactMatrix) -> SpinSpace:
@@ -490,33 +483,43 @@ def conjugate_spin_space(ss: SpinSpace, a: ExactMatrix) -> SpinSpace:
 
 
 def alpha_is_gamma_conjugation(ss: SpinSpace) -> bool:
-    """include(alpha(x)) == gamma^-1 include(x) gamma for every Clifford element x.
+    """include(alpha(x)) == gamma^-1 include(x) gamma for every Clifford element x."""
+    return _alpha_counterexample(ss) is None
+
+
+def _alpha_counterexample(ss: SpinSpace) -> Optional[str]:
+    """The first x of 1, e1..em with include(alpha(x)) != gamma^-1 include(x) gamma, or None.
 
     Both sides are unital algebra morphisms of the Clifford algebra: alpha
     and include are, and conjugation by gamma is an automorphism.  The unit
     and e_1..e_m generate the algebra, and two morphisms that agree on
     generators agree everywhere, so checking those m + 1 elements is complete.
     """
-    return all(
-        ss.include(x.alpha()) == ss.gamma_inv * ss.include(x) * ss.gamma
-        for x in [CliffordElement.scalar(ss.sig, 1)]
-        + [CliffordElement.generator(ss.sig, i) for i in range(ss.sig.m)]
-    )
+    for x in ([CliffordElement.scalar(ss.sig, 1)]
+              + [CliffordElement.generator(ss.sig, i) for i in range(ss.sig.m)]):
+        if ss.include(x.alpha()) != ss.gamma_inv * ss.include(x) * ss.gamma:
+            return f"fails at {x}"
+    return None
 
 
 def verify_spin_space(ss: SpinSpace) -> List[Report]:
     """The spin-space checks of ``verify``, in the order it prints them: dim K(h) and dim A(h) are
     2 for odd m and 1 for even m, as the length of the projection basis and as the character count,
-    eta^2 = iota^2, gamma^2 = -I, and alpha is conjugation by gamma."""
+    eta^2 = iota^2, gamma^2 = -I, and alpha is conjugation by gamma.  A failing check names what it
+    found: the basis length and count, the square, or the first of 1, e1..em that alpha moves."""
     expected = 2 if ss.sig.m % 2 else 1
-    spaces = [_intertwiner_space(ss.frame, ss.frame, flip) for flip in (False, True)]
-    return [
-        *(report(f"{name}-dimension", ss.sig, len(basis) == count == expected)
-          for name, (basis, count) in zip(("commutant", "anticommutant"), spaces)),
-        report("volume-square", ss.sig, (ss.eta * ss.eta).scalar_value() == ss.iota * ss.iota),
-        report("gamma-square", ss.sig, (ss.gamma * ss.gamma).scalar_value() == MINUS_ONE),
-        report("alpha-is-gamma-conjugation", ss.sig, alpha_is_gamma_conjugation(ss)),
-    ]
+    found = {}
+    for name, flip in (("commutant", False), ("anticommutant", True)):
+        basis, count = _intertwiner_space(ss.frame, ss.frame, flip)
+        found[f"{name}-dimension"] = None if len(basis) == count == expected else (
+            f"basis length {len(basis)}, count {count}, expected {expected}")
+    for check, name, x, want in (("volume-square", "eta", ss.eta, ss.iota * ss.iota),
+                                 ("gamma-square", "Gamma", ss.gamma, MINUS_ONE)):
+        square = (x * x).scalar_value()
+        found[check] = None if square == want else (
+            f"{name}^2 = {'a non-scalar matrix' if square is None else square}, expected {want}")
+    found["alpha-is-gamma-conjugation"] = _alpha_counterexample(ss)
+    return [report(name, ss.sig, bad is None, counterexample=bad) for name, bad in found.items()]
 
 
 def gamma_map(ss: SpinSpace, x: CliffordElement) -> ExactMatrix:

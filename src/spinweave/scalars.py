@@ -263,24 +263,8 @@ class ExactScalar:
         return f"ExactScalar({self!s})"
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for coeff, unit in zip(self.to_json(), ("", "i", "sqrt2", "i*sqrt2")):
-            if coeff == "0":
-                continue
-            if unit == "":
-                parts.append(coeff)
-            elif coeff == "1":
-                parts.append(unit)
-            elif coeff == "-1":
-                parts.append("-" + unit)
-            else:
-                parts.append(f"{coeff}*{unit}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        units = ("", "i", "sqrt2", "i*sqrt2")
+        return _signed_sum((c, unit) for c, unit in zip(self.to_json(), units) if c != "0")
 
     # -- serialization ----------------------------------------------------
 
@@ -303,6 +287,23 @@ class ExactScalar:
             except ZeroDivisionError:
                 raise ValueError(f"scalar coordinate {k} ({s!r}) has a zero denominator") from None
         return cls(*coords)
+
+
+def _signed_sum(terms) -> str:
+    """The text of a sum of (coefficient text, unit) terms, for scalars and Clifford elements.
+    The unit "" is 1 and prints the coefficient as it is; a coefficient 1 or -1 prints as u or -u,
+    and a compound one (a sign after its first character) in brackets.  A later term that starts
+    with "-" is subtracted, and no terms print as "0"."""
+    out = ""
+    for coeff, unit in terms:
+        term = coeff
+        if unit:
+            compound = "+" in coeff[1:] or "-" in coeff[1:]
+            term = {"1": "", "-1": "-"}.get(coeff, f"({coeff})*" if compound else f"{coeff}*") + unit
+        if out:
+            term = " - " + term[1:] if term.startswith("-") else " + " + term
+        out += term
+    return out or "0"
 
 
 _new = object.__new__

@@ -431,6 +431,18 @@ class TestCatalogValidation:
         with pytest.raises(ValueError, match="'tiny'.*'h1'"):
             _load(_record(h1="x"))
 
+    def test_non_string_h1_name(self):
+        with pytest.raises(ValueError, match="'tiny': key 'h1' must list basis names as strings"):
+            _load(_record(h1=[1, 2]))
+
+    def test_asymmetric_cup_names_both_keys(self):
+        with pytest.raises(ValueError, match="'tiny': key 'cup.y,x' disagrees with 'cup.x,y'"):
+            _load(_record(cup={"x,y": [1], "y,x": [0]}))
+
+    def test_cup_square_names_its_sq_key(self):
+        with pytest.raises(ValueError, match="'tiny': key 'cup.x,x' disagrees with 'sq.x'"):
+            _load(_record(cup={"x,x": [0]}))
+
     def test_tangent_w1_length(self):
         with pytest.raises(ValueError, match="'tiny'.*'tangent.w1'.*length 3, expected 2"):
             _load(_record(tangent={"w1": [1, 0, 0], "w2": [0]}))

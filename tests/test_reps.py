@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spinweave import groups
+from spinweave import groups, reps
 from spinweave.clifford import CliffordElement, Signature, volume
 from spinweave.groups import (
     KappaImage,
@@ -347,7 +347,9 @@ class TestAlphaIsGammaConjugation:
         # conjugates like alpha on every blade of e1..e6 and not on e7
         ss = spin_space(self.SIG)
         e1_to_e6 = ss.include(CE.blade(self.SIG, 0b0111111))
-        assert not alpha_is_gamma_conjugation(self._with_gamma(e1_to_e6))
+        wrong = self._with_gamma(e1_to_e6)
+        assert not alpha_is_gamma_conjugation(wrong)
+        assert verify_spin_space(wrong)[-1].counterexample == "fails at e7"
 
 
 class TestVerifySpinSpace:
@@ -361,11 +363,24 @@ class TestVerifySpinSpace:
             (name, str(s), True) for name in self.NAMES
         ]
 
+    def _failed(self, ss):
+        return {r.check_name: r.counterexample for r in verify_spin_space(ss) if r.status == "fail"}
+
     def test_identity_gamma_fails_its_two_checks(self):
         ss = spin_space(sig(3, 0))
         flat = SpinSpace(ss.sig, ss.rep, ss.frame, ss.eta, ss.iota, M.identity(ss.dim))
-        failed = [r.check_name for r in verify_spin_space(flat) if not r.ok]
-        assert failed == ["gamma-square", "alpha-is-gamma-conjugation"]
+        assert self._failed(flat) == {"gamma-square": "Gamma^2 = 1, expected -1",
+                                      "alpha-is-gamma-conjugation": "fails at e1"}
+
+    def test_gamma_square_fails_through_spin_space(self, monkeypatch):
+        # spin_space itself lets a Gamma with Gamma^2 != -I through: the report decides
+        monkeypatch.setattr(reps, "choose_gamma", lambda frame: M.identity(frame[0].n))
+        spin_space.cache_clear()
+        try:
+            failed = self._failed(spin_space(sig(3, 0)))
+        finally:
+            spin_space.cache_clear()
+        assert failed["gamma-square"] == "Gamma^2 = 1, expected -1"
 
     def test_doubled_frame_fails_both_dimensions(self):
         # v -> diag(v, v) keeps the Clifford relations, but M_2 commutes with the doubled frame:
@@ -374,16 +389,16 @@ class TestVerifySpinSpace:
         z = M.zeros(ss.dim)
         frame = tuple(M.block2(v, z, z, v) for v in ss.frame)
         doubled = _spin_space_from(Representation(ss.sig, ss.rep.kind, frame, 2 * ss.dim))
-        failed = [r.check_name for r in verify_spin_space(doubled) if r.status == "fail"]
-        assert failed == ["commutant-dimension", "anticommutant-dimension"]
+        found = "basis length 4, count 4, expected 1"
+        assert self._failed(doubled) == {"commutant-dimension": found,
+                                         "anticommutant-dimension": found}
 
     def test_swapped_iota_fails_the_volume_square(self):
         # eta^2 = -I on Cl(2,0), so iota = i; iota = 1 gives iota^2 = 1
         ss = spin_space(sig(2, 0))
         assert ss.iota == I
         swapped = SpinSpace(ss.sig, ss.rep, ss.frame, ss.eta, ONE, ss.gamma)
-        failed = [r.check_name for r in verify_spin_space(swapped) if r.status == "fail"]
-        assert failed == ["volume-square"]
+        assert self._failed(swapped) == {"volume-square": "eta^2 = -1, expected 1"}
 
 
 class TestGammaMap:
