@@ -91,9 +91,6 @@ class TangentPair(Record):
     def antipode(self) -> "TangentPair":
         return TangentPair(self.point.antipode(), tuple(-c for c in self.y))
 
-    def norm_squared(self) -> Fraction:
-        return sum(c * c for c in self.y)
-
 
 def _form(pair: TangentPair) -> Form:
     return (*_integers(pair.point.coords), *_integers(pair.y))
@@ -129,13 +126,6 @@ def stereographic(params: Sequence[Fraction]) -> RationalSpherePoint:
 
 def _random_ratio(rng: random.Random) -> Tuple[int, int]:
     return rng.randint(-9, 9), rng.randint(1, 9)
-
-
-def sample_sphere_points(m: int, count: int, seed: int) -> List[RationalSpherePoint]:
-    if m < 1:
-        raise ValueError("sphere dimension must be positive")
-    rng = random.Random(seed)
-    return [_point(*_projection([_random_ratio(rng) for _ in range(m)])) for _ in range(count)]
 
 
 def _tangent_forms(m: int, count: int, seed: int) -> List[Form]:
@@ -359,12 +349,6 @@ def hermitean_tau(n: Sequence, omega: ExteriorElement) -> ExteriorElement:
     return _act(omega.m, _hermitean_slots(n, omega.m), omega).scale(SQRT2)
 
 
-def hermitean_operator(n: Sequence) -> ExactMatrix:
-    """hermitean_tau(n, .) as a matrix on the 2^d basis forms, d = len(n):
-    row A holds tau(n) omega_A."""
-    return _operator(len(n), _hermitean_slots(n, len(n))).scale(SQRT2)
-
-
 def hermitean_h_value(n: Sequence) -> ExactScalar:
     """Quadratic form of the real vector n + conj(n): 2 * |n|^2."""
     acc = ZERO
@@ -459,12 +443,6 @@ def quadric_tau(p: QuadricPoint) -> ExactMatrix:
     """Clifford action on S1 (x) S2 for the product metric, N_tau / (D2 L)."""
     fx, fy = _form(p.x), _form(p.y)
     return _quadric_tau_numerator(fx, fy).scale(ONE / (fy[1] * lcm(fx[3], fy[3])))
-
-
-def quadric_varpi(p: QuadricPoint) -> ExactMatrix:
-    """Involution splitting the quadric module, N_varpi / (D1 D2)."""
-    fx, fy = _form(p.x), _form(p.y)
-    return _quadric_varpi_numerator(fx, fy).scale(ONE / (fx[1] * fy[1]))
 
 
 def _quadric_forms(count: int, seed: int) -> List[Tuple[Form, Form]]:

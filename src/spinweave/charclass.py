@@ -151,8 +151,6 @@ class BundleData(Record):
                  oriented: bool = False):
         if rank < 1:
             raise ValueError("bundle rank must be positive")
-        if oriented and not w1.is_zero():
-            raise ValueError(f"oriented bundle {name} must have w1 = 0")
         self._assign(name, rank, w1, w2, oriented)
 
 
@@ -173,6 +171,9 @@ class ManifoldData(Record):
         _check_lengths(name, b1, [(f"{key}.w1", b.w1.coords) for key, b in named])
         _check_lengths(name, b2, [(f"{key}.w2", b.w2.coords) for key, b in named]
                        + [(f"liftable2[{i}]", g) for i, g in enumerate(liftable2)])
+        for key, b in named:
+            if b.oriented and not b.w1.is_zero():
+                raise _bad(name, f"{key}.w1", f"must be 0 on the oriented bundle {b.name!r}")
         # Every square of a degree-1 class must be liftable.  Squaring is
         # F2-linear on H^1: (x+y)^2 = x^2 + xy + yx + y^2 and xy = yx with F2
         # coefficients, so (x+y)^2 = x^2 + y^2 (CohoRing.square sums sq rows).

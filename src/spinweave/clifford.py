@@ -170,14 +170,6 @@ class CliffordElement:
             {m: (-c if m.bit_count() & 1 else c) for m, c in self.terms.items()},
         )
 
-    def even_odd_split(self) -> Tuple["CliffordElement", "CliffordElement"]:
-        even = {m: c for m, c in self.terms.items() if not m.bit_count() & 1}
-        odd = {m: c for m, c in self.terms.items() if m.bit_count() & 1}
-        return CliffordElement(self.sig, even), CliffordElement(self.sig, odd)
-
-    def is_even(self) -> bool:
-        return all(not m.bit_count() & 1 for m in self.terms)
-
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -10,7 +10,7 @@ elements, and the odd elements available for odd m.
 from __future__ import annotations
 
 import random
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import takewhile
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
@@ -25,41 +25,24 @@ from .scalars import ExactScalar, MINUS_ONE, ONE, ZERO, _sum_products, sc
 class FrameGroup:
     """Subgroup of Pin that {+-frame} of the spin space ``ss`` generates: its signed blades +-v_A.
 
-    The Cayley table is materialised on first use; element order is canonical (sorted by
-    ``ExactMatrix.key``).  Lookups hash the sparse rows, not the key.
+    Element order is canonical (sorted by ``ExactMatrix.key``).  Lookups hash the sparse rows, not
+    the key.
     """
 
     def __init__(self, ss: SpinSpace, elements: Tuple[ExactMatrix, ...]):
         self.ss = ss
         self.elements = elements
         self._index = {g: i for i, g in enumerate(elements)}
-        self._cayley: Optional[Tuple[Tuple[int, ...], ...]] = None
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    @property
-    def cayley(self) -> Tuple[Tuple[int, ...], ...]:
-        if self._cayley is None:
-            self._cayley = tuple(
-                tuple(self._index[a * b] for b in self.elements)
-                for a in self.elements
-            )
-        return self._cayley
 
     def index_of(self, mat: ExactMatrix) -> Optional[int]:
         return self._index.get(mat)
 
     def __contains__(self, mat: ExactMatrix) -> bool:
         return mat in self._index
-
-    @cached_property
-    def identity_index(self) -> int:
-        return self._index[ExactMatrix.identity(self.elements[0].n)]
-
-    def inverse_index(self, i: int) -> int:
-        return self._index[self.elements[i].inverse()]
 
 
 def generate_frame_group(ss: SpinSpace) -> FrameGroup:
@@ -378,7 +361,8 @@ def verify_extension_diagram(group: FrameGroup) -> List[Report]:
     (c) Ad(gamma(u)) equals the twisted adjoint of u on frame vectors.
 
     Each check is an exact matrix equality on the m twisted adjoints.  The first frame vector
-    that fails (a) is its counterexample; (b) names the adjoints before it.
+    that fails (a) is its counterexample; (b) names the adjoints before it; (c) names the first
+    e_i whose two adjoints differ or where either is missing.
     """
     ss = group.ss
     m = ss.sig.m
@@ -390,14 +374,18 @@ def verify_extension_diagram(group: FrameGroup) -> List[Report]:
         bad is None and not off and group.order == 2 << m
         and all(g in group for g in (ident, -ident, *ss.frame))
     )
-    agree = bad is None and all(g == t for g, t in zip(_adjoints(ss, "gamma"), twisted))
+    pairs = enumerate(zip(_adjoints(ss, "gamma"), _adjoints(ss, "twisted")), 1)
+    mismatch = next((f"e{i}: " + ("Ad(Gamma v) missing" if g is None else "Ad~(v) missing"
+                                  if t is None else "Ad(Gamma v) != Ad~(v)")
+                     for i, (g, t) in pairs if g is None or t is None or g != t), None)
     return [
         report("twisted-adjoint-lands-in-orthogonal-group", ss.sig, bad is None,
                counterexample=None if bad is None else str(bad)),
         report("twisted-adjoint-kernel-is-plus-minus-identity", ss.sig, kernel_ok,
                counterexample=None if kernel_ok else
                f"group order {group.order}; not a reflection: {', '.join(off) or '-'}"),
-        report("adjoint-of-gamma-image-matches-twisted-adjoint", ss.sig, agree),
+        report("adjoint-of-gamma-image-matches-twisted-adjoint", ss.sig, mismatch is None,
+               counterexample=mismatch),
     ]
 
 
@@ -476,12 +464,15 @@ def verify_spinor_groups(group: FrameGroup, seed: int, kappa_pairs: int = 20) ->
     scalar pair that is invertible and commutes with V is Lipschitz.  So one certificate per run --
     each frame vector and Gamma Lipschitz, and eta in K(h) -- makes every sample Lipschitz, and
     kappa is read off its conjugation alone.  A failed certificate, or a ValueError while sampling
-    or reading kappa, fails the check.  A failing kernel check names the central elements it found;
-    a failing kappa check, its certificate or its first failing pair and any error text.
+    or reading kappa, fails the check.  A failing order check names the order it found; a failing
+    kernel check, the central elements it found; a failing kappa check, its certificate or its
+    first failing pair and any error text.
     """
     ss = group.ss
     sig = ss.sig
-    reports = [report("frame-group-order", sig, group.order == 2 << sig.m)]
+    order_ok = group.order == 2 << sig.m
+    reports = [report("frame-group-order", sig, order_ok, counterexample=None if order_ok else
+                      f"order {group.order}, expected {2 << sig.m}")]
     reports.extend(verify_extension_diagram(group))
     reports.extend(ad_surjectivity_witnesses(ss))
     if sig.m % 2:
@@ -553,19 +544,3 @@ def factor_scalar_times_pin(
             return z, g
     return None
 
-
-def factor_kernel_element(
-    group: FrameGroup, a: ExactMatrix
-) -> Optional[Tuple[ExactMatrix, ExactMatrix]]:
-    """Factor a kappa-kernel element as (K(h) element) * (gamma-image of Pin).
-
-    Searches even frame-group elements g (for which gamma(g) = g) for one with a * g^-1 in K(h).
-    """
-    ss = group.ss
-    for g in group.elements:
-        if clifford_parity(ss, g) != EVEN:
-            continue
-        k = a * g.inverse()
-        if in_kernel_k(ss, k):
-            return k, g
-    return None

@@ -26,6 +26,7 @@ right.
 from __future__ import annotations
 
 from math import gcd
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .scalars import ExactScalar, MINUS_ONE, ONE, ZERO, _View, _sum_products, sc
@@ -71,7 +72,7 @@ class ExactMatrix:
         n = len(rows)
         data = []
         for row in rows:
-            entries = sorted(((c, sc(x)) for c, x in row), key=lambda e: e[0])
+            entries = sorted(((c, sc(x)) for c, x in row), key=itemgetter(0))
             cols = [c for c, _ in entries]
             if cols and not (0 <= cols[0] and cols[-1] < n and len(set(cols)) == len(cols)):
                 raise ValueError("sparse row has a repeated or out-of-range column")

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, List, Optional
 
 if TYPE_CHECKING:
-    from .reps import Representation, SpinSpace
+    from .reps import Representation
 
 SCHEMA = 1
 
@@ -178,18 +178,6 @@ def serialize_representation(rep: Representation) -> dict:
         "signature": [rep.sig.k, rep.sig.l],
         "dim": rep.dim,
         "images": [g.to_json() for g in rep.images],
-    }
-
-
-def serialize_spin_space(ss: SpinSpace) -> dict:
-    return {
-        "schema": SCHEMA,
-        "signature": [ss.sig.k, ss.sig.l],
-        "dim": ss.dim,
-        "frame": [g.to_json() for g in ss.frame],
-        "eta": ss.eta.to_json(),
-        "iota": ss.iota.to_json(),
-        "gamma": ss.gamma.to_json(),
     }
 
 

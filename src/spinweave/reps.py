@@ -475,18 +475,6 @@ def _spin_space_from(rep: Representation) -> SpinSpace:
     return SpinSpace(rep.sig, rep, rep.images, eta, iota, choose_gamma(rep.images))
 
 
-def conjugate_spin_space(ss: SpinSpace, a: ExactMatrix) -> SpinSpace:
-    """Spin space with frame a v a^-1; used to exercise non-canonical frames."""
-    inv = a.inverse()
-    frame = tuple(a * v * inv for v in ss.frame)
-    return _spin_space_from(Representation(ss.sig, ss.rep.kind, frame, ss.dim))
-
-
-def alpha_is_gamma_conjugation(ss: SpinSpace) -> bool:
-    """include(alpha(x)) == gamma^-1 include(x) gamma for every Clifford element x."""
-    return _alpha_counterexample(ss) is None
-
-
 def _alpha_counterexample(ss: SpinSpace) -> Optional[str]:
     """The first x of 1, e1..em with include(alpha(x)) != gamma^-1 include(x) gamma, or None.
 

@@ -102,9 +102,6 @@ class ExactScalar:
     def is_zero(self) -> bool:
         return not (self.p or self.q or self.r or self.s)
 
-    def is_rational(self) -> bool:
-        return not (self.q or self.r or self.s)
-
     def is_real(self) -> bool:
         """True iff the value lies in R (i.e. in Q(sqrt2))."""
         return not (self.q or self.s)

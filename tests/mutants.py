@@ -430,6 +430,16 @@ MUTANTS = (
          "tests/test_catalog_oracle.py::test_single_faults_raise_the_same_error[tiny]"),
     ),
     Mutant(
+        # an oriented bundle accepted with w1 != 0: the one orientedness rule, in ManifoldData
+        "record-accepts-oriented-w1",
+        "charclass.py",
+        "            if b.oriented and not b.w1.is_zero():\n",
+        "            if False:\n",
+        ("tests/test_charclass.py::TestIngestionValidation::test_oriented_bundle_needs_trivial_w1",
+         "tests/test_charclass.py::TestCatalogValidation::"
+         "test_oriented_bundle_w1_names_record_and_key"),
+    ),
+    Mutant(
         # a ring with two basis classes of one name: dump_catalog writes one sq row for both
         "ring-accepts-duplicate-names",
         "charclass.py",

@@ -23,7 +23,6 @@ from spinweave.bundles import (
     exterior_tau,
     hermitean_example_check,
     hermitean_h_value,
-    hermitean_operator,
     hermitean_tau,
 )
 from spinweave.clifford import Signature
@@ -119,6 +118,11 @@ def rows_of(image, m):
     return tuple(tuple(sorted(image({mask: ONE}).items())) for mask in range(1 << m))
 
 
+def _gaussian_operator(n):
+    """S: the operator on the Gaussian slots of n that hermitean_example_check squares."""
+    return bundles._operator(len(n), bundles._hermitean_slots(n, len(n)))
+
+
 # -- verdicts ---------------------------------------------------------------------
 
 SIGNATURES = [Signature(k, m - k) for m in range(1, 7) for k in range(m + 1)]
@@ -164,8 +168,9 @@ def test_exterior_operator_rows_are_reference_images(case):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda d: st.lists(GAUSS, min_size=d, max_size=d)))
 def test_hermitean_operator_rows_are_reference_images(n):
+    # T = sqrt2 * S for the Gaussian-slot operator S that hermitean_example_check squares
     d = len(n)
-    op = hermitean_operator(n)
+    op = _gaussian_operator(n).scale(SQRT2)
     assert op.n == 1 << d
     assert op.sparse_rows == rows_of(lambda form: ref_hermitean_tau(n, form), d)
     form = {mask: sc(mask + 1) for mask in range(1 << d)}
@@ -175,16 +180,19 @@ def test_hermitean_operator_rows_are_reference_images(n):
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("seed", [1, 2, 7, 2024])
 def test_hermitean_operator_is_sqrt2_times_the_gaussian_operator(d, seed):
-    # hermitean_example_check squares the Gaussian operator S, and T = sqrt2 * S
+    # hermitean_example_check squares the Gaussian operator S, and row A of T = sqrt2 * S is
+    # hermitean_tau(n, omega_A)
     rng = random.Random(seed)
     n = [ExactScalar(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(d)]
-    gaussian = bundles._operator(d, bundles._hermitean_slots(n, d))
+    gaussian = _gaussian_operator(n)
     assert all(x.is_gaussian() for row in gaussian.sparse_rows for _, x in row)
-    assert hermitean_operator(n) == gaussian.scale(SQRT2)
+    images = (hermitean_tau(n, ExteriorElement.basis_form(d, mask)) for mask in range(1 << d))
+    rows = tuple(tuple(sorted(image.terms.items())) for image in images)
+    assert gaussian.scale(SQRT2).sparse_rows == rows
 
 
 def test_operators_keep_the_input_checks():
     with pytest.raises(ValueError):
         exterior_operator([1, 0], Signature(3, 0))
     with pytest.raises(ValueError):
-        hermitean_operator([SQRT2])
+        hermitean_tau([SQRT2], ExteriorElement.zero(1))

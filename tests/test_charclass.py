@@ -61,8 +61,14 @@ class TestF2:
 class TestIngestionValidation:
     def test_oriented_bundle_needs_trivial_w1(self):
         ring = CohoRing(("a",), ("s",), ((1,),))
-        with pytest.raises(ValueError):
-            BundleData("bad", 2, CohoClass(1, (1,)), CohoClass(2, (0,)), oriented=True)
+        tangent = BundleData("T", 3, CohoClass(1, (0,)), CohoClass(2, (0,)))
+        bundle = BundleData("E", 2, CohoClass(1, (1,)), CohoClass(2, (0,)), oriented=True)
+        with pytest.raises(ValueError, match=r"'bad': key 'bundles\[0\]\.w1' must be 0 on the "
+                                             r"oriented bundle 'E'"):
+            ManifoldData("bad", 3, ring, tangent, ((1,),), (bundle,))
+        unoriented = BundleData("E", 2, CohoClass(1, (1,)), CohoClass(2, (0,)))
+        record = ManifoldData("ok", 3, ring, tangent, ((1,),), (unoriented,))
+        assert record.bundles == (unoriented,)
 
     def test_lemma_constraint_rejected(self):
         ring = CohoRing(("a",), ("s",), ((1,),))
@@ -442,6 +448,13 @@ class TestCatalogValidation:
     def test_cup_square_names_its_sq_key(self):
         with pytest.raises(ValueError, match="'tiny': key 'cup.x,x' disagrees with 'sq.x'"):
             _load(_record(cup={"x,x": [0]}))
+
+    def test_oriented_bundle_w1_names_record_and_key(self):
+        bundle = {"name": "E", "rank": 2, "w1": [0, 1], "w2": [1], "oriented": True}
+        with pytest.raises(ValueError, match=r"'tiny': key 'bundles\[0\]\.w1' must be 0"):
+            _load(_record(bundles=[bundle]))
+        (m,) = _load(_record(bundles=[{**bundle, "w1": [0, 0]}]))
+        assert m.bundles[0].oriented
 
     def test_tangent_w1_length(self):
         with pytest.raises(ValueError, match="'tiny'.*'tangent.w1'.*length 3, expected 2"):

@@ -34,8 +34,10 @@ from spinweave.groups import (
 )
 from spinweave.linalg import ExactMatrix
 from spinweave.reports import Report, report
-from spinweave.reps import EVEN, SpinSpace, conjugate_spin_space, spin_space
+from spinweave.reps import EVEN, SpinSpace, spin_space
 from spinweave.scalars import ExactScalar, sc
+
+from tools import conjugate_spin_space
 
 
 # ---------------------------------------------------------------------------

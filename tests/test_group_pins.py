@@ -15,7 +15,7 @@ import pytest
 from spinweave.clifford import Signature
 from spinweave.groups import frame_group, sample_lipschitz
 
-# signature -> (order, element keys, Cayley table, 8 samples with seed 20)
+# signature -> (order, element keys, Cayley table through index_of, 8 samples with seed 20)
 PINS = {
     (2, 1): (16, "212cf1985b84b7bc", "99bbf98e99bccc20", "e2386db3f5093bcb"),
     (2, 2): (32, "4a9ede2cde089c35", "4d1ea8333a988b80", "ba807d02ceb93e1d"),
@@ -36,5 +36,6 @@ def test_frame_group_and_samples_match_pins(kl):
     drawn = tuple(sample_lipschitz(group, rng).key() for _ in range(8))
     assert group.order == order
     assert _digest(tuple(g.key() for g in group.elements)) == elements
-    assert _digest(group.cayley) == cayley
+    table = tuple(tuple(group.index_of(a * b) for b in group.elements) for a in group.elements)
+    assert _digest(table) == cayley
     assert _digest(drawn) == samples

@@ -21,7 +21,6 @@ from spinweave.groups import (
     clifford_parity,
     embed_pin_pair,
     expand_in_frame,
-    factor_kernel_element,
     factor_scalar_times_pin,
     frame_group,
     generate_frame_group,
@@ -37,10 +36,11 @@ from spinweave.groups import (
     verify_spinor_groups,
 )
 from spinweave.reps import (
-    EVEN, ODD, Representation, SpinSpace, _blade_table, conjugate_spin_space, grading_of,
-    spin_space,
+    EVEN, ODD, Representation, SpinSpace, _blade_table, grading_of, spin_space,
 )
 from spinweave.scalars import I, MINUS_ONE, ONE, ExactScalar, sc
+
+from tools import conjugate_spin_space, factor_kernel_element
 
 CE = CliffordElement
 M = ExactMatrix
@@ -83,27 +83,16 @@ class TestFrameGroup:
         assert ident in g and -ident in g
 
     def test_cayley_closure_and_inverses(self):
+        # the Cayley table through index_of: every product is in the group, the identity's row is
+        # the identity map, and every row holds the identity once, at the inverse's index
         ss = spin_space(sig(2, 0))
         g = generate_frame_group(ss)
-        for i in range(g.order):
-            g.inverse_index(i)  # raises KeyError if missing
-        e = g.identity_index
-        assert all(g.cayley[e][j] == j for j in range(g.order))
-
-    def test_inverse_index_needs_no_cayley_table(self):
-        g = generate_frame_group(spin_space(sig(6, 0)))
-        e = g.identity_index
-        for i in (0, 1, g.order // 3, g.order - 1):
-            j = g.inverse_index(i)
-            assert g.elements[i] * g.elements[j] == g.elements[e]
-        assert g._cayley is None
-
-    def test_inverse_index_agrees_with_cayley_table(self):
-        g = generate_frame_group(spin_space(sig(2, 0)))
-        e = g.identity_index
-        for i in range(g.order):
-            assert g.cayley[i][g.inverse_index(i)] == e
-            assert [j for j in range(g.order) if g.cayley[i][j] == e] == [g.inverse_index(i)]
+        table = [[g.index_of(a * b) for b in g.elements] for a in g.elements]
+        assert all(j is not None for row in table for j in row)
+        e = g.index_of(M.identity(ss.dim))
+        assert table[e] == list(range(g.order))
+        for a, row in zip(g.elements, table):
+            assert [j for j, k in enumerate(row) if k == e] == [g.index_of(a.inverse())]
 
 
 class TestTwistedAdjoint:
@@ -437,6 +426,20 @@ class TestExtensionDiagram:
         results = verify_extension_diagram(generate_frame_group(spin_space(s)))
         assert all(r.ok for r in results)
 
+    @pytest.mark.parametrize("family, wrong, text", [
+        ("gamma", "identity", "e2: Ad(Gamma v) != Ad~(v)"),
+        ("gamma", None, "e2: Ad(Gamma v) missing"),
+        ("twisted", None, "e2: Ad~(v) missing"),
+    ], ids=["differs", "gamma-missing", "twisted-missing"])
+    def test_gamma_mismatch_names_the_first_vector(self, monkeypatch, family, wrong, text):
+        ss = spin_space(sig(3, 0))
+        adjoints = list(groups._adjoints(ss, family))
+        adjoints[1] = OrthMatrix(ss.sig, M.identity(3)) if wrong else None
+        monkeypatch.setitem(ss._cache, family + "-adjoints", tuple(adjoints))
+        agree = verify_extension_diagram(frame_group(ss.sig))[2]
+        assert agree.check_name == "adjoint-of-gamma-image-matches-twisted-adjoint"
+        assert (agree.ok, agree.counterexample) == (False, text)
+
     def test_plain_ad_kernel_odd(self):
         ss = spin_space(sig(3, 0))
         kernel = plain_ad_kernel(generate_frame_group(ss))
@@ -560,6 +563,7 @@ class TestVerifySpinorGroups:
         assert group.order == 2
         reports = verify_spinor_groups(group, seed=1)
         assert (reports[0].check_name, reports[0].status) == ("frame-group-order", "fail")
+        assert reports[0].counterexample == "order 2, expected 4"
 
     def test_singular_sample_fails_kappa_without_raising(self, monkeypatch):
         # a zero scalar factor makes the sample singular, so its inverse (or the odd element's

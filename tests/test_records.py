@@ -152,7 +152,8 @@ class TestValueSemantics:
         lambda: CohoRing(("a", "b"), ("c",), ((0,), (0,)), {(0, 1): (1,), (1, 0): (0,)}),
         lambda: CohoRing(("a",), ("c",), ((1,),), {(0, 0): (0,)}),
         lambda: BundleData("T", 0, CohoClass(1, ()), CohoClass(2, ())),
-        lambda: BundleData("T", 2, CohoClass(1, (1,)), CohoClass(2, ()), oriented=True),
+        lambda: ManifoldData("x", 1, _s1().ring, _s1().tangent, (), (
+            BundleData("E", 2, CohoClass(1, (1,)), CohoClass(2, ()), oriented=True),)),
         lambda: ManifoldData("x", 2, _s1().ring, _s1().tangent, ()),
         lambda: ManifoldData("x", 1, _s1().ring, _s1().tangent, ((1,),)),
     ])

@@ -12,10 +12,9 @@ from spinweave.reports import (
     render_table,
     report,
     serialize_representation,
-    serialize_spin_space,
     to_json_text,
 )
-from spinweave.reps import DIRAC, build_rep, spin_space
+from spinweave.reps import DIRAC, build_rep
 
 # frozen golden form of the Dirac representation of Cl(2,0)
 GOLDEN_DIRAC_2_0 = {
@@ -46,15 +45,6 @@ def test_representation_images_roundtrip():
     doc = serialize_representation(rep)
     rebuilt = [ExactMatrix.from_json(g) for g in doc["images"]]
     assert tuple(rebuilt) == rep.images
-
-
-def test_spin_space_serialisation():
-    ss = spin_space(Signature(3, 0))
-    doc = serialize_spin_space(ss)
-    assert doc["schema"] == 1
-    assert doc["dim"] == 4
-    assert ExactMatrix.from_json(doc["gamma"]) == ss.gamma
-    assert ExactMatrix.from_json(doc["eta"]) == ss.eta
 
 
 def test_report_shape():

@@ -27,14 +27,13 @@ from spinweave.reps import (
     WEYL_PLUS,
     Representation,
     SpinSpace,
+    _alpha_counterexample,
     _spin_space_from,
-    alpha_is_gamma_conjugation,
     anticommutant,
     build_rep,
     cartan_projectors,
     choose_gamma,
     commutant,
-    conjugate_spin_space,
     decompose_even_restriction,
     find_intertwiner,
     gamma_map,
@@ -44,6 +43,8 @@ from spinweave.reps import (
     verify_spin_space,
 )
 from spinweave.scalars import ExactScalar, I, MINUS_ONE, ONE, sc
+
+from tools import conjugate_spin_space
 
 CE = CliffordElement
 M = ExactMatrix
@@ -336,11 +337,11 @@ class TestAlphaIsGammaConjugation:
         return SpinSpace(ss.sig, ss.rep, ss.frame, ss.eta, ss.iota, gamma)
 
     def test_canonical_gamma_passes(self):
-        assert alpha_is_gamma_conjugation(spin_space(self.SIG))
+        assert _alpha_counterexample(spin_space(self.SIG)) is None
 
     def test_identity_gamma_fails(self):
         ss = self._with_gamma(M.identity(spin_space(self.SIG).dim))
-        assert not alpha_is_gamma_conjugation(ss)
+        assert _alpha_counterexample(ss) is not None
 
     def test_gamma_wrong_only_on_e7_fails(self):
         # e1...e6 anticommutes with e1..e6 and commutes with e7, so it
@@ -348,7 +349,7 @@ class TestAlphaIsGammaConjugation:
         ss = spin_space(self.SIG)
         e1_to_e6 = ss.include(CE.blade(self.SIG, 0b0111111))
         wrong = self._with_gamma(e1_to_e6)
-        assert not alpha_is_gamma_conjugation(wrong)
+        assert _alpha_counterexample(wrong) is not None
         assert verify_spin_space(wrong)[-1].counterexample == "fails at e7"
 
 

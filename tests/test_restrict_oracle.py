@@ -24,11 +24,12 @@ from spinweave.clifford import CliffordElement, Signature
 from spinweave.linalg import ExactMatrix
 from spinweave.reps import (
     DIRAC, WEYL_MINUS, WEYL_PLUS, SpinSpace, _frame_volume, _weyl_images,
-    build_rep, conjugate_spin_space, gamma_map, spin_space,
+    build_rep, gamma_map, spin_space,
 )
 from spinweave.scalars import MINUS_ONE, ONE, ZERO, sc
 
 from test_intertwiner_oracle import nullspace_sparse
+from tools import conjugate_spin_space
 from test_matrix_oracle import GRID, NONZERO, ref_add, ref_identity, ref_sub
 from test_solver_oracle import oracle_rref
 

@@ -67,8 +67,6 @@ def test_conjugation_is_ring_morphism(x):
 
 
 def test_predicates():
-    assert sc(3).is_rational()
-    assert not I.is_rational()
     assert SQRT2.is_real()
     assert not (I * SQRT2).is_real()
     assert (ONE + I).is_gaussian()
